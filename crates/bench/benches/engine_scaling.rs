@@ -50,8 +50,6 @@ fn measure(
         symbolic_audit: false,
         gc_threshold: None,
         cssg_shards: 1,
-        settle_por: true,
-        settle_cap: None,
     };
     // Warm-up, then best-of-`reps` wall clock.  With `reps == 0`
     // (quick mode) the single run doubles as the measurement.
@@ -117,8 +115,6 @@ fn measure_memory(
         symbolic_audit: true,
         gc_threshold,
         cssg_shards: 1,
-        settle_por: true,
-        settle_cap: None,
     };
     let out = run_engine(ckt, &cfg).expect("engine runs");
     let peak = out

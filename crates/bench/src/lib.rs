@@ -1,19 +1,15 @@
-//! Benchmark harness: regenerates the paper's Tables 1 and 2 and hosts
-//! the Criterion micro-benchmarks.
+//! Benchmark harness: the ablation studies and the Criterion
+//! micro-benchmarks.  The paper's Tables 1 and 2 come from `satpg table
+//! 1|2`.
 //!
-//! * `cargo run -p satpg-bench --release --bin table1` — Table 1
-//!   (speed-independent complex-gate circuits, Petrify stand-in);
-//! * `cargo run -p satpg-bench --release --bin table2` — Table 2
-//!   (bounded-delay two-level circuits with hazard-cover redundancy for
-//!   `trimos-send`/`vbe10b`/`vbe6a`, SIS stand-in);
 //! * `cargo run -p satpg-bench --release --bin ablation_k` — sensitivity
 //!   of the CSSG to the test-cycle bound `k` (§4.1);
+//! * `cargo run -p satpg-bench --release --bin ablation_redundancy` —
+//!   coverage cost of redundant hazard covers;
 //! * `cargo bench` — Criterion benches for the substrates.
 
 pub mod report;
 
-use satpg_core::report::TableRow;
-use satpg_core::{run_atpg, AtpgConfig, AtpgReport, FaultModel};
 use satpg_netlist::Circuit;
 use satpg_stg::synth::{complex_gate, two_level, Redundancy};
 use satpg_stg::{suite, StateGraph};
@@ -50,33 +46,6 @@ pub fn synthesize(name: &str, style: Style) -> Circuit {
     }
 }
 
-/// Runs both fault-model campaigns on one benchmark and returns
-/// `(output-model report, input-model report)`.
-pub fn run_benchmark(name: &str, style: Style) -> (AtpgReport, AtpgReport) {
-    let ckt = synthesize(name, style);
-    let input = run_atpg(&ckt, &AtpgConfig::paper()).expect("ATPG runs");
-    let output = run_atpg(
-        &ckt,
-        &AtpgConfig {
-            fault_model: FaultModel::OutputStuckAt,
-            ..AtpgConfig::paper()
-        },
-    )
-    .expect("ATPG runs");
-    (output, input)
-}
-
-/// Builds one table row for a benchmark.
-pub fn row(name: &str, style: Style) -> TableRow {
-    let (output, input) = run_benchmark(name, style);
-    TableRow::new(name, &output, &input)
-}
-
-/// All rows of a table, in the paper's order.
-pub fn table_rows(style: Style) -> Vec<TableRow> {
-    suite::NAMES.iter().map(|&n| row(n, style)).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -86,13 +55,5 @@ mod tests {
         let si = synthesize("converta", Style::SpeedIndependent);
         let bd = synthesize("converta", Style::BoundedDelay);
         assert!(bd.num_gates() >= si.num_gates());
-    }
-
-    #[test]
-    fn one_row_has_consistent_columns() {
-        let r = row("converta", Style::SpeedIndependent);
-        assert_eq!(r.rnd + r.ph3 + r.sim, r.input_cov);
-        assert!(r.input_tot >= r.output_tot);
-        assert_eq!(r.output_cov, r.output_tot, "SI: 100% output stuck-at");
     }
 }

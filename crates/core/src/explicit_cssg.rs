@@ -35,9 +35,6 @@ pub struct CssgConfig {
     /// what keeps the deep generated families (muller ≥ 19) from
     /// truncating.
     pub por: bool,
-    /// Intra-settle parallel expansion threads (`0`/`1` = serial).  The
-    /// graph is identical for any value; only wall clock changes.
-    pub settle_threads: usize,
     /// Accept ternary-definite settles without the exhaustive analysis.
     pub ternary_fast_path: bool,
     /// Cap on the number of input patterns *tried* per stable state
@@ -59,7 +56,6 @@ impl Default for CssgConfig {
             max_states: 1 << 14,
             settle_cap: CapPolicy::default_scaled(),
             por: true,
-            settle_threads: 1,
             ternary_fast_path: true,
             pattern_budget: None,
         }
@@ -74,7 +70,6 @@ impl CssgConfig {
             cap: self.settle_cap,
             por: self.por,
             ternary_fast_path: self.ternary_fast_path,
-            threads: self.settle_threads,
         }
     }
 }

@@ -42,7 +42,6 @@ pub fn validate_test(ckt: &Circuit, fault: &Fault, seq: &TestSequence, k: usize)
         // raw naive walk the reduced engines are checked against.
         por: false,
         ternary_fast_path: false,
-        threads: 1,
     };
     let mut faulty = Settler::new(ckt, &fault.injection(), &scfg);
     let mut clean = Settler::new(ckt, &Injection::none(), &scfg);

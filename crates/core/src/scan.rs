@@ -68,7 +68,6 @@ fn exposing_signals(
         cap: cfg.settle_cap,
         por: cfg.por,
         ternary_fast_path: true,
-        threads: 1,
     };
     let mut settler = Settler::new(ckt, &fault.injection(), &scfg);
     let n = ckt.num_state_bits();

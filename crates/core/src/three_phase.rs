@@ -142,7 +142,6 @@ pub fn three_phase_traced(
         cap: cfg.settle_cap,
         por: cfg.por,
         ternary_fast_path: true,
-        threads: 1,
     };
     let mut settler = Settler::new(ckt, &inj, &scfg);
     let status = three_phase_inner(ckt, cssg, cfg, &mut settler);

@@ -6,7 +6,7 @@ use satpg_core::json::Json;
 use satpg_core::stages::{random_stage, targeted_stage, FaultPlan, StageState};
 use satpg_core::{
     build_cssg_sharded, faults_for, three_phase, three_phase_traced, AtpgConfig, AtpgReport,
-    CapPolicy, CoreError, Cssg, Fault, FaultStatus, TestSequence,
+    CoreError, Cssg, Fault, FaultStatus, TestSequence,
 };
 use satpg_netlist::Circuit;
 use std::sync::{OnceLock, RwLock};
@@ -121,15 +121,6 @@ pub struct EngineConfig {
     /// parallel; any value yields a CSSG structurally identical to the
     /// serial build (the `--cssg-shards` CLI flag).
     pub cssg_shards: usize,
-    /// Partial-order reduction inside every settling analysis (CSSG
-    /// construction and the workers' faulty-machine settles).  `false`
-    /// forces the naive walks regardless of the nested `atpg` config
-    /// (the `--no-por` CLI flag).
-    pub settle_por: bool,
-    /// Override for the settle-set cap policy of both layers; `None`
-    /// keeps the nested `atpg` config's policies (the `--settle-cap`
-    /// CLI flag).
-    pub settle_cap: Option<CapPolicy>,
 }
 
 impl Default for EngineConfig {
@@ -141,8 +132,6 @@ impl Default for EngineConfig {
             symbolic_audit: true,
             gc_threshold: None,
             cssg_shards: 0,
-            settle_por: true,
-            settle_cap: None,
         }
     }
 }
@@ -180,22 +169,6 @@ impl EngineConfig {
         } else {
             self.cssg_shards
         }
-    }
-
-    /// The campaign with the settle overrides folded into the nested
-    /// flow configuration, so the CSSG build, the workers and the merge
-    /// all see one consistent settling policy.
-    fn normalized(&self) -> EngineConfig {
-        let mut cfg = self.clone();
-        if !cfg.settle_por {
-            cfg.atpg.cssg.por = false;
-            cfg.atpg.three_phase.por = false;
-        }
-        if let Some(cap) = cfg.settle_cap {
-            cfg.atpg.cssg.settle_cap = cap;
-            cfg.atpg.three_phase.settle_cap = cap;
-        }
-        cfg
     }
 }
 
@@ -477,7 +450,6 @@ pub fn run_engine_streaming(
     cfg: &EngineConfig,
     sink: &dyn EngineSink,
 ) -> Result<EngineReport, CoreError> {
-    let cfg = &cfg.normalized();
     let shards = cfg.build_shards();
     let _span = satpg_trace::span!(
         "engine.run",
@@ -519,7 +491,7 @@ pub fn run_engine_on_streaming(
     us_cssg: u128,
     sink: &dyn EngineSink,
 ) -> EngineReport {
-    run_engine_built(ckt, cssg, faults, &cfg.normalized(), us_cssg, 1, sink)
+    run_engine_built(ckt, cssg, faults, cfg, us_cssg, 1, sink)
 }
 
 /// The campaign body: `cssg_shards` records how many threads built the

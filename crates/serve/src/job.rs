@@ -19,14 +19,50 @@ fn synth(stg: &Stg, style: &str) -> Result<Circuit, String> {
     }
 }
 
-fn size_in(size: usize, lo: usize, hi: usize) -> Result<usize, String> {
-    if (lo..=hi).contains(&size) {
-        Ok(size)
-    } else {
-        Err(format!(
-            "size {size} out of range for this family ({lo}..={hi})"
-        ))
+/// The generated families: `(name, default size, min size, max size)`.
+/// The one table behind `satpg gen`, the CLI's `--family` and the
+/// daemon's family specs.  The caps are resource guards, not
+/// representation limits: patterns and states are multi-word, so
+/// arbiter widths past 63 are legal — such jobs just need an explicit
+/// `pattern_budget`.
+const FAMILIES: [(&str, usize, usize, usize); 4] = [
+    ("muller", 4, 1, 128),
+    ("dme", 3, 2, 6),
+    ("arbiter", 4, 2, 128),
+    ("seq", 4, 1, 15),
+];
+
+fn family_entry(name: &str) -> Result<(usize, usize, usize), String> {
+    FAMILIES
+        .iter()
+        .find(|f| f.0 == name)
+        .map(|&(_, default, lo, hi)| (default, lo, hi))
+        .ok_or_else(|| format!("unknown family `{name}` (muller|dme|arbiter|seq)"))
+}
+
+/// The size a family is built at when none is given.
+///
+/// # Errors
+///
+/// The unknown-family message [`resolve_circuit`] would give.
+pub fn family_default_size(name: &str) -> Result<usize, String> {
+    family_entry(name).map(|f| f.0)
+}
+
+/// Builds a generated-family circuit: `muller`/`arbiter` at netlist
+/// level, `dme`/`seq` through the STG pipeline.
+fn family(name: &str, size: usize) -> Result<Circuit, String> {
+    let (_, lo, hi) = family_entry(name)?;
+    if !(lo..=hi).contains(&size) {
+        return Err(format!("{name} size {size} out of range ({lo}..={hi})"));
     }
+    let stg = match name {
+        "muller" => return Ok(satpg_netlist::families::muller_pipeline(size)),
+        "arbiter" => return Ok(satpg_netlist::families::arbiter_tree(size)),
+        "dme" => satpg_stg::families::dme_ring(size),
+        _ => satpg_stg::families::sequencer(size),
+    };
+    synth(&stg.map_err(|e| e.to_string())?, "si")
 }
 
 /// Builds the circuit a spec names.
@@ -41,29 +77,7 @@ pub fn resolve_circuit(spec: &CircuitSpec) -> Result<Circuit, String> {
             let stg = suite::load(name).map_err(|e| format!("{name}: {e}"))?;
             synth(&stg, style).map_err(|e| format!("{name}: {e}"))
         }
-        // Family size caps mirror the CLI's `gen` ranges.  They are
-        // resource guards, not representation limits: patterns and
-        // states are multi-word, so arbiter widths past 63 are legal —
-        // such jobs just need an explicit `pattern_budget`.
-        CircuitSpec::Family { name, size } => match name.as_str() {
-            "muller" => Ok(satpg_netlist::families::muller_pipeline(size_in(
-                *size, 1, 128,
-            )?)),
-            "arbiter" => Ok(satpg_netlist::families::arbiter_tree(size_in(
-                *size, 2, 128,
-            )?)),
-            "dme" => {
-                let stg = satpg_stg::families::dme_ring(size_in(*size, 2, 6)?)
-                    .map_err(|e| e.to_string())?;
-                synth(&stg, "si")
-            }
-            "seq" => {
-                let stg = satpg_stg::families::sequencer(size_in(*size, 1, 15)?)
-                    .map_err(|e| e.to_string())?;
-                synth(&stg, "si")
-            }
-            other => Err(format!("unknown family `{other}` (muller|dme|arbiter|seq)")),
-        },
+        CircuitSpec::Family { name, size } => family(name, *size),
         CircuitSpec::InlineG { text, style } => {
             let stg = parse_g(text).map_err(|e| e.to_string())?;
             synth(&stg, style)
@@ -148,6 +162,10 @@ mod tests {
         })
         .unwrap_err();
         assert!(e.contains("out of range"));
+        assert_eq!(family_default_size("dme"), Ok(3));
+        assert!(family_default_size("nope")
+            .unwrap_err()
+            .contains("unknown family"));
         let e = resolve_circuit(&CircuitSpec::InlineG {
             text: ".model m\n.bogus\n".into(),
             style: "si".into(),

@@ -47,6 +47,6 @@ pub mod testing;
 
 pub use client::{Client, ClientError, SubmitOutcome};
 pub use fleet::{run_fleet, run_fleet_built, FleetConfig, FleetOutcome, FleetStats};
-pub use job::{job_atpg_config, resolve_circuit};
+pub use job::{family_default_size, job_atpg_config, resolve_circuit};
 pub use proto::{CircuitSpec, JobSpec, Request, ShardSpec};
 pub use server::{ServeConfig, Server};

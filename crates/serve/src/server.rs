@@ -575,8 +575,6 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
         symbolic_audit: true,
         gc_threshold: job.spec.gc_threshold.or(state.cfg.gc_threshold),
         cssg_shards: 0,
-        settle_por: true,
-        settle_cap: None,
     };
 
     let skey: CssgKey = (

@@ -65,7 +65,6 @@ impl ExplicitConfig {
             cap: CapPolicy::Fixed(self.max_states),
             por: false,
             ternary_fast_path: self.ternary_fast_path,
-            threads: 1,
         }
     }
 }

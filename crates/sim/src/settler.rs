@@ -17,9 +17,7 @@
 //! * **adaptive caps** ([`CapPolicy`]) — the tracked-set bound derived
 //!   from circuit size instead of a fixed constant, with a distinct
 //!   [`Settle::Truncated`] verdict (and [`SetSettle::Truncated`]) in
-//!   place of the old ambiguous `None`;
-//! * **optional intra-settle parallelism** — wide frontiers split across
-//!   scoped threads with a deterministic merge.
+//!   place of the old ambiguous `None`.
 //!
 //! The legacy [`crate::settle_explicit`] / [`crate::settle_set`] entry
 //! points remain as thin adapters over this engine (POR off, fixed cap),
@@ -158,26 +156,17 @@ pub struct SettlerConfig {
     /// Skip the exhaustive exploration when scalar ternary simulation
     /// already proves confluence.
     pub ternary_fast_path: bool,
-    /// Intra-settle parallelism: frontiers wider than an internal
-    /// threshold are expanded across this many scoped threads.  `0` or
-    /// `1` keeps the walk serial.  The result is identical for any
-    /// thread count (the merge is a set union), and so are the
-    /// [`SettleStats`] — except on a step that truncates, where the
-    /// serial walk stops counting at the first over-cap insert while
-    /// the chunked walk finishes counting every chunk.
-    pub threads: usize,
 }
 
 impl SettlerConfig {
     /// Defaults for a circuit: `k = 4·gates + 4`, the scaled cap policy,
-    /// POR on, fast path on, serial.
+    /// POR on, fast path on.
     pub fn for_circuit(ckt: &Circuit) -> Self {
         SettlerConfig {
             k: 4 * ckt.num_gates() + 4,
             cap: CapPolicy::default_scaled(),
             por: true,
             ternary_fast_path: true,
-            threads: 1,
         }
     }
 }
@@ -231,11 +220,6 @@ impl SettleStats {
     }
 }
 
-/// Frontiers narrower than this are expanded serially even when
-/// [`SettlerConfig::threads`] asks for parallelism (thread spawn costs
-/// more than the expansion).
-const PAR_MIN_FRONTIER: usize = 64;
-
 /// Result of one frontier step.
 enum Step {
     /// The next frontier and whether any expanded state was unstable.
@@ -264,7 +248,6 @@ pub struct Settler<'c> {
     cap: usize,
     por: bool,
     fast_path: bool,
-    threads: usize,
     /// Per gate: the signals its evaluation reads under the injection
     /// (forced pins removed; the gate's own output added for state-holding
     /// kinds).  The commutation support of the POR rule.
@@ -305,7 +288,6 @@ impl<'c> Settler<'c> {
             cap: cfg.cap.resolve(ng),
             por: cfg.por,
             fast_path: cfg.ternary_fast_path,
-            threads: cfg.threads.max(1),
             deps,
             readers,
             stats: SettleStats::default(),
@@ -509,9 +491,6 @@ impl<'c> Settler<'c> {
     /// every unstable state is replaced by its one-step successors
     /// (POR-reduced to the ample gate's successor where the rule fires).
     fn step(&mut self, frontier: &BTreeSet<Bits>, por: bool) -> Step {
-        if self.threads > 1 && frontier.len() >= PAR_MIN_FRONTIER {
-            return self.step_parallel(frontier, por);
-        }
         let mut next = BTreeSet::new();
         let mut any_unstable = false;
         for s in frontier {
@@ -527,76 +506,6 @@ impl<'c> Settler<'c> {
             }
         }
         Step::Next(next, any_unstable)
-    }
-
-    /// [`Settler::step`] with the frontier split across scoped threads.
-    /// Each chunk expands privately (its partial successor set bounded
-    /// by the same cap — a chunk's successors are a subset of the full
-    /// step's, so a chunk overflow is a step overflow); the merge is a
-    /// set union, so the result is independent of the chunking.
-    fn step_parallel(&mut self, frontier: &BTreeSet<Bits>, por: bool) -> Step {
-        /// One chunk's harvest: its successor set (`None` on chunk
-        /// truncation), unstable flag and stat deltas.
-        type ChunkResult = (Option<BTreeSet<Bits>>, bool, u64, u64, u64);
-        let states: Vec<&Bits> = frontier.iter().collect();
-        let chunk = states.len().div_ceil(self.threads);
-        let results: Vec<ChunkResult> = std::thread::scope(|scope| {
-            let handles: Vec<_> = states
-                .chunks(chunk)
-                .map(|part| {
-                    let me: &Settler = &*self;
-                    scope.spawn(move || {
-                        let mut set = BTreeSet::new();
-                        let mut any_unstable = false;
-                        let (mut explored, mut por_states, mut por_pruned) = (0u64, 0u64, 0u64);
-                        for s in part {
-                            let (succs, unstable, stats) = me.expand(s, por);
-                            explored += 1;
-                            por_states += stats.0;
-                            por_pruned += stats.1;
-                            any_unstable |= unstable;
-                            for t in succs {
-                                if !me.capped_insert(&mut set, t) {
-                                    return (None, any_unstable, explored, por_states, por_pruned);
-                                }
-                            }
-                        }
-                        (Some(set), any_unstable, explored, por_states, por_pruned)
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("settle worker panicked"))
-                .collect()
-        });
-        let mut next = BTreeSet::new();
-        let mut any_unstable = false;
-        let mut truncated = false;
-        for (set, unstable, explored, por_states, por_pruned) in results {
-            self.stats.states_explored += explored;
-            self.stats.por_states += por_states;
-            self.stats.por_pruned += por_pruned;
-            any_unstable |= unstable;
-            match set {
-                None => truncated = true,
-                Some(part) => {
-                    if !truncated {
-                        for t in part {
-                            if !self.capped_insert(&mut next, t) {
-                                truncated = true;
-                                break;
-                            }
-                        }
-                    }
-                }
-            }
-        }
-        if truncated {
-            Step::Truncated
-        } else {
-            Step::Next(next, any_unstable)
-        }
     }
 
     /// Expands one state: its successor list, whether it was unstable,
@@ -873,43 +782,6 @@ mod tests {
             por.stats(),
             naive.stats()
         );
-    }
-
-    /// Intra-settle parallelism is invisible in the result.
-    #[test]
-    fn parallel_step_is_deterministic() {
-        for ckt in [
-            satpg_netlist::families::muller_pipeline(6),
-            library::figure1a(),
-            library::c_element(),
-        ] {
-            let inj = Injection::none();
-            let serial_cfg = naive_cfg(&ckt);
-            let par_cfg = SettlerConfig {
-                threads: 3,
-                ..serial_cfg
-            };
-            let mut serial = Settler::new(&ckt, &inj, &serial_cfg);
-            let mut par = Settler::new(&ckt, &inj, &par_cfg);
-            for pattern in Pattern::all(ckt.num_inputs()) {
-                assert_eq!(
-                    serial.settle(ckt.initial_state(), &pattern),
-                    par.settle(ckt.initial_state(), &pattern),
-                    "{} pattern {pattern}",
-                    ckt.name()
-                );
-            }
-            // Counter identity holds because none of these walks
-            // truncate; a truncating parallel step may legitimately
-            // count more expansions than the serial early-exit (see
-            // `SettlerConfig::threads`).
-            assert_eq!(
-                serial.stats(),
-                par.stats(),
-                "{}: chunking must not change the counters",
-                ckt.name()
-            );
-        }
     }
 
     #[test]

@@ -2,37 +2,79 @@
 //!
 //! ```text
 //! satpg list                         # bundled benchmarks
-//! satpg synth <bench> [--style si|2l|2lr]     # print the netlist
-//! satpg cssg <bench> [--style …] [--k N]      # synchronous abstraction
-//! satpg atpg <bench> [--style …] [--output-model] [--collapse] [--no-random]
-//! satpg scan <bench> [--style …]     # scan-point candidates (extension)
+//! satpg synth <circuit> [--style si|2l|2lr]   # print the netlist
+//! satpg cssg <circuit> [--style …] [--k N]    # synchronous abstraction
+//! satpg atpg <circuit> [--style …] [--output-model] [--collapse] [--no-random]
+//! satpg scan <circuit> [--style …]   # scan-point candidates (extension)
 //! satpg table <1|2>                  # regenerate a paper table
-//! satpg dot <bench> [--style …]      # Graphviz export
-//! satpg gen <family> --size K        # muller|dme|arbiter|seq → .ckt on stdout
-//! satpg engine <bench|-> [--workers N] [--no-broadcast] [--no-audit]
-//!                                    # fault-parallel ATPG; `-` reads .ckt
-//!                                    # from stdin (pipe from `satpg gen`)
+//! satpg dot <circuit> [--style …]    # Graphviz export
+//! satpg gen <family|circuit> [--size K]       # print the circuit as .ckt
+//! satpg engine <circuit> [--workers N] [--no-broadcast] [--no-audit]
+//!                                    # fault-parallel ATPG
 //! satpg serve  [--addr A] [--serve-workers N] [--queue-depth N] ...
 //!                                    # persistent service daemon
-//! satpg submit <bench|-> [--addr A] ...   # submit a job to the daemon
+//! satpg submit <circuit> [--addr A] ...       # submit a job to the daemon
+//! satpg fleet <circuit> --peers A,B,..        # one job across peer daemons
 //! satpg status [--addr A]            # daemon scheduler/cache counters
 //! satpg shutdown [--addr A]          # stop the daemon cleanly
 //! ```
+//!
+//! Every `<circuit>` is a bundled benchmark name, a path to a `.g` or
+//! `.ckt` file, `-` for the same text on stdin, or `--family F [--size
+//! K]` in place of the positional argument.  The CLI turns it into the
+//! daemon's [`CircuitSpec`] and [`JobSpec`], then builds the circuit with
+//! [`resolve_circuit`] and the flow configuration with
+//! [`job_atpg_config`], so a local run and a submitted job compute the
+//! same campaign.
 
 use satpg::core::json::Json;
 use satpg::core::report::{format_table, TableRow};
 use satpg::core::tester::TestProgram;
 use satpg::core::{
-    build_cssg_sharded, run_atpg, run_atpg_on, AtpgConfig, CapPolicy, CoreError, CssgConfig,
-    FaultModel, RandomTpgConfig, ThreePhaseConfig,
+    build_cssg_sharded, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CapPolicy, CoreError,
+    CssgConfig, FaultModel,
 };
 use satpg::engine::{run_engine, EngineConfig};
-use satpg::netlist::{parse_ckt, to_ckt, Circuit};
-use satpg::serve::{run_fleet, CircuitSpec, Client, FleetConfig, JobSpec, ServeConfig, Server};
-use satpg::stg::synth::{complex_gate, two_level, Redundancy};
-use satpg::stg::{suite, StateGraph};
+use satpg::netlist::{to_ckt, Circuit};
+use satpg::serve::{
+    family_default_size, job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client,
+    FleetConfig, JobSpec, ServeConfig, Server,
+};
+use satpg::stg::suite;
 use std::path::PathBuf;
 use std::process::ExitCode;
+
+/// `println!` through [`emit`].
+macro_rules! outln {
+    ($($arg:tt)*) => {
+        emit(format_args!("{}\n", format_args!($($arg)*)))
+    };
+}
+
+/// `print!` through [`emit`].
+macro_rules! out {
+    ($($arg:tt)*) => {
+        emit(format_args!($($arg)*))
+    };
+}
+
+/// Writes to stdout.  A reader that went away (`satpg table 1 | head
+/// -1`) ends the process quietly with success; any other write error
+/// ends it with exit 1.  Never panics.
+fn emit(args: std::fmt::Arguments) {
+    use std::io::Write as _;
+    if let Err(e) = std::io::stdout().write_fmt(args) {
+        if e.kind() == std::io::ErrorKind::BrokenPipe {
+            std::process::exit(0);
+        }
+        eprintln!("error: writing stdout: {e}");
+        std::process::exit(1);
+    }
+}
+
+/// What a command returns; `main` prints the error as `error: …` and
+/// exits 1.
+type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 
 /// Default daemon address for `serve`/`submit`/`status`/`shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:9117";
@@ -42,43 +84,44 @@ fn usage() -> ExitCode {
         "usage: satpg <command> [...]\n\
          commands:\n  \
            list\n  \
-           synth <bench> [--style si|2l|2lr]\n  \
-           cssg  <bench> [--style si|2l|2lr] [--k N] [--cssg-shards N] [--no-por]\n          \
-                  [--settle-cap N] [--settle-threads N]\n  \
-           atpg  <bench> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
+           synth <circuit> [--style si|2l|2lr]\n  \
+           cssg  <circuit> [--style si|2l|2lr] [--k N] [--cssg-shards N] [--no-por]\n          \
+                  [--settle-cap N]\n  \
+           atpg  <circuit> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
                   [--pp-random] [--pattern-budget N] [--program] [--json] [--cssg-shards N]\n          \
-                  [--no-por] [--settle-cap N] [--settle-threads N]\n  \
-           scan  <bench> [--style si|2l|2lr]\n  \
+                  [--no-por] [--settle-cap N]\n  \
+           scan  <circuit> [--style si|2l|2lr]\n  \
            table <1|2>\n  \
-           dot   <bench> [--style si|2l|2lr]\n  \
-           gen   <muller|dme|arbiter|seq> [--size K]\n  \
-           engine <bench|-> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
+           dot   <circuit> [--style si|2l|2lr]\n  \
+           gen   <family|circuit> [--size K]  # print the circuit as .ckt\n  \
+           engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
                   [--collapse] [--no-random] [--no-broadcast] [--no-audit] [--json]\n          \
                   [--pp-random]       # random stage: 64 patterns per pass, 1 fault\n          \
                   [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n          \
                   [--gc-threshold N]  # sweep worker BDDs above N live nodes\n          \
                   [--cssg-shards N]   # parallel CSSG build (0 = worker count)\n          \
                   [--no-por]          # naive interleaving walks (no reduction)\n          \
-                  [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n          \
-                  [--settle-threads N]# threads per settle; multiplies --cssg-shards\n  \
+                  [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n  \
            serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]\n          \
                   [--cache-size N] [--workers N] [--gc-threshold N]\n          \
                   [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
                   [--max-shards N] [--fleet-chunk N] [--fleet-retries N]\n          \
                   [--fleet-timeout-ms N] [--fleet-backoff-ms N]\n  \
-           fleet  <bench|-> --peers A,B,.. [--family F --size K] [--style si|2l|2lr]\n          \
+           fleet  <circuit> --peers A,B,.. [--style si|2l|2lr]\n          \
                   [--fleet-chunk N] [--fleet-retries N] [--fleet-timeout-ms N]\n          \
                   [--fleet-backoff-ms N] [--k N] [--output-model] [--collapse]\n          \
                   [--no-random] [--json]   # one campaign across peer daemons\n  \
-           submit <bench|-> [--addr A] [--style si|2l|2lr] [--family F --size K]\n          \
+           submit <circuit> [--addr A] [--style si|2l|2lr]\n          \
                   [--workers N] [--gc-threshold N] [--k N] [--output-model] [--collapse]\n          \
-                  [--no-random] [--json]   # `-` submits .g or .ckt text from stdin\n  \
+                  [--no-random] [--json]\n  \
            status [--addr A] [--json]\n  \
            metrics [--addr A] [--json]   # process-wide metrics registry snapshot\n  \
            shutdown [--addr A]\n  \
            bench-diff <old.json> <new.json> [--ignore-timing]\n                \
                   # compare bench_report.json files; >20% regressions exit nonzero\n  \
            trace-check <trace.json>      # validate a Chrome trace-event file\n\
+         <circuit> is a benchmark name (see `list`), a .g or .ckt file, `-` (that text\n\
+         on stdin), or --family muller|dme|arbiter|seq [--size K] in its place\n\
          engine/atpg/serve also accept --trace-out DIR to write Chrome trace-event\n\
          files (load them at https://ui.perfetto.dev or chrome://tracing)"
     );
@@ -86,7 +129,7 @@ fn usage() -> ExitCode {
 }
 
 struct Opts {
-    bench: Option<String>,
+    circuit: Option<String>,
     style: String,
     k: Option<usize>,
     output_model: bool,
@@ -103,7 +146,6 @@ struct Opts {
     cssg_shards: usize,
     no_por: bool,
     settle_cap: Option<usize>,
-    settle_threads: usize,
     json: bool,
     addr: String,
     family: Option<String>,
@@ -121,7 +163,7 @@ struct Opts {
 
 fn parse_opts(args: &[String]) -> Option<Opts> {
     let mut o = Opts {
-        bench: None,
+        circuit: None,
         style: "si".into(),
         k: None,
         output_model: false,
@@ -138,7 +180,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         cssg_shards: 0,
         no_por: false,
         settle_cap: None,
-        settle_threads: 1,
         json: false,
         addr: DEFAULT_ADDR.into(),
         family: None,
@@ -172,7 +213,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--cssg-shards" => o.cssg_shards = it.next()?.parse().ok()?,
             "--no-por" => o.no_por = true,
             "--settle-cap" => o.settle_cap = Some(it.next()?.parse().ok()?),
-            "--settle-threads" => o.settle_threads = it.next()?.parse().ok()?,
             "--json" => o.json = true,
             "--addr" => o.addr = it.next()?.clone(),
             "--family" => o.family = Some(it.next()?.clone()),
@@ -193,100 +233,99 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--fleet-retries" => o.fleet_retries = it.next()?.parse().ok()?,
             "--fleet-timeout-ms" => o.fleet_timeout_ms = it.next()?.parse().ok()?,
             "--fleet-backoff-ms" => o.fleet_backoff_ms = it.next()?.parse().ok()?,
-            "-" if o.bench.is_none() => o.bench = Some("-".to_string()),
-            s if !s.starts_with('-') && o.bench.is_none() => o.bench = Some(s.to_string()),
+            s if (s == "-" || !s.starts_with('-')) && o.circuit.is_none() => {
+                o.circuit = Some(s.to_string())
+            }
             _ => return None,
         }
     }
     Some(o)
 }
 
-/// Parses options and requires a positional benchmark argument.
-fn parse_opts_bench(args: &[String]) -> Option<Opts> {
-    let o = parse_opts(args)?;
-    o.bench.as_ref()?;
-    Some(o)
-}
-
-/// The CSSG configuration the settle flags induce.
-fn cssg_config(o: &Opts) -> CssgConfig {
-    let mut cfg = CssgConfig {
-        k: o.k,
-        settle_threads: o.settle_threads,
-        pattern_budget: o.pattern_budget,
-        ..CssgConfig::default()
+/// The circuit the arguments name: `--family F [--size K]`, a bundled
+/// benchmark, `-` (stdin) or a file.  A benchmark name wins over a file
+/// of the same name.  Stdin and file text is `.g` when its first
+/// non-comment line is a dot-directive, `.ckt` otherwise.
+fn circuit_spec(o: &Opts) -> Result<CircuitSpec, String> {
+    if let Some(name) = &o.family {
+        let size = match o.size {
+            Some(k) => k,
+            None => family_default_size(name)?,
+        };
+        return Ok(CircuitSpec::Family {
+            name: name.clone(),
+            size,
+        });
+    }
+    let text = match o.circuit.as_deref() {
+        None => {
+            return Err(
+                "no circuit given: name a benchmark, a .g/.ckt file, `-` (stdin) or --family F"
+                    .to_string(),
+            )
+        }
+        Some("-") => {
+            let mut text = String::new();
+            use std::io::Read as _;
+            std::io::stdin()
+                .read_to_string(&mut text)
+                .map_err(|e| format!("reading stdin: {e}"))?;
+            text
+        }
+        Some(name) if suite::NAMES.contains(&name) => {
+            return Ok(CircuitSpec::Bench {
+                name: name.to_string(),
+                style: o.style.clone(),
+            })
+        }
+        Some(path) => std::fs::read_to_string(path).map_err(|e| {
+            format!("`{path}` is neither a bundled benchmark (see `satpg list`) nor a readable file: {e}")
+        })?,
     };
-    if o.no_por {
-        cfg.por = false;
-    }
-    if let Some(n) = o.settle_cap {
-        cfg.settle_cap = CapPolicy::Fixed(n);
-    }
-    cfg
-}
-
-/// [`ThreePhaseConfig::scaled`] with the settle flags applied.
-/// The random-TPG stage the flags induce: disabled by `--no-random`,
-/// switched to the 64-pattern-per-pass lane layout by `--pp-random`.
-fn random_config(o: &Opts) -> Option<RandomTpgConfig> {
-    (!o.no_random).then(|| RandomTpgConfig {
-        pattern_parallel: o.pp_random,
-        ..RandomTpgConfig::default()
+    let looks_like_g = text
+        .lines()
+        .map(|l| l.split('#').next().unwrap_or("").trim())
+        .find(|l| !l.is_empty())
+        .is_some_and(|l| l.starts_with('.'));
+    Ok(if looks_like_g {
+        CircuitSpec::InlineG {
+            text,
+            style: o.style.clone(),
+        }
+    } else {
+        CircuitSpec::InlineCkt { text }
     })
 }
 
-fn three_phase_config(o: &Opts, ckt: &Circuit) -> ThreePhaseConfig {
-    let mut cfg = ThreePhaseConfig::scaled(ckt);
+/// The job the arguments describe, in the daemon's wire form.
+fn job_spec(o: &Opts) -> Result<JobSpec, String> {
+    Ok(JobSpec {
+        circuit: circuit_spec(o)?,
+        workers: o.workers,
+        gc_threshold: o.gc_threshold,
+        output_model: o.output_model,
+        collapse: o.collapse,
+        no_random: o.no_random,
+        pp_random: o.pp_random,
+        k: o.k,
+        pattern_budget: o.pattern_budget,
+    })
+}
+
+/// The flow configuration of a local run: the daemon's
+/// [`job_atpg_config`] with the CLI-only settle flags (`--no-por`,
+/// `--settle-cap`) applied to both settling layers.
+fn atpg_config(o: &Opts, spec: &JobSpec, ckt: &Circuit) -> AtpgConfig {
+    let mut cfg = job_atpg_config(spec, ckt);
     if o.no_por {
-        cfg.por = false;
+        cfg.cssg.por = false;
+        cfg.three_phase.por = false;
     }
     if let Some(n) = o.settle_cap {
-        cfg.settle_cap = CapPolicy::Fixed(n);
+        cfg.cssg.settle_cap = CapPolicy::Fixed(n);
+        cfg.three_phase.settle_cap = CapPolicy::Fixed(n);
     }
     cfg
-}
-
-fn synthesize(name: &str, style: &str) -> Result<Circuit, String> {
-    let stg = suite::load(name).map_err(|e| format!("{name}: {e}"))?;
-    let sg = StateGraph::build(&stg).map_err(|e| format!("{name}: {e}"))?;
-    match style {
-        "si" => complex_gate(&stg, &sg).map_err(|e| e.to_string()),
-        "2l" => two_level(&stg, &sg, Redundancy::None).map_err(|e| e.to_string()),
-        "2lr" => two_level(&stg, &sg, Redundancy::AllPrimes).map_err(|e| e.to_string()),
-        other => Err(format!("unknown style `{other}` (si|2l|2lr)")),
-    }
-}
-
-/// Builds a generated-family circuit: `muller`/`arbiter` at netlist
-/// level, `dme`/`seq` through the STG pipeline.
-fn generate(family: &str, size: Option<usize>) -> Result<Circuit, String> {
-    use satpg::netlist::families as nf;
-    use satpg::stg::families as sf;
-    let size_in = |size: Option<usize>, default: usize, lo: usize, hi: usize| {
-        let k = size.unwrap_or(default);
-        if (lo..=hi).contains(&k) {
-            Ok(k)
-        } else {
-            Err(format!(
-                "--size {k} out of range for this family ({lo}..={hi})"
-            ))
-        }
-    };
-    match family {
-        "muller" => Ok(nf::muller_pipeline(size_in(size, 4, 1, 128)?)),
-        "arbiter" => Ok(nf::arbiter_tree(size_in(size, 4, 2, 128)?)),
-        "dme" => {
-            let stg = sf::dme_ring(size_in(size, 3, 2, 6)?).map_err(|e| e.to_string())?;
-            let sg = StateGraph::build(&stg).map_err(|e| e.to_string())?;
-            complex_gate(&stg, &sg).map_err(|e| e.to_string())
-        }
-        "seq" => {
-            let stg = sf::sequencer(size_in(size, 4, 1, 15)?).map_err(|e| e.to_string())?;
-            let sg = StateGraph::build(&stg).map_err(|e| e.to_string())?;
-            complex_gate(&stg, &sg).map_err(|e| e.to_string())
-        }
-        other => Err(format!("unknown family `{other}` (muller|dme|arbiter|seq)")),
-    }
 }
 
 fn main() -> ExitCode {
@@ -294,7 +333,7 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    match cmd.as_str() {
+    let result: CliResult = match cmd.as_str() {
         "list" => {
             for &n in suite::NAMES {
                 let tag = if suite::is_redundant(n) {
@@ -302,163 +341,21 @@ fn main() -> ExitCode {
                 } else {
                     ""
                 };
-                println!("{n}{tag}");
+                outln!("{n}{tag}");
             }
-            ExitCode::SUCCESS
+            Ok(())
         }
         "table" => match args.get(1).map(String::as_str) {
-            Some("1") => {
-                let rows: Vec<TableRow> = suite::NAMES
-                    .iter()
-                    .map(|&n| {
-                        let ckt = synthesize(n, "si").expect("suite synthesizes");
-                        row_for(&ckt, n)
-                    })
-                    .collect();
-                print!("{}", format_table("Table 1 (speed-independent)", &rows));
-                ExitCode::SUCCESS
-            }
-            Some("2") => {
-                let rows: Vec<TableRow> = suite::NAMES
-                    .iter()
-                    .map(|&n| {
-                        let style = if suite::is_redundant(n) { "2lr" } else { "2l" };
-                        let ckt = synthesize(n, style).expect("suite synthesizes");
-                        row_for(&ckt, n)
-                    })
-                    .collect();
-                print!("{}", format_table("Table 2 (bounded delays)", &rows));
-                ExitCode::SUCCESS
-            }
-            _ => usage(),
+            Some("1") => table("Table 1 (speed-independent)", |_| "si"),
+            Some("2") => table("Table 2 (bounded delays)", |n| {
+                if suite::is_redundant(n) {
+                    "2lr"
+                } else {
+                    "2l"
+                }
+            }),
+            _ => return usage(),
         },
-        "gen" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
-                return usage();
-            };
-            let family = o.bench.as_deref().expect("checked");
-            let ckt = match generate(family, o.size) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            print!("{}", to_ckt(&ckt));
-            ExitCode::SUCCESS
-        }
-        "engine" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
-                return usage();
-            };
-            let name = o.bench.as_deref().expect("checked");
-            let ckt = if name == "-" {
-                let mut src = String::new();
-                use std::io::Read as _;
-                if let Err(e) = std::io::stdin().read_to_string(&mut src) {
-                    eprintln!("error: reading stdin: {e}");
-                    return ExitCode::FAILURE;
-                }
-                match parse_ckt(&src) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            } else {
-                match synthesize(name, &o.style) {
-                    Ok(c) => c,
-                    Err(e) => {
-                        eprintln!("error: {e}");
-                        return ExitCode::FAILURE;
-                    }
-                }
-            };
-            let cfg = EngineConfig {
-                atpg: AtpgConfig {
-                    cssg: cssg_config(&o),
-                    random: random_config(&o),
-                    fault_model: if o.output_model {
-                        FaultModel::OutputStuckAt
-                    } else {
-                        FaultModel::InputStuckAt
-                    },
-                    collapse: o.collapse,
-                    fault_sim: true,
-                    three_phase: three_phase_config(&o, &ckt),
-                },
-                workers: o.workers,
-                broadcast: !o.no_broadcast,
-                symbolic_audit: !o.no_audit,
-                gc_threshold: o.gc_threshold,
-                cssg_shards: o.cssg_shards,
-                settle_por: !o.no_por,
-                settle_cap: o.settle_cap.map(CapPolicy::Fixed),
-            };
-            let tracing = trace_setup(&o);
-            let result = run_engine(&ckt, &cfg);
-            trace_finish(tracing, ckt.name());
-            match result {
-                Ok(out) => {
-                    if o.json {
-                        println!("{}", out.to_json_value(true).render());
-                        return ExitCode::SUCCESS;
-                    }
-                    let r = &out.report;
-                    println!(
-                        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests, {} us",
-                        r.circuit,
-                        r.covered(),
-                        r.total(),
-                        r.coverage(),
-                        r.efficiency(),
-                        r.untestable(),
-                        r.aborted(),
-                        r.tests.len(),
-                        r.us_total()
-                    );
-                    println!(
-                        "engine: {} workers, {} parallel verdicts, {} merge fallbacks, parallel {} us, merge {} us",
-                        out.workers.len(),
-                        out.parallel_verdicts,
-                        out.merge_fallbacks,
-                        out.us_parallel,
-                        out.us_merge
-                    );
-                    for w in &out.workers {
-                        println!(
-                            "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, bdd {} nodes / {} cache ({} clears), gc {} sweeps / {} reclaimed (peak {}), settle {} states / {} por-pruned, busy {} us",
-                            w.worker,
-                            w.searched,
-                            w.stolen,
-                            w.tests_found,
-                            w.broadcast_drops,
-                            w.bdd_nodes,
-                            w.bdd_cache,
-                            w.bdd_cache_clears,
-                            w.bdd_gc_runs,
-                            w.bdd_reclaimed,
-                            w.bdd_peak_unique,
-                            w.settle_states,
-                            w.settle_por_pruned,
-                            w.us_busy
-                        );
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
-        }
-        "serve" | "submit" | "status" | "metrics" | "shutdown" | "fleet" => {
-            let Some(o) = parse_opts(&args[1..]) else {
-                return usage();
-            };
-            service_command(cmd, &o)
-        }
         "bench-diff" => {
             let mut ignore_timing = false;
             let mut files: Vec<&str> = Vec::new();
@@ -473,189 +370,218 @@ fn main() -> ExitCode {
                 return usage();
             };
             match bench_diff(old_path, new_path, ignore_timing) {
-                Ok(0) => ExitCode::SUCCESS,
-                Ok(n) => {
-                    eprintln!("bench-diff: {n} regression(s) over 20%");
-                    ExitCode::FAILURE
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+                Ok(0) => Ok(()),
+                Ok(n) => Err(format!("bench-diff: {n} regression(s) over 20%").into()),
+                Err(e) => Err(e.into()),
             }
         }
         "trace-check" => {
             let Some(path) = args.get(1) else {
                 return usage();
             };
-            match trace_check(path) {
-                Ok(summary) => {
-                    println!("{summary}");
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            trace_check(path)
+                .map(|summary| outln!("{summary}"))
+                .map_err(Into::into)
         }
-        "synth" | "cssg" | "atpg" | "dot" | "scan" => {
-            let Some(o) = parse_opts_bench(&args[1..]) else {
+        "synth" | "cssg" | "atpg" | "scan" | "dot" | "gen" | "engine" => {
+            let Some(mut o) = parse_opts(&args[1..]) else {
                 return usage();
             };
-            let name = o.bench.as_deref().expect("checked");
-            let ckt = match synthesize(name, &o.style) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
+            // `gen muller` names a family positionally.
+            if cmd == "gen" && o.family.is_none() {
+                if let Some(name) = o.circuit.take_if(|n| family_default_size(n).is_ok()) {
+                    o.family = Some(name);
                 }
-            };
-            match cmd.as_str() {
-                "synth" => {
-                    println!("{ckt}");
-                    for (gi, g) in ckt.gates().iter().enumerate() {
-                        let out = ckt.gate_output(satpg::netlist::GateId(gi as u32));
-                        let ins: Vec<&str> = g.inputs.iter().map(|&s| ckt.signal_name(s)).collect();
-                        println!(
-                            "  {} = {}({})",
-                            ckt.signal_name(out),
-                            g.kind.name(),
-                            ins.join(", ")
-                        );
-                    }
-                }
-                "dot" => print!("{}", ckt.to_dot()),
-                "cssg" => {
-                    let cfg = cssg_config(&o);
-                    match build_cssg_sharded(&ckt, &cfg, o.cssg_shards.max(1)) {
-                        Ok(c) => {
-                            println!(
-                                "CSSG(k={}): {} stable states, {} edges; pruned {} non-confluent, {} unstable; {} truncated at resource limits",
-                                c.k(),
-                                c.num_states(),
-                                c.num_edges(),
-                                c.pruned_nonconfluent(),
-                                c.pruned_unstable(),
-                                c.pruned_truncated()
-                            );
-                            let ss = c.settle_stats();
-                            println!(
-                                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches{}",
-                                ss.states_explored,
-                                ss.settles,
-                                ss.por_states,
-                                ss.por_pruned,
-                                if cfg.por { "" } else { " (POR off)" }
-                            );
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                "atpg" => {
-                    let cfg = AtpgConfig {
-                        cssg: cssg_config(&o),
-                        random: random_config(&o),
-                        fault_model: if o.output_model {
-                            FaultModel::OutputStuckAt
-                        } else {
-                            FaultModel::InputStuckAt
-                        },
-                        collapse: o.collapse,
-                        fault_sim: true,
-                        three_phase: three_phase_config(&o, &ckt),
-                    };
-                    let tracing = trace_setup(&o);
-                    // The abstraction is built up front (optionally
-                    // sharded — structurally identical either way) and
-                    // reused for the tester program below.
-                    let t0 = std::time::Instant::now();
-                    let cssg = match build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1)) {
-                        Ok(c) => c,
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    };
-                    let us_cssg = t0.elapsed().as_micros();
-                    if cssg.num_edges() == 0 {
-                        eprintln!("error: {}", CoreError::NoValidVectors);
-                        return ExitCode::FAILURE;
-                    }
-                    let faults = satpg::core::faults_for(&ckt, cfg.fault_model);
-                    let result = run_atpg_on(&ckt, &cssg, &faults, &cfg, us_cssg);
-                    trace_finish(tracing, ckt.name());
-                    match result {
-                        Ok(r) => {
-                            if o.json {
-                                println!("{}", r.to_json());
-                                return ExitCode::SUCCESS;
-                            }
-                            println!(
-                                "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests, {} us",
-                                r.circuit,
-                                r.covered(),
-                                r.total(),
-                                r.coverage(),
-                                r.efficiency(),
-                                r.untestable(),
-                                r.aborted(),
-                                r.tests.len(),
-                                r.us_total()
-                            );
-                            if o.program {
-                                let mut prog = TestProgram::new(&ckt);
-                                for (i, t) in r.tests.iter().enumerate() {
-                                    prog.push_sequence(&ckt, &cssg, format!("test {i}"), t);
-                                }
-                                print!("{prog}");
-                            }
-                        }
-                        Err(e) => {
-                            eprintln!("error: {e}");
-                            return ExitCode::FAILURE;
-                        }
-                    }
-                }
-                "scan" => {
-                    let cfg = CssgConfig::default();
-                    let cssg = build_cssg_sharded(&ckt, &cfg, 1).expect("stable reset");
-                    let report = run_atpg(&ckt, &AtpgConfig::paper()).expect("ATPG runs");
-                    let analysis =
-                        satpg::core::scan_candidates(&ckt, &cssg, &report, &Default::default());
-                    println!(
-                        "{}: {}/{} undetected; scan candidates:",
-                        ckt.name(),
-                        report.total() - report.covered(),
-                        report.total()
-                    );
-                    for c in analysis.candidates.iter().take(8) {
-                        println!(
-                            "  observe {:<12} exposes {:>3} faults",
-                            ckt.signal_name(c.signal),
-                            c.exposes.len()
-                        );
-                    }
-                    if !analysis.hopeless.is_empty() {
-                        println!(
-                            "  {} faults exposed by no single point",
-                            analysis.hopeless.len()
-                        );
-                    }
-                }
-                _ => unreachable!(),
             }
-            ExitCode::SUCCESS
+            local_command(cmd, &o)
         }
-        _ => usage(),
+        "serve" | "submit" | "status" | "metrics" | "shutdown" | "fleet" => {
+            let Some(o) = parse_opts(&args[1..]) else {
+                return usage();
+            };
+            service_command(cmd, &o)
+        }
+        _ => return usage(),
+    };
+    match result {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("error: {e}");
+            ExitCode::FAILURE
+        }
     }
 }
 
-/// The `serve` / `submit` / `status` / `shutdown` commands.
-fn service_command(cmd: &str, o: &Opts) -> ExitCode {
+/// Prints a paper table: every bundled benchmark, synthesized in the
+/// style `style_of` picks, under both fault models.
+fn table(title: &str, style_of: fn(&str) -> &'static str) -> CliResult {
+    let rows = suite::NAMES
+        .iter()
+        .map(|&name| {
+            let ckt = resolve_circuit(&CircuitSpec::Bench {
+                name: name.to_string(),
+                style: style_of(name).to_string(),
+            })?;
+            row_for(&ckt, name)
+        })
+        .collect::<CliResult<Vec<TableRow>>>()?;
+    out!("{}", format_table(title, &rows));
+    Ok(())
+}
+
+/// The commands that run on a locally built circuit.
+fn local_command(cmd: &str, o: &Opts) -> CliResult {
+    let spec = job_spec(o)?;
+    let ckt = resolve_circuit(&spec.circuit)?;
+    match cmd {
+        "synth" => {
+            outln!("{ckt}");
+            for (gi, g) in ckt.gates().iter().enumerate() {
+                let out = ckt.gate_output(satpg::netlist::GateId(gi as u32));
+                let ins: Vec<&str> = g.inputs.iter().map(|&s| ckt.signal_name(s)).collect();
+                outln!(
+                    "  {} = {}({})",
+                    ckt.signal_name(out),
+                    g.kind.name(),
+                    ins.join(", ")
+                );
+            }
+        }
+        "dot" => out!("{}", ckt.to_dot()),
+        "gen" => out!("{}", to_ckt(&ckt)),
+        "cssg" => {
+            let cfg = atpg_config(o, &spec, &ckt).cssg;
+            let c = build_cssg_sharded(&ckt, &cfg, o.cssg_shards.max(1))?;
+            outln!(
+                "CSSG(k={}): {} stable states, {} edges; pruned {} non-confluent, {} unstable; {} truncated at resource limits",
+                c.k(),
+                c.num_states(),
+                c.num_edges(),
+                c.pruned_nonconfluent(),
+                c.pruned_unstable(),
+                c.pruned_truncated()
+            );
+            let ss = c.settle_stats();
+            outln!(
+                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches{}",
+                ss.states_explored,
+                ss.settles,
+                ss.por_states,
+                ss.por_pruned,
+                if cfg.por { "" } else { " (POR off)" }
+            );
+        }
+        "atpg" => {
+            let cfg = atpg_config(o, &spec, &ckt);
+            let tracing = trace_setup(o);
+            // The abstraction is built up front (optionally sharded —
+            // structurally identical either way) and reused for the
+            // tester program below.
+            let t0 = std::time::Instant::now();
+            let cssg = build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1))?;
+            let us_cssg = t0.elapsed().as_micros();
+            if cssg.num_edges() == 0 {
+                return Err(CoreError::NoValidVectors.into());
+            }
+            let faults = satpg::core::faults_for(&ckt, cfg.fault_model);
+            let result = run_atpg_on(&ckt, &cssg, &faults, &cfg, us_cssg);
+            trace_finish(tracing, ckt.name());
+            let r = result?;
+            if o.json {
+                outln!("{}", r.to_json());
+                return Ok(());
+            }
+            outln!("{}, {} us", summary(&r), r.us_total());
+            if o.program {
+                let mut prog = TestProgram::new(&ckt);
+                for (i, t) in r.tests.iter().enumerate() {
+                    prog.push_sequence(&ckt, &cssg, format!("test {i}"), t);
+                }
+                out!("{prog}");
+            }
+        }
+        "scan" => {
+            let cssg = build_cssg_sharded(&ckt, &CssgConfig::default(), 1)?;
+            let report = run_atpg(&ckt, &AtpgConfig::paper())?;
+            let analysis = satpg::core::scan_candidates(&ckt, &cssg, &report, &Default::default());
+            outln!(
+                "{}: {}/{} undetected; scan candidates:",
+                ckt.name(),
+                report.total() - report.covered(),
+                report.total()
+            );
+            for c in analysis.candidates.iter().take(8) {
+                outln!(
+                    "  observe {:<12} exposes {:>3} faults",
+                    ckt.signal_name(c.signal),
+                    c.exposes.len()
+                );
+            }
+            if !analysis.hopeless.is_empty() {
+                outln!(
+                    "  {} faults exposed by no single point",
+                    analysis.hopeless.len()
+                );
+            }
+        }
+        "engine" => {
+            let cfg = EngineConfig {
+                atpg: atpg_config(o, &spec, &ckt),
+                workers: o.workers,
+                broadcast: !o.no_broadcast,
+                symbolic_audit: !o.no_audit,
+                gc_threshold: o.gc_threshold,
+                cssg_shards: o.cssg_shards,
+            };
+            let tracing = trace_setup(o);
+            let result = run_engine(&ckt, &cfg);
+            trace_finish(tracing, ckt.name());
+            let out = result?;
+            if o.json {
+                outln!("{}", out.to_json_value(true).render());
+                return Ok(());
+            }
+            outln!("{}, {} us", summary(&out.report), out.report.us_total());
+            outln!(
+                "engine: {} workers, {} parallel verdicts, {} merge fallbacks, parallel {} us, merge {} us",
+                out.workers.len(),
+                out.parallel_verdicts,
+                out.merge_fallbacks,
+                out.us_parallel,
+                out.us_merge
+            );
+            for w in &out.workers {
+                outln!(
+                    "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, bdd {} nodes / {} cache ({} clears), gc {} sweeps / {} reclaimed (peak {}), settle {} states / {} por-pruned, busy {} us",
+                    w.worker,
+                    w.searched,
+                    w.stolen,
+                    w.tests_found,
+                    w.broadcast_drops,
+                    w.bdd_nodes,
+                    w.bdd_cache,
+                    w.bdd_cache_clears,
+                    w.bdd_gc_runs,
+                    w.bdd_reclaimed,
+                    w.bdd_peak_unique,
+                    w.settle_states,
+                    w.settle_por_pruned,
+                    w.us_busy
+                );
+            }
+        }
+        _ => unreachable!("dispatched by main"),
+    }
+    Ok(())
+}
+
+fn connect(addr: &str) -> Result<Client, String> {
+    Client::connect(addr).map_err(|e| format!("connect {addr}: {e}"))
+}
+
+/// The `serve` / `submit` / `fleet` / `status` / `metrics` / `shutdown`
+/// commands.
+fn service_command(cmd: &str, o: &Opts) -> CliResult {
     match cmd {
         "serve" => {
             let cfg = ServeConfig {
@@ -673,139 +599,50 @@ fn service_command(cmd: &str, o: &Opts) -> ExitCode {
                 fleet_timeout_ms: o.fleet_timeout_ms,
                 fleet_backoff_ms: o.fleet_backoff_ms,
             };
-            let server = match Server::bind(cfg) {
-                Ok(s) => s,
-                Err(e) => {
-                    eprintln!("error: bind {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
+            let server = Server::bind(cfg).map_err(|e| format!("bind {}: {e}", o.addr))?;
             // Scripts scrape this line for the ephemeral port.
-            println!("listening on {}", server.local_addr());
+            outln!("listening on {}", server.local_addr());
             use std::io::Write as _;
             let _ = std::io::stdout().flush();
-            match server.run() {
-                Ok(()) => ExitCode::SUCCESS,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            Ok(server.run()?)
         }
         "submit" => {
-            let circuit = match submit_spec(o) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = JobSpec {
-                circuit,
-                workers: o.workers,
-                gc_threshold: o.gc_threshold,
-                output_model: o.output_model,
-                collapse: o.collapse,
-                no_random: o.no_random,
-                pp_random: o.pp_random,
-                k: o.k,
-                pattern_budget: o.pattern_budget,
-            };
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
+            let spec = job_spec(o)?;
+            let mut client = connect(&o.addr)?;
             let quiet = o.json;
-            let outcome = client.submit_streaming(spec, &mut |ev| {
+            let out = client.submit_streaming(spec, &mut |ev| {
                 if !quiet {
                     print_event(ev);
                 }
-            });
-            match outcome {
-                Ok(out) => {
-                    if o.json {
-                        println!("{}", out.report.render());
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            })?;
+            if o.json {
+                outln!("{}", out.report.render());
             }
+            Ok(())
         }
         "status" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.status() {
-                Ok(status) => {
-                    if o.json {
-                        println!("{status}");
-                    } else {
-                        print_status(&status);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            let status = connect(&o.addr)?.status()?;
+            if o.json {
+                outln!("{status}");
+            } else {
+                print_status(&status);
             }
+            Ok(())
         }
         "metrics" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.metrics() {
-                Ok(m) => {
-                    if o.json {
-                        println!("{m}");
-                    } else {
-                        print_metrics(&m);
-                    }
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            let m = connect(&o.addr)?.metrics()?;
+            if o.json {
+                outln!("{m}");
+            } else {
+                print_metrics(&m);
             }
+            Ok(())
         }
         "fleet" => {
             if o.peers.is_empty() {
-                eprintln!("error: fleet needs --peers A,B,..");
-                return ExitCode::FAILURE;
+                return Err("fleet needs --peers A,B,..".into());
             }
-            let circuit = match submit_spec(o) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    return ExitCode::FAILURE;
-                }
-            };
-            let spec = JobSpec {
-                circuit,
-                workers: o.workers,
-                gc_threshold: o.gc_threshold,
-                output_model: o.output_model,
-                collapse: o.collapse,
-                no_random: o.no_random,
-                pp_random: o.pp_random,
-                k: o.k,
-                pattern_budget: o.pattern_budget,
-            };
+            let spec = job_spec(o)?;
             let fc = FleetConfig {
                 peers: o.peers.clone(),
                 chunk: o.fleet_chunk,
@@ -815,108 +652,39 @@ fn service_command(cmd: &str, o: &Opts) -> ExitCode {
             };
             let tracing = trace_setup(o);
             let result = run_fleet(&spec, &fc);
-            match result {
-                Ok(out) => {
-                    trace_finish(tracing, &out.report.circuit);
-                    if o.json {
-                        let body = Json::Obj(vec![
-                            ("report".to_string(), out.report.to_json_value(true)),
-                            ("fleet".to_string(), out.stats.to_json_value()),
-                        ]);
-                        println!("{}", body.render());
-                        return ExitCode::SUCCESS;
-                    }
-                    let r = &out.report;
-                    println!(
-                        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests",
-                        r.circuit,
-                        r.covered(),
-                        r.total(),
-                        r.coverage(),
-                        r.efficiency(),
-                        r.untestable(),
-                        r.aborted(),
-                        r.tests.len(),
-                    );
-                    let s = &out.stats;
-                    println!(
-                        "fleet: {} peers, {} shards, {} remote verdicts, {} broadcasts relayed, {} retries, {} peer deaths, {} merge fallbacks",
-                        s.peers,
-                        s.shards,
-                        s.remote_verdicts,
-                        s.broadcasts_relayed,
-                        s.retries,
-                        s.peer_deaths,
-                        s.merge_fallbacks,
-                    );
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    trace_finish(tracing, "fleet");
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
+            let name = result
+                .as_ref()
+                .map_or("fleet", |out| out.report.circuit.as_str());
+            trace_finish(tracing, name);
+            let out = result?;
+            if o.json {
+                let body = Json::Obj(vec![
+                    ("report".to_string(), out.report.to_json_value(true)),
+                    ("fleet".to_string(), out.stats.to_json_value()),
+                ]);
+                outln!("{}", body.render());
+                return Ok(());
             }
+            outln!("{}", summary(&out.report));
+            let s = &out.stats;
+            outln!(
+                "fleet: {} peers, {} shards, {} remote verdicts, {} broadcasts relayed, {} retries, {} peer deaths, {} merge fallbacks",
+                s.peers,
+                s.shards,
+                s.remote_verdicts,
+                s.broadcasts_relayed,
+                s.retries,
+                s.peer_deaths,
+                s.merge_fallbacks,
+            );
+            Ok(())
         }
         "shutdown" => {
-            let mut client = match Client::connect(&o.addr) {
-                Ok(c) => c,
-                Err(e) => {
-                    eprintln!("error: connect {}: {e}", o.addr);
-                    return ExitCode::FAILURE;
-                }
-            };
-            match client.shutdown() {
-                Ok(()) => {
-                    println!("daemon at {} shutting down", o.addr);
-                    ExitCode::SUCCESS
-                }
-                Err(e) => {
-                    eprintln!("error: {e}");
-                    ExitCode::FAILURE
-                }
-            }
+            connect(&o.addr)?.shutdown()?;
+            outln!("daemon at {} shutting down", o.addr);
+            Ok(())
         }
-        _ => usage(),
-    }
-}
-
-/// Builds the circuit spec a `submit` sends: a family, a named
-/// benchmark, or stdin text (`.g` when it uses dot-directives,
-/// `.ckt` otherwise).
-fn submit_spec(o: &Opts) -> Result<CircuitSpec, String> {
-    if let Some(family) = &o.family {
-        return Ok(CircuitSpec::Family {
-            name: family.clone(),
-            size: o.size.unwrap_or(4),
-        });
-    }
-    match o.bench.as_deref() {
-        Some("-") => {
-            let mut text = String::new();
-            use std::io::Read as _;
-            std::io::stdin()
-                .read_to_string(&mut text)
-                .map_err(|e| format!("reading stdin: {e}"))?;
-            let looks_like_g = text
-                .lines()
-                .map(|l| l.split('#').next().unwrap_or("").trim())
-                .find(|l| !l.is_empty())
-                .is_some_and(|l| l.starts_with('.'));
-            Ok(if looks_like_g {
-                CircuitSpec::InlineG {
-                    text,
-                    style: o.style.clone(),
-                }
-            } else {
-                CircuitSpec::InlineCkt { text }
-            })
-        }
-        Some(name) => Ok(CircuitSpec::Bench {
-            name: name.to_string(),
-            style: o.style.clone(),
-        }),
-        None => Err("submit needs a benchmark name, `-` (stdin) or --family".to_string()),
+        _ => unreachable!("dispatched by main"),
     }
 }
 
@@ -925,7 +693,7 @@ fn print_event(ev: &Json) {
     let kind = ev.get("event").and_then(Json::as_str).unwrap_or("?");
     let get = |k: &str| ev.get(k).and_then(Json::as_u128).unwrap_or(0);
     match kind {
-        "accepted" => println!(
+        "accepted" => outln!(
             "job {} accepted (queue depth {})",
             get("job"),
             get("queue_depth")
@@ -933,14 +701,14 @@ fn print_event(ev: &Json) {
         "stage" => {
             let stage = ev.get("stage").and_then(Json::as_str).unwrap_or("?");
             match stage {
-                "circuit" => println!(
+                "circuit" => outln!(
                     "  circuit {} ({}): {} gates, {} inputs",
                     ev.get("name").and_then(Json::as_str).unwrap_or("?"),
                     ev.get("cache").and_then(Json::as_str).unwrap_or("?"),
                     get("gates"),
                     get("inputs")
                 ),
-                "cssg" => println!(
+                "cssg" => outln!(
                     "  cssg ({}): {} states, {} edges, {} truncated, {} shards, {} us",
                     ev.get("cache").and_then(Json::as_str).unwrap_or("?"),
                     get("states"),
@@ -949,17 +717,17 @@ fn print_event(ev: &Json) {
                     get("shards"),
                     get("us")
                 ),
-                "random" => println!("  random: {} resolved, {} us", get("resolved"), get("us")),
-                "parallel" => println!(
+                "random" => outln!("  random: {} resolved, {} us", get("resolved"), get("us")),
+                "parallel" => outln!(
                     "  parallel: {} workers over {} classes",
                     get("workers"),
                     get("pending")
                 ),
-                "merge" => println!("  merge: {} fallbacks, {} us", get("fallbacks"), get("us")),
-                other => println!("  stage {other}"),
+                "merge" => outln!("  merge: {} fallbacks, {} us", get("fallbacks"), get("us")),
+                other => outln!("  stage {other}"),
             }
         }
-        "test" => println!(
+        "test" => outln!(
             "  worker {} found a {}-cycle test for class {}",
             get("worker"),
             get("cycles"),
@@ -968,7 +736,7 @@ fn print_event(ev: &Json) {
         "worker" => {
             if let Some(s) = ev.get("stats") {
                 let g = |k: &str| s.get(k).and_then(Json::as_u128).unwrap_or(0);
-                println!(
+                outln!(
                     "  worker {}: searched {} (stolen {}), tests {}, drops {}, gc {} sweeps / {} reclaimed (peak {}), busy {} us",
                     g("worker"), g("searched"), g("stolen"), g("tests_found"),
                     g("broadcast_drops"), g("bdd_gc_runs"), g("bdd_reclaimed"),
@@ -984,7 +752,7 @@ fn print_event(ev: &Json) {
                         .and_then(Json::as_u128)
                         .unwrap_or(0)
                 };
-                println!(
+                outln!(
                     "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted",
                     r.get("circuit").and_then(Json::as_str).unwrap_or("?"),
                     t("detected"),
@@ -999,7 +767,7 @@ fn print_event(ev: &Json) {
         // The error event surfaces as the submit's returned error;
         // printing it here too would duplicate the message.
         "error" => {}
-        _ => println!("{ev}"),
+        _ => outln!("{ev}"),
     }
 }
 
@@ -1011,7 +779,7 @@ fn print_status(status: &Json) {
             .and_then(Json::as_u128)
             .unwrap_or(0)
     };
-    println!(
+    outln!(
         "jobs: {} queued, {} running, {} done, {} failed, {} rejected",
         jobs("queued"),
         jobs("running"),
@@ -1022,7 +790,7 @@ fn print_status(status: &Json) {
     for level in ["circuits", "cssgs"] {
         if let Some(c) = status.get("cache").and_then(|c| c.get(level)) {
             let g = |k: &str| c.get(k).and_then(Json::as_u128).unwrap_or(0);
-            println!(
+            outln!(
                 "cache {level}: {} entries, {} hits, {} misses, {} evictions",
                 g("entries"),
                 g("hits"),
@@ -1033,7 +801,7 @@ fn print_status(status: &Json) {
     }
     if let Some(f) = status.get("fleet") {
         let g = |k: &str| f.get(k).and_then(Json::as_u128).unwrap_or(0);
-        println!(
+        outln!(
             "fleet: {} peers, {} campaigns, {} retries, {} peer deaths, {} remote verdicts, {} merge fallbacks",
             g("peers"),
             g("campaigns"),
@@ -1044,7 +812,7 @@ fn print_status(status: &Json) {
         );
     }
     let top = |k: &str| status.get(k).and_then(Json::as_u128).unwrap_or(0);
-    println!(
+    outln!(
         "peak bdd nodes {}, queue depth {}, pool workers {}, uptime {} us",
         top("peak_bdd_nodes"),
         top("queue_depth"),
@@ -1088,7 +856,7 @@ fn print_metrics(m: &Json) {
     for section in ["counters", "gauges"] {
         if let Some(Json::Obj(pairs)) = m.get(section) {
             for (k, v) in pairs {
-                println!("{k} {v}");
+                outln!("{k} {v}");
             }
         }
     }
@@ -1097,7 +865,7 @@ fn print_metrics(m: &Json) {
             let count = v.get("count").and_then(Json::as_u128).unwrap_or(0);
             let sum = v.get("sum").and_then(Json::as_u128).unwrap_or(0);
             let mean = sum.checked_div(count).unwrap_or(0);
-            println!("{k} count {count} sum {sum} mean {mean}");
+            outln!("{k} count {count} sum {sum} mean {mean}");
         }
     }
 }
@@ -1150,7 +918,7 @@ fn bench_diff(old_path: &str, new_path: &str, ignore_timing: bool) -> Result<usi
             continue;
         }
         let Some((_, _, new_v)) = new.iter().find(|(k, u, _)| k == key && u == unit) else {
-            println!("only in {old_path}: {key} ({unit})");
+            outln!("only in {old_path}: {key} ({unit})");
             continue;
         };
         let worse = if unit == "pct" {
@@ -1160,7 +928,7 @@ fn bench_diff(old_path: &str, new_path: &str, ignore_timing: bool) -> Result<usi
         };
         if worse {
             regressions += 1;
-            println!("REGRESSION {key}: {old_v} -> {new_v} {unit}");
+            outln!("REGRESSION {key}: {old_v} -> {new_v} {unit}");
         }
     }
     for (key, unit, _) in &new {
@@ -1168,10 +936,10 @@ fn bench_diff(old_path: &str, new_path: &str, ignore_timing: bool) -> Result<usi
             continue;
         }
         if !old.iter().any(|(k, u, _)| k == key && u == unit) {
-            println!("only in {new_path}: {key} ({unit})");
+            outln!("only in {new_path}: {key} ({unit})");
         }
     }
-    println!(
+    outln!(
         "bench-diff: {} record(s) compared, {} regression(s)",
         old.len(),
         regressions
@@ -1245,15 +1013,49 @@ fn trace_check(path: &str) -> Result<String, String> {
     ))
 }
 
-fn row_for(ckt: &Circuit, name: &str) -> TableRow {
-    let input = run_atpg(ckt, &AtpgConfig::paper()).expect("ATPG runs");
+/// The one-line coverage summary of a report (timing excluded).
+fn summary(r: &AtpgReport) -> String {
+    format!(
+        "{}: {}/{} detected ({:.2}% coverage, {:.2}% efficiency), {} untestable, {} aborted, {} tests",
+        r.circuit,
+        r.covered(),
+        r.total(),
+        r.coverage(),
+        r.efficiency(),
+        r.untestable(),
+        r.aborted(),
+        r.tests.len()
+    )
+}
+
+/// One paper-table row: both fault-model campaigns under the paper's
+/// flow configuration.
+fn row_for(ckt: &Circuit, name: &str) -> CliResult<TableRow> {
+    let input = run_atpg(ckt, &AtpgConfig::paper())?;
     let output = run_atpg(
         ckt,
         &AtpgConfig {
             fault_model: FaultModel::OutputStuckAt,
             ..AtpgConfig::paper()
         },
-    )
-    .expect("ATPG runs");
-    TableRow::new(name, &output, &input)
+    )?;
+    Ok(TableRow::new(name, &output, &input))
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    #[test]
+    fn one_row_has_consistent_columns() {
+        let ckt = resolve_circuit(&CircuitSpec::Bench {
+            name: "converta".into(),
+            style: "si".into(),
+        })
+        .unwrap();
+        let r = row_for(&ckt, "converta").unwrap();
+        assert_eq!(r.rnd + r.ph3 + r.sim, r.input_cov);
+        assert!(r.input_tot >= r.output_tot);
+        assert_eq!(r.output_cov, r.output_tot, "SI: 100% output stuck-at");
+    }
 }

@@ -137,8 +137,6 @@ fn fleet_report_identical_to_serial_generated_families() {
             symbolic_audit: false,
             gc_threshold: None,
             cssg_shards: 1,
-            settle_por: true,
-            settle_cap: None,
         };
         let serial = run_engine(&ckt, &engine_cfg).expect("engine runs");
         let cssg = build_cssg_sharded(&ckt, &acfg.cssg, 1).expect("CSSG builds");

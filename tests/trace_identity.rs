@@ -25,8 +25,6 @@ fn cfg(workers: usize) -> EngineConfig {
         symbolic_audit: false,
         gc_threshold: None,
         cssg_shards: workers,
-        settle_por: true,
-        settle_cap: None,
     }
 }
 
