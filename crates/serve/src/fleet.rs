@@ -36,8 +36,8 @@ use satpg_core::{
 use satpg_engine::{merge_partial, prepare_campaign};
 use satpg_netlist::Circuit;
 use std::collections::VecDeque;
-use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{mpsc, Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 /// Coordinator-side fleet tuning.
@@ -232,24 +232,19 @@ enum PeerMsg {
     ReviveFailed { peer: usize, reason: String },
 }
 
-/// Watchdog state shared between the coordinator and a peer's reader
-/// thread (a socket property would not survive reconnects).
-struct PeerShared {
-    /// When the in-flight shard was dispatched (refreshed on every reply
-    /// line); `None` while idle, so silence without work is not a stall.
-    inflight_since: Mutex<Option<Instant>>,
-    /// Set when the campaign is over so lingering reader threads exit on
-    /// their next poll instead of spinning on an idle socket forever.
-    closed: AtomicBool,
-}
+/// Stall-watchdog stamp shared between the coordinator and a peer's
+/// reader thread (a socket property would not survive reconnects): when
+/// the in-flight shard was dispatched, refreshed on every reply line;
+/// `None` while idle, so silence without work is not a stall.
+type Watchdog = Arc<Mutex<Option<Instant>>>;
 
 /// Coordinator-side view of one peer.
 struct Peer {
     addr: String,
     /// Write half of the live connection; `None` while lost.
     writer: Option<Conn>,
-    /// In-flight shard id, if any.
-    shard: Option<u64>,
+    /// In-flight shard id and its dispatch time, if any.
+    shard: Option<(u64, Instant)>,
     /// The in-flight shard's classes (for requeue on loss).
     chunk: Vec<usize>,
     /// Revival attempts initiated so far.
@@ -257,7 +252,7 @@ struct Peer {
     /// Connection generation; messages from older generations are stale
     /// stragglers and ignored.
     gen: usize,
-    shared: Arc<PeerShared>,
+    inflight_since: Watchdog,
 }
 
 /// Connects to a peer and runs the `enlist` handshake, returning the
@@ -306,14 +301,16 @@ fn enlist(addr: &str, timeout: Duration) -> Result<(Conn, TimedLineReader), Stri
 }
 
 /// The per-peer reader thread: parses reply lines into [`PeerMsg`]s and
-/// enforces the in-flight stall timeout.  Exits on EOF, on any fatal
-/// parse problem (reported as a death — a peer speaking garbage cannot
-/// be trusted with work), or once the campaign closes.
+/// enforces the in-flight stall timeout.  Exits on EOF — including the
+/// one the coordinator causes by shutting the socket down when it loses
+/// the peer or ends the campaign — or on any fatal parse problem
+/// (reported as a death: a peer speaking garbage cannot be trusted with
+/// work).
 fn reader_loop(
     mut reader: TimedLineReader,
     peer: usize,
     gen: usize,
-    shared: Arc<PeerShared>,
+    inflight_since: Watchdog,
     timeout: Duration,
     tx: mpsc::Sender<PeerMsg>,
 ) {
@@ -324,12 +321,7 @@ fn reader_loop(
         match reader.next() {
             Ok(LineRead::Line(line)) => {
                 // Any reply line proves liveness; refresh the watchdog.
-                if let Some(t) = shared
-                    .inflight_since
-                    .lock()
-                    .expect("peer watchdog lock")
-                    .as_mut()
-                {
+                if let Some(t) = inflight_since.lock().expect("peer watchdog lock").as_mut() {
                     *t = Instant::now();
                 }
                 let v = match Json::parse(&line) {
@@ -370,10 +362,7 @@ fn reader_loop(
                 }
             }
             Ok(LineRead::TimedOut) => {
-                if shared.closed.load(Ordering::SeqCst) {
-                    return;
-                }
-                let since = *shared.inflight_since.lock().expect("peer watchdog lock");
+                let since = *inflight_since.lock().expect("peer watchdog lock");
                 if let Some(t) = since {
                     if t.elapsed() > timeout {
                         return dead(format!(
@@ -390,7 +379,8 @@ fn reader_loop(
 }
 
 /// Installs a fresh connection on peer `q` and spawns its reader thread
-/// under a new generation.
+/// (named `fleet-rx`) under a new generation; the thread's handle goes
+/// to `readers` so the campaign can join it.
 fn attach(
     peers: &mut [Peer],
     q: usize,
@@ -398,14 +388,20 @@ fn attach(
     reader: TimedLineReader,
     timeout: Duration,
     tx: &mpsc::Sender<PeerMsg>,
+    readers: &mut Vec<JoinHandle<()>>,
 ) {
     let p = &mut peers[q];
     p.gen += 1;
     p.writer = Some(writer);
     let gen = p.gen;
-    let shared = p.shared.clone();
+    let inflight_since = p.inflight_since.clone();
     let tx = tx.clone();
-    std::thread::spawn(move || reader_loop(reader, q, gen, shared, timeout, tx));
+    readers.push(
+        std::thread::Builder::new()
+            .name("fleet-rx".to_string())
+            .spawn(move || reader_loop(reader, q, gen, inflight_since, timeout, tx))
+            .expect("spawn fleet reader thread"),
+    );
 }
 
 /// Schedules one revival attempt for peer `q` with exponential backoff.
@@ -455,10 +451,14 @@ fn kill_peer(
     let addr = peers[q].addr.clone();
     eprintln!("satpg fleet: peer {addr} lost: {reason}");
     let p = &mut peers[q];
-    p.writer = None;
+    // Shut the socket down: the reader owns a clone, so dropping this
+    // handle would not close it, and EOF is what ends the reader.
+    if let Some(w) = p.writer.take() {
+        let _ = w.shutdown();
+    }
     // Invalidate straggler messages from the dying connection's reader.
     p.gen += 1;
-    *p.shared.inflight_since.lock().expect("peer watchdog lock") = None;
+    *p.inflight_since.lock().expect("peer watchdog lock") = None;
     stats.peer_deaths += 1;
     m.counter("fleet.peer_deaths").inc();
     if p.shard.take().is_some() {
@@ -495,6 +495,7 @@ fn distribute(
     stats: &mut FleetStats,
 ) {
     let m = satpg_trace::metrics();
+    let rtt = m.histogram("fleet.shard_rtt_us");
     let _span = satpg_trace::span!(
         "fleet.distribute",
         classes = pending.len(),
@@ -521,16 +522,16 @@ fn distribute(
             chunk: Vec::new(),
             attempts: 0,
             gen: 0,
-            shared: Arc::new(PeerShared {
-                inflight_since: Mutex::new(None),
-                closed: AtomicBool::new(false),
-            }),
+            inflight_since: Arc::new(Mutex::new(None)),
         })
         .collect();
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
     let mut reviving = 0usize;
     for q in 0..peers.len() {
         match enlist(&peers[q].addr, timeout) {
-            Ok((writer, reader)) => attach(&mut peers, q, writer, reader, timeout, &tx),
+            Ok((writer, reader)) => {
+                attach(&mut peers, q, writer, reader, timeout, &tx, &mut readers);
+            }
             Err(reason) => kill_peer(
                 &mut peers,
                 q,
@@ -564,13 +565,10 @@ fn distribute(
             let line = req.to_json_with_id(Some(shard)).render();
             match write_line(peers[q].writer.as_mut().expect("live peer"), &line) {
                 Ok(()) => {
-                    peers[q].shard = Some(shard);
+                    let now = Instant::now();
+                    peers[q].shard = Some((shard, now));
                     peers[q].chunk = classes;
-                    *peers[q]
-                        .shared
-                        .inflight_since
-                        .lock()
-                        .expect("peer watchdog lock") = Some(Instant::now());
+                    *peers[q].inflight_since.lock().expect("peer watchdog lock") = Some(now);
                     stats.shards += 1;
                     m.counter("fleet.shards").inc();
                 }
@@ -639,14 +637,13 @@ fn distribute(
                 }
             }
             Ok(PeerMsg::ShardDone { peer, gen }) => {
-                if gen == peers[peer].gen {
-                    peers[peer].shard = None;
-                    peers[peer].chunk.clear();
-                    *peers[peer]
-                        .shared
-                        .inflight_since
-                        .lock()
-                        .expect("peer watchdog lock") = None;
+                let p = &mut peers[peer];
+                if gen == p.gen {
+                    if let Some((_, sent)) = p.shard.take() {
+                        rtt.record(sent.elapsed().as_micros() as u64);
+                    }
+                    p.chunk.clear();
+                    *p.inflight_since.lock().expect("peer watchdog lock") = None;
                 }
             }
             Ok(PeerMsg::Dead { peer, gen, reason }) => {
@@ -671,7 +668,7 @@ fn distribute(
             }) => {
                 reviving -= 1;
                 eprintln!("satpg fleet: peer {} revived", peers[peer].addr);
-                attach(&mut peers, peer, writer, reader, timeout, &tx);
+                attach(&mut peers, peer, writer, reader, timeout, &tx, &mut readers);
             }
             Ok(PeerMsg::ReviveFailed { peer, reason }) => {
                 reviving -= 1;
@@ -693,11 +690,14 @@ fn distribute(
         }
     }
 
-    // Release lingering reader threads (idle pollers exit on the flag;
-    // dropping the write halves below does not close their sockets,
-    // since each reader owns a clone).
-    for p in &peers {
-        p.shared.closed.store(true, Ordering::SeqCst);
+    // Close every live link so its reader hits EOF (and the peer's
+    // connection thread ends), then join the readers: a campaign leaves
+    // no thread or socket behind.
+    for w in peers.iter().filter_map(|p| p.writer.as_ref()) {
+        let _ = w.shutdown();
+    }
+    for h in readers {
+        let _ = h.join();
     }
 }
 
@@ -721,7 +721,7 @@ fn relay(
         if q == from || peers[q].writer.is_none() {
             continue;
         }
-        let Some(shard) = peers[q].shard else {
+        let Some((shard, _)) = peers[q].shard else {
             continue;
         };
         let req = Request::Broadcast {

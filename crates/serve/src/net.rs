@@ -1,8 +1,14 @@
 //! Transport plumbing shared by the daemon and the client: a stream
 //! that is either TCP or a Unix-domain socket, plus capped line I/O.
+//!
+//! Every protocol exchange is a short line answered by another short
+//! line, so TCP streams run with `TCP_NODELAY` and [`write_line`] hands
+//! the kernel each line in one write: with Nagle's algorithm on, a
+//! second small segment waits for the receiver's delayed ACK (tens of
+//! milliseconds per round trip on Linux).
 
 use std::io::{self, BufRead, Read, Write};
-use std::net::{TcpListener, TcpStream};
+use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
@@ -34,6 +40,16 @@ impl Conn {
             Conn::Tcp(s) => s.set_read_timeout(d),
             #[cfg(unix)]
             Conn::Unix(s) => s.set_read_timeout(d),
+        }
+    }
+
+    /// Shuts both directions of the socket down, for every clone: a
+    /// thread blocked reading another handle wakes with EOF.
+    pub(crate) fn shutdown(&self) -> io::Result<()> {
+        match self {
+            Conn::Tcp(s) => s.shutdown(Shutdown::Both),
+            #[cfg(unix)]
+            Conn::Unix(s) => s.shutdown(Shutdown::Both),
         }
     }
 }
@@ -106,27 +122,38 @@ impl Listener {
         }
     }
 
-    pub(crate) fn set_nonblocking(&self, nb: bool) -> io::Result<()> {
+    /// An address this host can [`connect`] to to reach the listener:
+    /// the printable address, with an unspecified bind (`0.0.0.0`,
+    /// `::`) mapped to loopback.
+    pub(crate) fn self_addr(&self) -> String {
         match self {
-            Listener::Tcp(l) => l.set_nonblocking(nb),
+            Listener::Tcp(l) => match l.local_addr() {
+                Ok(mut a) => {
+                    if a.ip().is_unspecified() {
+                        a.set_ip(match a.ip() {
+                            IpAddr::V4(_) => IpAddr::V4(Ipv4Addr::LOCALHOST),
+                            IpAddr::V6(_) => IpAddr::V6(Ipv6Addr::LOCALHOST),
+                        });
+                    }
+                    a.to_string()
+                }
+                Err(_) => "?".to_string(),
+            },
             #[cfg(unix)]
-            Listener::Unix(l, _) => l.set_nonblocking(nb),
+            Listener::Unix(..) => self.printable_addr(),
         }
     }
 
+    /// Blocks until a client connects.
     pub(crate) fn accept(&self) -> io::Result<Conn> {
         match self {
             Listener::Tcp(l) => {
                 let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
+                s.set_nodelay(true)?;
                 Ok(Conn::Tcp(s))
             }
             #[cfg(unix)]
-            Listener::Unix(l, _) => {
-                let (s, _) = l.accept()?;
-                s.set_nonblocking(false)?;
-                Ok(Conn::Unix(s))
-            }
+            Listener::Unix(l, _) => l.accept().map(|(s, _)| Conn::Unix(s)),
         }
     }
 }
@@ -154,7 +181,9 @@ pub(crate) fn connect(addr: &str) -> io::Result<Conn> {
             ));
         }
     }
-    TcpStream::connect(addr).map(Conn::Tcp)
+    let s = TcpStream::connect(addr)?;
+    s.set_nodelay(true)?;
+    Ok(Conn::Tcp(s))
 }
 
 /// Reads one `\n`-terminated line, enforcing a byte cap so an abusive
@@ -260,11 +289,13 @@ impl TimedLineReader {
     }
 }
 
-/// Writes one message line and flushes it (the stream stays line-buffered
-/// from the peer's perspective).
+/// Writes one message line, newline included, with a single
+/// `write_all` and flushes it, so the line leaves in one segment.
 pub(crate) fn write_line(w: &mut impl Write, line: &str) -> io::Result<()> {
-    w.write_all(line.as_bytes())?;
-    w.write_all(b"\n")?;
+    let mut buf = Vec::with_capacity(line.len() + 1);
+    buf.extend_from_slice(line.as_bytes());
+    buf.push(b'\n');
+    w.write_all(&buf)?;
     w.flush()
 }
 
@@ -316,5 +347,57 @@ mod tests {
         assert!(matches!(r.next().unwrap(), LineRead::TimedOut));
         drop(w);
         assert!(matches!(r.next().unwrap(), LineRead::Eof));
+    }
+
+    /// Counts `write` calls; accepts every byte offered.
+    #[derive(Default)]
+    struct CountingWriter {
+        writes: usize,
+        bytes: Vec<u8>,
+    }
+
+    impl Write for CountingWriter {
+        fn write(&mut self, buf: &[u8]) -> io::Result<usize> {
+            self.writes += 1;
+            self.bytes.extend_from_slice(buf);
+            Ok(buf.len())
+        }
+
+        fn flush(&mut self) -> io::Result<()> {
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn write_line_is_one_write_per_line() {
+        let mut w = CountingWriter::default();
+        write_line(&mut w, r#"{"cmd":"status"}"#).unwrap();
+        assert_eq!(w.writes, 1);
+        write_line(&mut w, "").unwrap();
+        assert_eq!(w.writes, 2);
+        assert_eq!(w.bytes, b"{\"cmd\":\"status\"}\n\n");
+    }
+
+    #[test]
+    fn tcp_conns_disable_nagle_on_both_ends() {
+        let listener = Listener::bind("127.0.0.1:0").unwrap();
+        let client = connect(&listener.printable_addr()).unwrap();
+        let server = listener.accept().unwrap();
+        for conn in [&client, &server] {
+            match conn {
+                Conn::Tcp(s) => assert!(s.nodelay().unwrap()),
+                #[cfg(unix)]
+                Conn::Unix(_) => panic!("a host:port address must give a TCP conn"),
+            }
+        }
+    }
+
+    #[test]
+    fn self_addr_maps_unspecified_binds_to_loopback() {
+        let listener = Listener::bind("0.0.0.0:0").unwrap();
+        let addr = listener.self_addr();
+        assert!(addr.starts_with("127.0.0.1:"), "{addr}");
+        connect(&addr).unwrap();
+        assert!(listener.accept().is_ok());
     }
 }

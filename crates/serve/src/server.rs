@@ -4,8 +4,11 @@
 //! Threading model:
 //!
 //! * one **accept loop** (the caller's thread in [`Server::run`]),
-//!   polling a non-blocking listener so a `shutdown` request can stop
-//!   it without a self-connect;
+//!   blocked in `accept()` so a new connection is served at once.  std
+//!   cannot interrupt a blocked `accept()`, so a `shutdown` request
+//!   sets the flag, acknowledges, and then wakes the loop with one
+//!   connect to the listener's own address; the loop drops that
+//!   connection and exits;
 //! * one thread per **connection**, which parses request lines and, for
 //!   a submitted job, forwards the job's event channel to the socket
 //!   until the job finishes;
@@ -24,7 +27,7 @@
 use crate::cache::{fnv64, SessionCache, SingleFlight};
 use crate::fleet::{run_fleet_built, FleetConfig};
 use crate::job::{job_atpg_config, resolve_circuit};
-use crate::net::{read_line_capped, write_line, Conn, Listener};
+use crate::net::{connect, read_line_capped, write_line, Conn, Listener};
 use crate::proto::{event, CircuitSpec, JobSpec, Request, ShardSpec, MAX_LINE_BYTES};
 use satpg_core::json::Json;
 use satpg_core::stages::FaultPlan;
@@ -153,6 +156,8 @@ struct State {
     /// Requests that blocked on another job's in-flight build.
     cssg_waits: AtomicUsize,
     shutdown: AtomicBool,
+    /// Where a `shutdown` request connects to wake the accept loop.
+    wake_addr: String,
     next_job: AtomicU64,
     jobs_queued: AtomicUsize,
     jobs_running: AtomicUsize,
@@ -200,7 +205,6 @@ impl Server {
     /// Propagates socket bind failures.
     pub fn bind(cfg: ServeConfig) -> io::Result<Server> {
         let listener = Listener::bind(&cfg.addr)?;
-        listener.set_nonblocking(true)?;
         let state = Arc::new(State {
             cache: Mutex::new(SessionCache::new(cfg.cache_entries)),
             cfg,
@@ -210,6 +214,7 @@ impl Server {
             cssg_builds: AtomicUsize::new(0),
             cssg_waits: AtomicUsize::new(0),
             shutdown: AtomicBool::new(false),
+            wake_addr: listener.self_addr(),
             next_job: AtomicU64::new(1),
             jobs_queued: AtomicUsize::new(0),
             jobs_running: AtomicUsize::new(0),
@@ -254,22 +259,23 @@ impl Server {
             })
             .collect();
 
-        while !self.state.shutdown.load(Ordering::SeqCst) {
-            match self.listener.accept() {
-                Ok(conn) => {
-                    let state = self.state.clone();
-                    // Detached: a connection blocked on a slow client
-                    // must not block shutdown of the daemon itself.
-                    std::thread::spawn(move || {
-                        let _ = handle_conn(&state, conn);
-                    });
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                    std::thread::sleep(Duration::from_millis(10));
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
+        loop {
+            let conn = match self.listener.accept() {
+                Ok(conn) => conn,
+                Err(e) if e.kind() == io::ErrorKind::Interrupted => continue,
                 Err(e) => return Err(e),
+            };
+            // After a shutdown request this is its wake connect (or a
+            // client that raced it); either way it is not served.
+            if self.state.shutdown.load(Ordering::SeqCst) {
+                break;
             }
+            let state = self.state.clone();
+            // Detached: a connection blocked on a slow client must not
+            // block shutdown of the daemon itself.
+            std::thread::spawn(move || {
+                let _ = handle_conn(&state, conn);
+            });
         }
 
         // Stop accepting, wake idle executors, and let them drain what
@@ -316,7 +322,6 @@ fn pool_loop(state: &Arc<State>) {
         state.jobs_queued.fetch_sub(1, Ordering::SeqCst);
         state.jobs_running.fetch_add(1, Ordering::SeqCst);
         execute(state, &job);
-        state.jobs_running.fetch_sub(1, Ordering::SeqCst);
     }
 }
 
@@ -416,16 +421,31 @@ impl EngineSink for ChannelSink<'_> {
     }
 }
 
+/// Runs one job and sends its final `report` or `error` event.
 fn execute(state: &Arc<State>, job: &QueuedJob) {
     let ckey = fnv64(job.spec.circuit.cache_text().as_bytes());
-    {
+    let outcome = {
         // The job root span: every CSSG/engine span opened below runs
         // on this pool thread (or carries an explicit parent), so the
         // whole campaign nests under one `job` slice in the trace.
         let _job_span =
             satpg_trace::span!("job", job = job.id, content_hash = format!("{ckey:016x}"));
-        execute_inner(state, job, ckey);
-    }
+        execute_inner(state, job, ckey)
+    };
+    // Book the job before its final event leaves: a client that answers
+    // the report with `status` must find the job counted.
+    state.jobs_running.fetch_sub(1, Ordering::SeqCst);
+    let last = match outcome {
+        Ok(body) => {
+            state.jobs_done.fetch_add(1, Ordering::SeqCst);
+            event::report(job.id, body)
+        }
+        Err(msg) => {
+            state.jobs_failed.fetch_add(1, Ordering::SeqCst);
+            event::error(job.id, &msg)
+        }
+    };
+    let _ = job.tx.send(last);
     // Drain *after* the root span closed so its End is in the file.
     // The collector is process-wide: with pool_workers > 1 a drain can
     // carry a concurrent job's events too (see crates/trace/DESIGN.md);
@@ -534,20 +554,15 @@ fn cached_cssg(
     Ok(out)
 }
 
-fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
+/// The job's stages, streamed as events; returns the final report body
+/// or the failure message for [`execute`] to send.
+fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json, String> {
     let send = |ev: Json| {
         let _ = job.tx.send(ev);
     };
-    let fail = |msg: &str| {
-        send(event::error(job.id, msg));
-        state.jobs_failed.fetch_add(1, Ordering::SeqCst);
-    };
 
     // --- Circuit: content-hash lookup, then parse/synthesize. ---
-    let (ckt, ckt_cache) = match cached_circuit(state, &job.spec.circuit, ckey) {
-        Ok(hit) => hit,
-        Err(msg) => return fail(&msg),
-    };
+    let (ckt, ckt_cache) = cached_circuit(state, &job.spec.circuit, ckey)?;
     send(event::stage(
         job.id,
         "circuit",
@@ -583,12 +598,9 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
         settle_signature(&cfg.atpg.cssg),
     );
     let shards = cfg.build_shards();
-    let (cssg, cssg_cache, us_cssg) = match cached_cssg(state, &ckt, &cfg.atpg.cssg, skey, shards) {
-        Ok(hit) => hit,
-        Err(msg) => return fail(&msg),
-    };
+    let (cssg, cssg_cache, us_cssg) = cached_cssg(state, &ckt, &cfg.atpg.cssg, skey, shards)?;
     if cssg.num_edges() == 0 {
-        return fail(&satpg_core::CoreError::NoValidVectors.to_string());
+        return Err(satpg_core::CoreError::NoValidVectors.to_string());
     }
     let faults = faults_for(&ckt, cfg.atpg.fault_model);
 
@@ -625,7 +637,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
         state
             .fleet_fallbacks
             .fetch_add(outcome.stats.merge_fallbacks, Ordering::SeqCst);
-        let body = Json::Obj(vec![
+        return Ok(Json::Obj(vec![
             ("report".to_string(), outcome.report.to_json_value(true)),
             ("fleet".to_string(), outcome.stats.to_json_value()),
             (
@@ -635,10 +647,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
                     ("cssg".to_string(), Json::str(cssg_cache)),
                 ]),
             ),
-        ]);
-        send(event::report(job.id, body));
-        state.jobs_done.fetch_add(1, Ordering::SeqCst);
-        return;
+        ]));
     }
 
     // --- Engine campaign, telemetry streamed through the sink. ---
@@ -669,8 +678,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) {
             ]),
         ));
     }
-    send(event::report(job.id, body));
-    state.jobs_done.fetch_add(1, Ordering::SeqCst);
+    Ok(body)
 }
 
 fn status_json(state: &State) -> Json {
@@ -819,8 +827,10 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
             Request::Shutdown => {
                 state.shutdown.store(true, Ordering::SeqCst);
                 state.queue_cv.notify_all();
-                send_event(&writer, &event::with_id(event::shutdown_ok(), id))?;
-                return Ok(());
+                let ack = send_event(&writer, &event::with_id(event::shutdown_ok(), id));
+                // Wake the accept loop, even when the ack failed.
+                let _ = connect(&state.wake_addr);
+                return ack;
             }
             Request::Enlist => send_event(&writer, &event::with_id(event::enlisted(), id))?,
             Request::Broadcast { shard, class, test } => {

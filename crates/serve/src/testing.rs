@@ -84,6 +84,12 @@ impl FaultyPeer {
                                 let _ = client.shutdown(Shutdown::Both);
                                 continue;
                             };
+                            // Like the daemon's own sockets: each
+                            // forwarded line leaves at once, so the
+                            // battery is paced by the daemon and the
+                            // mischief, not by Nagle in the proxy.
+                            let _ = client.set_nodelay(true);
+                            let _ = server.set_nodelay(true);
                             {
                                 let mut c = conns.lock().expect("conns lock");
                                 if let (Ok(a), Ok(b)) = (client.try_clone(), server.try_clone()) {
