@@ -8,6 +8,7 @@ use satpg_core::{AtpgConfig, CssgConfig, FaultModel, RandomTpgConfig, ThreePhase
 use satpg_netlist::{parse_ckt, Circuit};
 use satpg_stg::synth::{complex_gate, two_level, Redundancy};
 use satpg_stg::{parse_g, suite, StateGraph, Stg};
+use satpg_trace::span;
 
 fn synth(stg: &Stg, style: &str) -> Result<Circuit, String> {
     let sg = StateGraph::build(stg).map_err(|e| e.to_string())?;
@@ -72,17 +73,37 @@ fn family(name: &str, size: usize) -> Result<Circuit, String> {
 /// A human-readable message: parse errors (line-numbered), unknown
 /// benchmark/family names, out-of-range sizes, synthesis failures.
 pub fn resolve_circuit(spec: &CircuitSpec) -> Result<Circuit, String> {
+    // One `circuit.resolve` span per spec, its `kind` the spec's wire
+    // key, so traces account for parsing and synthesis.
     match spec {
         CircuitSpec::Bench { name, style } => {
+            let _span = span!(
+                "circuit.resolve",
+                kind = "bench",
+                name = name.as_str(),
+                style = style.as_str()
+            );
             let stg = suite::load(name).map_err(|e| format!("{name}: {e}"))?;
             synth(&stg, style).map_err(|e| format!("{name}: {e}"))
         }
-        CircuitSpec::Family { name, size } => family(name, *size),
+        CircuitSpec::Family { name, size } => {
+            let _span = span!(
+                "circuit.resolve",
+                kind = "family",
+                name = name.as_str(),
+                size = *size
+            );
+            family(name, *size)
+        }
         CircuitSpec::InlineG { text, style } => {
+            let _span = span!("circuit.resolve", kind = "g", style = style.as_str());
             let stg = parse_g(text).map_err(|e| e.to_string())?;
             synth(&stg, style)
         }
-        CircuitSpec::InlineCkt { text } => parse_ckt(text).map_err(|e| e.to_string()),
+        CircuitSpec::InlineCkt { text } => {
+            let _span = span!("circuit.resolve", kind = "ckt");
+            parse_ckt(text).map_err(|e| e.to_string())
+        }
     }
 }
 

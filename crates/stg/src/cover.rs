@@ -1,12 +1,20 @@
-//! Two-level logic minimization: Quine–McCluskey prime generation and
-//! greedy covering, with don't-care support.
+//! Two-level logic minimization over ON/OFF point sets (every other
+//! point is a don't-care): prime implicants from the OFF-set, then greedy
+//! covering.
 //!
-//! Sized for controller synthesis: up to 16 variables (the benchmark
-//! suite stays well below that).  The cover is *irredundant by
-//! construction of the greedy pass* but globally minimal only for small
-//! functions — exactly the fidelity class of the original flow.
+//! A cube through ON point `p` with literal mask `m` is an implicant iff
+//! `m` separates `p` from every OFF point `q` (`m & (p ^ q) != 0`), and
+//! prime iff no literal can be dropped: the primes through `p` are the
+//! minimal transversals of `{p ^ q : q ∈ OFF}`.  [`primes`] builds them
+//! with Berge's incremental algorithm over `u64` masks, so the work grows
+//! with |ON| · |OFF|, never with the 2^n codes; each intermediate family
+//! is an antichain over ≤ 16 variables, so at most C(16,8) = 12,870 sets.
+//!
+//! The cover is *irredundant by construction of the greedy pass* but
+//! globally minimal only for small functions — exactly the fidelity class
+//! of the original flow.
 
-use std::collections::{HashMap, HashSet};
+use std::collections::HashSet;
 
 /// A cube over `n` variables: `mask` bit set ⇒ the variable appears as a
 /// literal, with polarity given by the corresponding `val` bit.
@@ -92,81 +100,34 @@ impl Cover {
     }
 }
 
-/// Minimizes a function given by its ON-set and DC-set minterms over `n`
-/// variables (`n ≤ 16`): Quine–McCluskey primes, essential-prime
-/// extraction, then greedy set cover of the remaining ON-set.
+/// Minimizes the function with ON-set `on` and OFF-set `off` (points
+/// over ≤ 16 variables, repeats allowed; every other point is a
+/// don't-care): the [`primes`], essential-prime extraction, greedy set
+/// cover of the remaining ON-set, then an irredundancy pass.
+///
+/// The cover depends only on the primes that contain an ON point: one
+/// inside the don't-cares covers no ON point, so neither pass can pick
+/// it.  Any complete prime generator, such as the Quine–McCluskey merge
+/// of ON ∪ DC minterms in `tests/cover_props.rs`, gives the same cover.
 ///
 /// # Panics
 ///
-/// Panics if `n > 16`, if ON ∩ DC ≠ ∅, or if a point exceeds `n` bits.
-pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
-    assert!(n <= 16, "minimizer sized for ≤ 16 variables");
-    let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    assert!(
-        on_set.is_disjoint(&dc_set),
-        "ON and DC sets must be disjoint"
-    );
-    for &p in on.iter().chain(dc) {
-        assert!(p & !full == 0, "point {p:#x} exceeds {n} variables");
-    }
-    if on_set.is_empty() {
+/// Panics if ON ∩ OFF ≠ ∅ or if a point exceeds 16 variables.
+pub fn minimize(on: &[u64], off: &[u64]) -> Cover {
+    let (on, off) = points(on, off);
+    if on.is_empty() {
         return Cover::default();
     }
-    if on_set.len() + dc_set.len() == (1usize << n) {
+    if off.is_empty() {
         // Constant 1: the empty cube.
         return Cover {
             cubes: vec![Cube { mask: 0, val: 0 }],
         };
     }
-
-    // --- Prime generation (iterative merging). ---
-    let mut current: HashSet<Cube> = on_set
-        .iter()
-        .chain(dc_set.iter())
-        .map(|&p| Cube::minterm(p, n))
-        .collect();
-    let mut primes: Vec<Cube> = Vec::new();
-    while !current.is_empty() {
-        let mut merged: HashSet<Cube> = HashSet::new();
-        let mut was_merged: HashSet<Cube> = HashSet::new();
-        // Group by mask to merge only compatible cubes.
-        let mut by_mask: HashMap<u64, Vec<Cube>> = HashMap::new();
-        for &c in &current {
-            by_mask.entry(c.mask).or_default().push(c);
-        }
-        for group in by_mask.values() {
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i + 1..] {
-                    let diff = a.val ^ b.val;
-                    if diff.count_ones() == 1 {
-                        merged.insert(Cube {
-                            mask: a.mask & !diff,
-                            val: a.val & !diff,
-                        });
-                        was_merged.insert(*a);
-                        was_merged.insert(*b);
-                    }
-                }
-            }
-        }
-        for &c in &current {
-            if !was_merged.contains(&c) {
-                primes.push(c);
-            }
-        }
-        current = merged;
-    }
-    primes.sort_unstable();
-    primes.dedup();
+    let primes = primes(&on, &off);
 
     // --- Covering. ---
-    let mut uncovered: Vec<u64> = {
-        let mut v: Vec<u64> = on_set.iter().copied().collect();
-        v.sort_unstable();
-        v
-    };
+    let mut uncovered: Vec<u64> = on.clone();
     let mut chosen: Vec<Cube> = Vec::new();
 
     // Essential primes: an ON-minterm covered by exactly one prime.
@@ -208,10 +169,9 @@ pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
     // Final irredundancy pass: greedy choices can make earlier picks
     // redundant; drop any cube whose ON points are covered by the rest
     // (largest cubes first for determinism).
-    let on_vec: Vec<u64> = on_set.iter().copied().collect();
     loop {
         let removable = (0..chosen.len()).find(|&i| {
-            on_vec.iter().all(|&p| {
+            on.iter().all(|&p| {
                 !chosen[i].contains(p)
                     || chosen
                         .iter()
@@ -239,82 +199,115 @@ pub fn minimize(on: &[u64], dc: &[u64], n: usize) -> Cover {
 /// # Panics
 ///
 /// Same conditions as [`minimize`].
-pub fn all_primes(on: &[u64], dc: &[u64], n: usize) -> Cover {
-    let minimal = minimize(on, dc, n);
+pub fn all_primes(on: &[u64], off: &[u64]) -> Cover {
+    let minimal = minimize(on, off);
     if minimal.cubes.len() <= 1 {
         return minimal;
     }
-    // Re-run prime generation (minimize discards the full list).
-    assert!(n <= 16);
-    let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    let mut current: HashSet<Cube> = on_set
-        .iter()
-        .chain(dc_set.iter())
-        .map(|&p| Cube::minterm(p, n))
-        .collect();
+    Cover {
+        cubes: primes(on, off),
+    }
+}
+
+/// Every prime implicant that contains an ON point, sorted: for each ON
+/// point `p`, the minimal transversals of `{p ^ q : q ∈ OFF}` as literal
+/// masks, with `p`'s polarities.
+///
+/// # Panics
+///
+/// Same conditions as [`minimize`].
+pub fn primes(on: &[u64], off: &[u64]) -> Vec<Cube> {
+    let (on, off) = points(on, off);
     let mut primes: Vec<Cube> = Vec::new();
-    while !current.is_empty() {
-        let mut merged: HashSet<Cube> = HashSet::new();
-        let mut was_merged: HashSet<Cube> = HashSet::new();
-        let mut by_mask: HashMap<u64, Vec<Cube>> = HashMap::new();
-        for &c in &current {
-            by_mask.entry(c.mask).or_default().push(c);
+    for &p in &on {
+        let edges = minimal_sets(off.iter().map(|&q| p ^ q).collect());
+        primes.extend(minimal_transversals(&edges).into_iter().map(|mask| Cube {
+            mask,
+            val: p & mask,
+        }));
+    }
+    primes.sort_unstable();
+    primes.dedup();
+    primes
+}
+
+/// The inclusion-minimal members of `sets`, smallest first.
+fn minimal_sets(mut sets: Vec<u64>) -> Vec<u64> {
+    sets.sort_unstable_by_key(|&s| (s.count_ones(), s));
+    sets.dedup();
+    let mut minimal: Vec<u64> = Vec::new();
+    for s in sets {
+        // Any subset of `s` sorts before it.
+        if !minimal.iter().any(|&m| m & !s == 0) {
+            minimal.push(s);
         }
-        for group in by_mask.values() {
-            for (i, a) in group.iter().enumerate() {
-                for b in &group[i + 1..] {
-                    let diff = a.val ^ b.val;
-                    if diff.count_ones() == 1 {
-                        merged.insert(Cube {
-                            mask: a.mask & !diff,
-                            val: a.val & !diff,
-                        });
-                        was_merged.insert(*a);
-                        was_merged.insert(*b);
-                    }
+    }
+    minimal
+}
+
+/// The minimal transversals of the nonempty sets `edges`, by Berge's
+/// incremental construction.
+///
+/// After each edge `e` the family holds the minimal transversals of the
+/// edges so far: a set that hits `e` stays, and a set `t` that misses it
+/// is replaced by each `t ∪ {v}`, `v ∈ e`, that contains no kept set.
+/// No other containment can arise because the family was an antichain:
+/// `t ∪ {v} ⊆ t' ∪ {v'}` forces `v = v'` and `t ⊆ t'`, so `t = t'`, and
+/// a kept set containing `t ∪ {v}` would contain `t`.
+fn minimal_transversals(edges: &[u64]) -> Vec<u64> {
+    let mut family = vec![0u64];
+    for &e in edges {
+        let (kept, missed): (Vec<u64>, Vec<u64>) = family.into_iter().partition(|&t| t & e != 0);
+        let mut next = kept.clone();
+        for t in missed {
+            let mut vars = e;
+            while vars != 0 {
+                let grown = t | (vars & vars.wrapping_neg());
+                vars &= vars - 1;
+                if !kept.iter().any(|&s| s & !grown == 0) {
+                    next.push(grown);
                 }
             }
         }
-        for &c in &current {
-            if !was_merged.contains(&c) {
-                primes.push(c);
-            }
-        }
-        current = merged;
+        family = next;
     }
-    let mut cubes: Vec<Cube> = primes
-        .into_iter()
-        .filter(|c| on_set.iter().any(|&p| c.contains(p)))
-        .collect();
-    cubes.sort_unstable();
-    cubes.dedup();
-    Cover { cubes }
+    family
 }
 
-/// Verifies that `cover` equals the incompletely-specified function:
-/// contains every ON point, excludes every OFF point (`off` = complement
-/// of ON ∪ DC).
-pub fn verify(cover: &Cover, on: &[u64], dc: &[u64], n: usize) -> bool {
-    let full = if n == 64 { !0u64 } else { (1u64 << n) - 1 };
-    let dc_set: HashSet<u64> = dc.iter().map(|&p| p & full).collect();
-    let on_set: HashSet<u64> = on.iter().map(|&p| p & full).collect();
-    for p in 0..=full {
-        let c = cover.contains(p);
-        if on_set.contains(&p) && !c {
-            return false;
-        }
-        if !on_set.contains(&p) && !dc_set.contains(&p) && c {
-            return false;
-        }
+/// `on` and `off` sorted and deduplicated, after checking the
+/// [`minimize`] contract.
+fn points(on: &[u64], off: &[u64]) -> (Vec<u64>, Vec<u64>) {
+    let [on, off] = [on, off].map(|pts| {
+        let mut v = pts.to_vec();
+        v.sort_unstable();
+        v.dedup();
+        v
+    });
+    for &p in on.iter().chain(&off) {
+        assert!(p >> 16 == 0, "point {p:#x} exceeds 16 variables");
     }
-    true
+    assert!(
+        on.iter().all(|p| off.binary_search(p).is_err()),
+        "ON and OFF sets must be disjoint"
+    );
+    (on, off)
+}
+
+/// Verifies that `cover` realizes the incompletely specified function:
+/// it contains every ON point and no OFF point.
+pub fn verify(cover: &Cover, on: &[u64], off: &[u64]) -> bool {
+    on.iter().all(|&p| cover.contains(p)) && !off.iter().any(|&q| cover.contains(q))
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    /// The points over `n` variables outside `on` (a fully specified
+    /// function's OFF-set).
+    fn complement(on: &[u64], n: usize) -> Vec<u64> {
+        (0..1u64 << n).filter(|p| !on.contains(p)).collect()
+    }
 
     #[test]
     fn cube_basics() {
@@ -373,31 +366,32 @@ mod tests {
     #[test]
     fn minimize_xor_needs_two_cubes() {
         // XOR has no DC and no merging: two minterm cubes.
-        let on = [0b01u64, 0b10];
-        let cover = minimize(&on, &[], 2);
+        let (on, off) = ([0b01u64, 0b10], [0b00u64, 0b11]);
+        let cover = minimize(&on, &off);
         assert_eq!(cover.cubes.len(), 2);
-        assert!(verify(&cover, &on, &[], 2));
+        assert!(verify(&cover, &on, &off));
     }
 
     #[test]
     fn minimize_with_dont_cares_collapses() {
-        // ON = {11}, DC = {01, 10}: a single 1-literal cube suffices.
-        let cover = minimize(&[0b11], &[0b01, 0b10], 2);
-        assert!(verify(&cover, &[0b11], &[0b01, 0b10], 2));
+        // ON = {11}, OFF = {00}, DC = {01, 10}: a single 1-literal cube
+        // suffices.
+        let cover = minimize(&[0b11], &[0b00]);
+        assert!(verify(&cover, &[0b11], &[0b00]));
         assert_eq!(cover.cubes.len(), 1);
         assert!(cover.cubes[0].num_literals() <= 1);
     }
 
     #[test]
     fn minimize_constant_one() {
-        let cover = minimize(&[0, 1, 2, 3], &[], 2);
+        let cover = minimize(&[0, 1, 2, 3], &[]);
         assert_eq!(cover.cubes.len(), 1);
         assert_eq!(cover.cubes[0].num_literals(), 0);
     }
 
     #[test]
     fn minimize_empty_on() {
-        assert!(minimize(&[], &[0b1], 1).cubes.is_empty());
+        assert!(minimize(&[], &[0b1]).cubes.is_empty());
     }
 
     #[test]
@@ -410,8 +404,9 @@ mod tests {
                 on.push(p);
             }
         }
-        let cover = minimize(&on, &[], 3);
-        assert!(verify(&cover, &on, &[], 3));
+        let off = complement(&on, 3);
+        let cover = minimize(&on, &off);
+        assert!(verify(&cover, &on, &off));
         assert_eq!(cover.cubes.len(), 3, "ab, ay, by");
         for c in &cover.cubes {
             assert_eq!(c.num_literals(), 2);
@@ -422,15 +417,22 @@ mod tests {
     fn majority_of_five_is_exact() {
         let n = 5;
         let on: Vec<u64> = (0..32u64).filter(|p| p.count_ones() >= 3).collect();
-        let cover = minimize(&on, &[], n);
-        assert!(verify(&cover, &on, &[], n));
+        let off = complement(&on, n);
+        let cover = minimize(&on, &off);
+        assert!(verify(&cover, &on, &off));
         assert_eq!(cover.cubes.len(), 10, "C(5,3) three-literal primes");
     }
 
     #[test]
     #[should_panic(expected = "disjoint")]
-    fn overlapping_on_dc_rejected() {
-        minimize(&[1], &[1], 2);
+    fn overlapping_on_off_rejected() {
+        minimize(&[1], &[1]);
+    }
+
+    #[test]
+    #[should_panic(expected = "exceeds 16 variables")]
+    fn points_past_16_variables_rejected() {
+        minimize(&[1 << 16], &[0]);
     }
 
     #[test]
@@ -442,11 +444,12 @@ mod tests {
                 (a && b) || (!a && c)
             })
             .collect();
-        let min = minimize(&on, &[], 3);
-        let all = all_primes(&on, &[], 3);
+        let off = complement(&on, 3);
+        let min = minimize(&on, &off);
+        let all = all_primes(&on, &off);
         assert_eq!(min.cubes.len(), 2);
         assert_eq!(all.cubes.len(), 3, "includes the redundant consensus");
-        assert!(verify(&all, &on, &[], 3), "function unchanged");
+        assert!(verify(&all, &on, &off), "function unchanged");
         for c in &min.cubes {
             assert!(all.cubes.contains(c));
         }

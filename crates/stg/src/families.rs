@@ -68,8 +68,8 @@ pub fn sequencer(stages: usize) -> Result<Stg> {
 /// # Panics
 ///
 /// Panics if `cells < 2` (a one-cell ring degenerates) or `cells > 6`
-/// (the synthesis backends bound specifications at 16 signals, and the
-/// two-level cover enumeration grows steeply past 13).
+/// (the family's size cap, which keeps a ring's `2 · cells + 1` signals
+/// within the synthesis backends' 16-signal bound).
 pub fn dme_ring_source(cells: usize) -> String {
     assert!((2..=6).contains(&cells), "dme_ring supports 2..=6 cells");
     let mut out = String::new();

@@ -13,8 +13,9 @@
 //! * [`StateGraph`] — the token game, reachability, consistency and
 //!   output-persistency checking;
 //! * [`csc`] — unique/complete state coding checks;
-//! * [`cover`] — a two-level logic minimizer (Quine–McCluskey primes +
-//!   greedy covering with don't-cares);
+//! * [`cover`] — a two-level logic minimizer over ON/OFF point sets
+//!   (primes as minimal transversals of the OFF-set differences, then
+//!   greedy covering; unlisted points are don't-cares);
 //! * [`synth`] — netlist generation: one complex gate per output signal
 //!   (the Petrify stand-in) or a two-level AND-OR network with optional
 //!   hazard-covering redundant cubes (the SIS stand-in);

@@ -15,7 +15,7 @@
 //!   pulses, and precisely the redundancy the paper blames for the
 //!   untestable faults of `trimos-send`, `vbe10b` and `vbe6a`.
 
-use crate::cover::{minimize, Cover, Cube};
+use crate::cover::{all_primes, minimize, Cover, Cube};
 use crate::csc::check_csc;
 use crate::error::StgError;
 use crate::model::{SignalClass, SignalIdx, Stg};
@@ -71,24 +71,22 @@ pub fn next_state_covers_with(
             limit: 16,
         });
     }
-    let n = stg.num_signals();
-    let reachable: HashSet<u64> = sg.states().iter().map(|s| s.code).collect();
     let mut out = Vec::new();
     for &s in &non_inputs {
-        let mut on: Vec<u64> = Vec::new();
-        let mut seen: HashSet<u64> = HashSet::new();
+        // Unreachable codes are don't-cares.  States that share a code
+        // agree on every next value (CSC), so a repeat lands on one side.
+        let (mut on, mut off) = (Vec::new(), Vec::new());
         for (i, st) in sg.states().iter().enumerate() {
-            if seen.insert(st.code) && sg.next_value(stg, i, s) {
+            if sg.next_value(stg, i, s) {
                 on.push(st.code);
+            } else {
+                off.push(st.code);
             }
         }
-        let dc: Vec<u64> = (0..(1u64 << n))
-            .filter(|c| !reachable.contains(c))
-            .collect();
         let cover = if full_primes {
-            crate::cover::all_primes(&on, &dc, n)
+            all_primes(&on, &off)
         } else {
-            minimize(&on, &dc, n)
+            minimize(&on, &off)
         };
         out.push((s, cover));
     }

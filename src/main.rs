@@ -432,6 +432,9 @@ fn table(title: &str, style_of: fn(&str) -> &'static str) -> CliResult {
 /// The commands that run on a locally built circuit.
 fn local_command(cmd: &str, o: &Opts) -> CliResult {
     let spec = job_spec(o)?;
+    // Collect before the circuit is resolved, so an `atpg`/`engine`
+    // trace covers parsing and synthesis too.
+    let tracing = trace_setup(o);
     let ckt = resolve_circuit(&spec.circuit)?;
     match cmd {
         "synth" => {
@@ -473,7 +476,6 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
         }
         "atpg" => {
             let cfg = atpg_config(o, &spec, &ckt);
-            let tracing = trace_setup(o);
             // The abstraction is built up front (optionally sharded —
             // structurally identical either way) and reused for the
             // tester program below.
@@ -533,7 +535,6 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
                 gc_threshold: o.gc_threshold,
                 cssg_shards: o.cssg_shards,
             };
-            let tracing = trace_setup(o);
             let result = run_engine(&ckt, &cfg);
             trace_finish(tracing, ckt.name());
             let out = result?;

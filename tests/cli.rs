@@ -207,6 +207,34 @@ fn local_subcommands_accept_every_circuit_form() {
     );
 }
 
+#[test]
+fn engine_trace_covers_circuit_resolution() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-trace");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_string_lossy();
+    let args = [
+        "engine",
+        "--family",
+        "dme",
+        "--size",
+        "3",
+        "--trace-out",
+        &dir_arg,
+    ];
+    ok(&args, None);
+    let text = std::fs::read_to_string(dir.join("trace-dme-gen3.json")).unwrap();
+    let trace = Json::parse(&text).unwrap();
+    let resolve = trace
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .find(|e| e.get("name").and_then(Json::as_str) == Some("circuit.resolve"))
+        .expect("the trace has a circuit.resolve span");
+    let kind = resolve.get("args").and_then(|a| a.get("kind"));
+    assert_eq!(kind.and_then(Json::as_str), Some("family"));
+}
+
 /// A daemon on an ephemeral port, shut down when dropped.
 struct Daemon {
     child: Child,

@@ -5,21 +5,25 @@
 //! With the paper-tuned defaults the Muller pipeline first aborts at
 //! size 15 (the faulty-machine settle set outgrows `max_set = 4096`);
 //! the scaled limits lift exactly that. The quick tier pins the largest
-//! sizes that fit a debug-mode test run; the `#[ignore]`d release tier
-//! (run by the CI GC-stress job with `--include-ignored`) pins the
-//! previously-aborting sizes 15 and 16.
+//! sizes that fit a debug-mode test run, including the upper bounds of
+//! the family table for the STG-synthesized families (dme-6 and seq-15,
+//! the largest sizes `satpg gen` and the daemon accept); the
+//! `#[ignore]`d release tier (run by the CI GC-stress job with
+//! `--include-ignored`) pins arbiter-7 and the previously-aborting
+//! Muller sizes 15 and 16.
 
 use satpg::core::{run_atpg, AtpgConfig, ThreePhaseConfig};
 use satpg::engine::{run_engine, EngineConfig};
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::Circuit;
 use satpg::stg::synth::complex_gate;
-use satpg::stg::{families, StateGraph};
+use satpg::stg::{families, StateGraph, Stg};
 
-fn dme_circuit(cells: usize) -> Circuit {
-    let stg = families::dme_ring(cells).expect("generated ring parses");
-    let sg = StateGraph::build(&stg).expect("ring is well-formed");
-    complex_gate(&stg, &sg).expect("ring synthesizes")
+/// The complex-gate circuit `satpg gen` builds from a generated spec.
+fn synthesized(stg: satpg::stg::Result<Stg>) -> Circuit {
+    let stg = stg.expect("generated spec parses");
+    let sg = StateGraph::build(&stg).expect("spec is well-formed");
+    complex_gate(&stg, &sg).expect("spec synthesizes")
 }
 
 fn assert_no_aborts(ckt: &Circuit) {
@@ -103,9 +107,21 @@ fn arbiter_family_completes_at_size_6() {
 
 #[test]
 fn dme_family_completes_at_size_4() {
-    // Larger rings are release-tier: synthesizing the 5+-cell DME state
-    // graph dominates debug-mode runtime (the ATPG itself is cheap).
-    assert_no_aborts(&dme_circuit(4));
+    // A mid-size ring; the family's upper bound is pinned by
+    // `dme_family_completes_at_size_6`.
+    assert_no_aborts(&synthesized(families::dme_ring(4)));
+}
+
+/// The upper bounds of the family table: its two STG-synthesized
+/// families at their largest accepted sizes (13 and 16 signals).
+#[test]
+fn dme_family_completes_at_size_6() {
+    assert_no_aborts(&synthesized(families::dme_ring(6)));
+}
+
+#[test]
+fn seq_family_completes_at_size_15() {
+    assert_no_aborts(&synthesized(families::sequencer(15)));
 }
 
 /// The engine sees the same scaled limits (CLI parity) and stays
@@ -167,10 +183,4 @@ fn muller_family_completes_at_previously_aborting_sizes() {
 #[ignore = "release-mode tier: several seconds in debug builds"]
 fn arbiter_family_completes_at_size_7() {
     assert_no_aborts(&arbiter_tree(7));
-}
-
-#[test]
-#[ignore = "release-mode tier: DME state-graph synthesis is slow in debug"]
-fn dme_family_completes_at_size_6() {
-    assert_no_aborts(&dme_circuit(6));
 }
