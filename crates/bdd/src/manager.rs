@@ -126,10 +126,17 @@ pub struct GcStats {
 /// not reachable from the root set (the slot may be reused by a later
 /// `mk`).  Root the BDDs you hold across operations with
 /// [`Manager::protect`]/[`Manager::root`]; structural readers
-/// (`eval`, `node_count`, `support`, `remap`, `restrict`, `cube`,
-/// `var`) never trigger a sweep.  The op cache is invalidated
-/// generationally on every sweep — [`Manager::clear_cache_if_above`]
-/// still applies between sweeps to bound cache growth independently.
+/// (`eval`, `node_count`, `support`, `remap`, `restrict`) and the
+/// node-builders (`var`, `cube`, [`Manager::minterms`]) never trigger
+/// a sweep.  The op cache is invalidated generationally on every sweep
+/// — [`Manager::clear_cache_if_above`] still applies between sweeps to
+/// bound cache growth independently.
+///
+/// Garbage comes from operations, not from builders: a relation folded
+/// together one `or` per row leaves every intermediate disjunction
+/// behind, while the same relation from [`Manager::minterms`] makes only
+/// the nodes of the result.  Build large constant sets with the builder
+/// and the sweeps have nothing to chase.
 pub struct Manager {
     nodes: Vec<Node>,
     unique: FxMap<(u32, u32, u32), u32>,
@@ -943,12 +950,18 @@ impl Manager {
         r
     }
 
-    /// Conjunction of literals: a cube predicate.
+    /// Conjunction of literals: a cube predicate.  A repeated literal
+    /// counts once; a variable given both polarities makes the
+    /// conjunction [`Bdd::FALSE`].
     pub fn cube(&mut self, literals: &[(u32, bool)]) -> Bdd {
         let mut sorted = literals.to_vec();
-        sorted.sort_unstable_by_key(|&(v, _)| std::cmp::Reverse(v));
+        sorted.sort_unstable();
+        sorted.dedup();
+        if sorted.windows(2).any(|w| w[0].0 == w[1].0) {
+            return Bdd::FALSE;
+        }
         let mut acc = Bdd::TRUE;
-        for &(v, pos) in &sorted {
+        for &(v, pos) in sorted.iter().rev() {
             let (lo, hi) = if pos {
                 (Bdd::FALSE, acc)
             } else {
@@ -957,6 +970,54 @@ impl Manager {
             acc = self.mk(v, lo, hi);
         }
         acc
+    }
+
+    /// The set of minterms `rows` over `vars`: the disjunction of one
+    /// cube per row, where `row[j]` is the value of `vars[j]`.
+    ///
+    /// Built in one pass instead of a `cube` + `or` per row: the rows
+    /// are sorted in variable order, so the rows sharing a prefix are
+    /// contiguous and each split on the next variable is a binary
+    /// search.  Every distinct prefix costs one `mk`, and every node
+    /// made is part of the result, so the build leaves no garbage.
+    /// Like [`Manager::cube`] it is a node-builder and never triggers a
+    /// sweep; the returned handle is unrooted.  Duplicate rows are
+    /// harmless; no rows gives [`Bdd::FALSE`].
+    ///
+    /// # Panics
+    ///
+    /// Panics if `vars` is not strictly ascending, names an undeclared
+    /// variable, or a row's width differs from `vars.len()`.
+    pub fn minterms<R: AsRef<[bool]>>(&mut self, vars: &[u32], rows: &[R]) -> Bdd {
+        assert!(
+            vars.windows(2).all(|w| w[0] < w[1]),
+            "minterm variables must be strictly ascending"
+        );
+        if let Some(&v) = vars.last() {
+            assert!(v < self.num_vars, "variable {v} not declared");
+        }
+        let mut sorted: Vec<&[bool]> = rows.iter().map(AsRef::as_ref).collect();
+        assert!(
+            sorted.iter().all(|r| r.len() == vars.len()),
+            "every minterm row assigns every variable"
+        );
+        sorted.sort_unstable();
+        self.minterms_rec(vars, &sorted, 0)
+    }
+
+    /// The minterms of `rows` (sorted, all sharing their first `depth`
+    /// values) over `vars[depth..]`.
+    fn minterms_rec(&mut self, vars: &[u32], rows: &[&[bool]], depth: usize) -> Bdd {
+        if rows.is_empty() {
+            return Bdd::FALSE;
+        }
+        if depth == vars.len() {
+            return Bdd::TRUE;
+        }
+        let split = rows.partition_point(|r| !r[depth]);
+        let lo = self.minterms_rec(vars, &rows[..split], depth + 1);
+        let hi = self.minterms_rec(vars, &rows[split..], depth + 1);
+        self.mk(vars[depth], lo, hi)
     }
 
     /// Evaluates `f` under a total assignment.

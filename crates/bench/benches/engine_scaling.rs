@@ -18,7 +18,7 @@ use satpg_core::{
     build_cssg, build_cssg_sharded, faults_for, random_tpg, AtpgConfig, CapPolicy, CssgConfig,
     FaultModel, RandomTpgConfig,
 };
-use satpg_engine::{run_engine, EngineConfig};
+use satpg_engine::{run_engine, run_engine_on, EngineConfig};
 use satpg_netlist::{families as nf, Circuit};
 use satpg_serve::{run_fleet, CircuitSpec, FleetConfig, JobSpec, ServeConfig, Server};
 use satpg_stg::synth::complex_gate;
@@ -139,6 +139,57 @@ fn measure_memory(
         "{{\"bench\":\"engine_memory\",\"workload\":\"{label}\",\"policy\":\"{policy}\",\
          \"bdd_peak_unique\":{peak},\"bdd_reclaimed\":{reclaimed},\"gc_sweeps\":{sweeps}}}"
     )
+}
+
+/// Symbolic-audit probe: the one-worker campaign on a shared CSSG with
+/// the audit on and off, recording the difference (best of each) as the
+/// audit's price.  The worker builds its relation BDD and replays every
+/// discovered test, so this is the `engine.audit_us` layer in isolation.
+fn measure_audit(
+    label: &str,
+    ckt: &Circuit,
+    reps: u32,
+    records: &mut Vec<BenchRecord>,
+) -> (u128, String) {
+    let atpg = AtpgConfig {
+        random: None,
+        fault_sim: true,
+        ..AtpgConfig::default()
+    };
+    let cssg = build_cssg(ckt, &atpg.cssg).expect("CSSG builds");
+    let faults = faults_for(ckt, atpg.fault_model);
+    let best = |symbolic_audit: bool| {
+        let cfg = EngineConfig {
+            atpg: atpg.clone(),
+            workers: 1,
+            symbolic_audit,
+            cssg_shards: 1,
+            ..EngineConfig::default()
+        };
+        (0..=reps.max(2))
+            .map(|_| {
+                let t = Instant::now();
+                std::hint::black_box(run_engine_on(ckt, &cssg, &faults, &cfg, 0));
+                t.elapsed().as_micros()
+            })
+            .min()
+            .expect("at least one run")
+    };
+    let (on, off) = (best(true), best(false));
+    let audit_us = on.saturating_sub(off);
+    records.push(record(
+        "engine_audit",
+        format!("{label}/w1"),
+        audit_us as f64,
+        "us",
+    ));
+    let json = format!(
+        "{{\"bench\":\"engine_audit\",\"workload\":\"{label}\",\"workers\":1,\
+         \"audit_on_us\":{on},\"audit_off_us\":{off},\"audit_us\":{audit_us},\
+         \"cssg_edges\":{}}}",
+        cssg.num_edges(),
+    );
+    (audit_us, json)
 }
 
 /// Sharded-CSSG-construction probe: wall clock of
@@ -500,6 +551,19 @@ fn main() {
             let _ = write!(trajectory, "  {json}");
         }
     }
+    // Symbolic-audit price on the arbiter workload, whose dense CSSG
+    // makes the per-worker relation the largest.
+    let (audit_label, audit_ckt) = if quick {
+        ("arbiter4", nf::arbiter_tree(4))
+    } else {
+        ("arbiter5", nf::arbiter_tree(5))
+    };
+    let (audit_us, json) = measure_audit(audit_label, &audit_ckt, reps, &mut records);
+    println!("bench engine_audit/{audit_label}/w1 {audit_us:>10} us");
+    println!("{json}");
+    trajectory.push_str(",\n");
+    let _ = write!(trajectory, "  {json}");
+
     // Fleet scaling: the coordinator across 1..N in-process peer
     // daemons on a no-random muller workload (every class reaches the
     // distributed phase).

@@ -13,6 +13,14 @@
 //! explicit and BDD-based CSSG constructions, and it exercises the
 //! per-worker manager enough to make the reported BDD telemetry
 //! (node/cache counts, bounded cache clears) meaningful.
+//!
+//! The relation is built in one pass by [`Manager::minterms`], one row
+//! per CSSG edge: one node per distinct row prefix and no garbage.  An
+//! `or` per edge would re-walk the growing relation on every edge and
+//! leave each partial disjunction behind, which dominated the audit's
+//! time and memory (`crates/bdd/DESIGN.md` has the figures).  With the
+//! relation and the initial cube rooted and garbage-free, a GC
+//! threshold only ever reclaims replay intermediates.
 
 use satpg_bdd::{Bdd, Manager};
 use satpg_core::{Cssg, TestSequence};
@@ -55,34 +63,31 @@ impl WalkAuditor {
 
     /// Builds the auditor under a GC policy: with `Some(t)`, the private
     /// manager sweeps unrooted nodes whenever more than `t` are live.
-    /// The relation and initial-state cube are rooted here; `replay`
-    /// roots the rolling reached set, so everything else — per-step
-    /// pattern cubes, constrained sets, pre-rename images — is
+    /// The relation and initial-state cube are node-builder results
+    /// (no sweep can run while they are made) and are rooted here;
+    /// `replay` roots the rolling reached set, so everything else —
+    /// per-step pattern cubes, constrained sets, pre-rename images — is
     /// reclaimable the moment the step completes.
     pub fn with_gc(cssg: &Cssg, gc_threshold: Option<usize>) -> Self {
         let sbits = bits_for(cssg.num_states()).max(1);
         let pbits = cssg.num_inputs() as u32;
-        let mut mgr = Manager::new(2 * sbits + pbits);
+        let num_vars = 2 * sbits + pbits;
+        let mut mgr = Manager::new(num_vars);
         mgr.set_gc_threshold(gc_threshold);
-        let mut relation = Bdd::FALSE;
-        mgr.protect(relation);
+        // One row per edge: `(S, P, S')` in variable order.
+        let width = num_vars as usize;
+        let mut table: Vec<bool> = Vec::with_capacity(cssg.num_edges() * width);
         for s in 0..cssg.num_states() {
             for (p, t) in cssg.edges(s) {
-                let mut lits: Vec<(u32, bool)> = Vec::new();
-                for b in 0..sbits {
-                    lits.push((b, s >> b & 1 == 1));
-                }
-                for b in 0..pbits {
-                    lits.push((sbits + b, p.get(b as usize)));
-                }
-                for b in 0..sbits {
-                    lits.push((sbits + pbits + b, t >> b & 1 == 1));
-                }
-                let edge = mgr.cube(&lits);
-                let next = mgr.or(relation, edge);
-                relation = mgr.reroot(relation, next);
+                table.extend((0..sbits).map(|b| s >> b & 1 == 1));
+                table.extend((0..pbits).map(|b| p.get(b as usize)));
+                table.extend((0..sbits).map(|b| t >> b & 1 == 1));
             }
         }
+        let rows: Vec<&[bool]> = table.chunks_exact(width).collect();
+        let vars: Vec<u32> = (0..num_vars).collect();
+        let relation = mgr.minterms(&vars, &rows);
+        mgr.protect(relation);
         let init_lits: Vec<(u32, bool)> = (0..sbits)
             .map(|b| (b, cssg.initial() >> b & 1 == 1))
             .collect();
@@ -139,9 +144,15 @@ impl WalkAuditor {
         matches!(self.replay(seq), Some(1))
     }
 
-    /// Live node count of the private manager (telemetry).
+    /// Node-slab size of the private manager: live nodes, swept slots
+    /// and the two terminals (telemetry).
     pub fn num_nodes(&self) -> usize {
         self.mgr.num_nodes()
+    }
+
+    /// BDD variables of the relation: `2·sbits + pbits`.
+    pub fn num_vars(&self) -> u32 {
+        self.mgr.num_vars()
     }
 
     /// Operation-cache entries of the private manager (telemetry).
@@ -249,6 +260,36 @@ mod tests {
                 assert!(gc.unique_len() <= plain.unique_len());
             }
         }
+    }
+
+    /// Sweeps reclaim replay garbage without touching the rolling
+    /// reached set: every two-step walk from reset on arbiter-4 (each
+    /// reset edge, then every pattern, valid or not) produces enough
+    /// per-step intermediates to outgrow the 2x re-arm hysteresis, and
+    /// each verdict still equals the immortal auditor's.
+    #[test]
+    fn gc_reclaims_replay_garbage_while_reached_stays_rooted() {
+        let ckt = satpg_netlist::families::arbiter_tree(4);
+        let cssg = cssg_of(&ckt);
+        let mut plain = WalkAuditor::new(&cssg);
+        let mut gc = WalkAuditor::with_gc(&cssg, Some(16));
+        let mut walks = 0;
+        for (p1, _) in cssg.edges(cssg.initial()) {
+            for p2 in satpg_netlist::Pattern::all(cssg.num_inputs()) {
+                let seq = TestSequence {
+                    patterns: vec![p1.clone(), p2.clone()],
+                };
+                assert_eq!(gc.replay(&seq), plain.replay(&seq), "{p1} then {p2}");
+                walks += 1;
+            }
+        }
+        assert!(walks > 16, "arbiter-4 has several reset edges");
+        assert!(gc.gc_runs() > 1, "garbage re-arms the sweep");
+        assert!(
+            gc.reclaimed_nodes() > 0,
+            "replay intermediates are reclaimed"
+        );
+        assert!(gc.unique_len() < plain.unique_len());
     }
 
     #[test]

@@ -188,7 +188,10 @@ pub struct WorkerStats {
     /// Discovered tests that failed the symbolic audit (always 0 unless
     /// the explicit search and the BDD relation disagree — a bug).
     pub audit_failures: usize,
-    /// Live BDD nodes in the worker's private manager at exit.
+    /// Size of the worker's private BDD node slab at exit: live nodes,
+    /// swept slots awaiting reuse and the two terminals
+    /// ([`satpg_bdd::Manager::num_nodes`]); `bdd_peak_unique` is the
+    /// live high-water mark.
     pub bdd_nodes: usize,
     /// Operation-cache entries in the private manager at exit.
     pub bdd_cache: usize,
@@ -691,9 +694,13 @@ fn worker_loop(
         worker: w,
         ..WorkerStats::default()
     };
-    let mut auditor = cfg
-        .symbolic_audit
-        .then(|| WalkAuditor::with_gc(cssg, cfg.gc_threshold));
+    let mut auditor = cfg.symbolic_audit.then(|| {
+        let mut span = satpg_trace::span!("audit.build", edges = cssg.num_edges());
+        let aud = WalkAuditor::with_gc(cssg, cfg.gc_threshold);
+        span.record("vars", aud.num_vars());
+        span.record("nodes", aud.unique_len());
+        aud
+    });
     let mut seen_broadcasts = 0usize;
     // Broadcasting only pays off when the merge can harvest the skipped
     // classes as fault-sim credits; with fault_sim off every drop would
@@ -711,6 +718,8 @@ fn worker_loop(
             let fresh: Vec<(usize, TestSequence)> = log[seen_broadcasts..].to_vec();
             seen_broadcasts = log.len();
             drop(log);
+            let _span =
+                (!fresh.is_empty()).then(|| satpg_trace::span!("fsim.screen", tests = fresh.len()));
             for (ca, test) in fresh {
                 stats.broadcast_drops += queues.drop_pending(w, |backlog| {
                     let candidates: Vec<usize> =
@@ -745,6 +754,7 @@ fn worker_loop(
                 cycles: sequence.len(),
             });
             if let Some(aud) = auditor.as_mut() {
+                let _span = satpg_trace::span!("audit.check", cycles = sequence.len());
                 if !aud.check(sequence) {
                     stats.audit_failures += 1;
                 }
@@ -852,7 +862,10 @@ mod tests {
     fn gc_pressure_keeps_reports_identical() {
         // Disable random TPG so every class reaches the workers, then
         // squeeze the per-worker managers with a tiny GC threshold: the
-        // report must not move, and the sweeps must actually reclaim.
+        // report must not move, and the sweeps must actually run.  (The
+        // relation is built without garbage, so on a circuit this small
+        // they find nothing to reclaim; the auditor's own tests pin
+        // reclamation.)
         let ckt = library::muller_pipeline2();
         let atpg = AtpgConfig {
             random: None,
@@ -876,9 +889,7 @@ mod tests {
                 0
             );
             let gc_runs: usize = out.workers.iter().map(|w| w.bdd_gc_runs).sum();
-            let reclaimed: usize = out.workers.iter().map(|w| w.bdd_reclaimed).sum();
             assert!(gc_runs > 0, "tiny threshold must sweep");
-            assert!(reclaimed > 0, "sweeps must reclaim nodes");
         }
     }
 

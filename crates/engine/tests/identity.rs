@@ -43,9 +43,11 @@ fn engine_matches_serial_on_every_bundled_benchmark() {
 }
 
 /// The same identity must survive aggressive memory pressure: with an
-/// absurdly small per-worker GC threshold every audit operation triggers
+/// absurdly small per-worker GC threshold the audit's operations trigger
 /// sweeps, and the report must stay byte-identical to the serial flow
-/// for every bundled benchmark and every worker count.
+/// for every bundled benchmark and every worker count.  (The audit
+/// relation is built without garbage, so these sweeps reclaim little or
+/// nothing; `audit::tests` pins reclamation on replay garbage.)
 #[test]
 fn engine_matches_serial_under_gc_pressure() {
     let mut swept_anywhere = false;
@@ -85,13 +87,13 @@ fn engine_matches_serial_under_gc_pressure() {
                     w.bdd_nodes,
                     w.bdd_peak_unique
                 );
-                swept_anywhere |= w.bdd_gc_runs > 0 && w.bdd_reclaimed > 0;
+                swept_anywhere |= w.bdd_gc_runs > 0;
             }
         }
     }
     assert!(
         swept_anywhere,
-        "a 16-node threshold must trigger reclamation somewhere in the suite"
+        "a 16-node threshold must trigger sweeps somewhere in the suite"
     );
 }
 

@@ -255,6 +255,11 @@ pub struct Settler<'c> {
     /// Per signal: the gates whose evaluation reads it (inverse of
     /// `deps`).
     readers: Vec<Vec<GateId>>,
+    /// Scratch of the ample check, reused across calls: the frozen
+    /// fixpoint's ternary state, and its worklist of gates to evaluate
+    /// (which doubles as the undo log between candidates).
+    reach: TritVec,
+    work: Vec<GateId>,
     stats: SettleStats,
 }
 
@@ -290,6 +295,8 @@ impl<'c> Settler<'c> {
             fast_path: cfg.ternary_fast_path,
             deps,
             readers,
+            reach: TritVec(Vec::new()),
+            work: Vec::new(),
             stats: SettleStats::default(),
         }
     }
@@ -510,17 +517,15 @@ impl<'c> Settler<'c> {
 
     /// Expands one state: its successor list, whether it was unstable,
     /// and `(por_states, por_pruned)` deltas.
-    fn expand(&self, s: &Bits, por: bool) -> (Vec<Bits>, bool, (u64, u64)) {
-        let excited: Vec<GateId> = (0..self.ckt.num_gates())
-            .map(|i| GateId(i as u32))
-            .filter(|&g| is_excited_inj(self.ckt, g, s, &self.inj))
-            .collect();
+    fn expand(&mut self, s: &Bits, por: bool) -> (Vec<Bits>, bool, (u64, u64)) {
+        let ckt = self.ckt;
+        let excited = self.excited(s);
         if excited.is_empty() {
             return (vec![s.clone()], false, (0, 0));
         }
         let fire = |g: GateId| -> Bits {
             let mut t = s.clone();
-            t.toggle(self.ckt.gate_output(g).index());
+            t.toggle(ckt.gate_output(g).index());
             t
         };
         if por && excited.len() >= 2 {
@@ -529,6 +534,14 @@ impl<'c> Settler<'c> {
             }
         }
         (excited.into_iter().map(fire).collect(), true, (0, 0))
+    }
+
+    /// The gates excited in `s` under the injection, in id order.
+    fn excited(&self, s: &Bits) -> Vec<GateId> {
+        (0..self.ckt.num_gates())
+            .map(|i| GateId(i as u32))
+            .filter(|&g| is_excited_inj(self.ckt, g, s, &self.inj))
+            .collect()
     }
 
     /// Persistent-singleton selection: the first excited gate (in id
@@ -549,54 +562,99 @@ impl<'c> Settler<'c> {
     /// interleaving permutes to one firing `g` first, preserving run
     /// lengths and the reachable settled states exactly
     /// (`crates/sim/DESIGN.md`).
-    fn ample(&self, s: &Bits, excited: &[GateId]) -> Option<GateId> {
-        'candidate: for &g in excited {
-            let mut tv = TritVec::from_bits(s);
-            self.frozen_reach(&mut tv, g);
-            // (1) The support of g stays definite (lub only moves values
-            // to X, so definite means unchanged in every avoided run).
-            for &d in &self.deps[g.index()] {
-                if tv.0[d] == Trit::X {
-                    continue 'candidate;
-                }
-            }
-            // (2) Nothing that reads out(g) can fire before g does.
-            for &h in &self.readers[self.ckt.gate_output(g).index()] {
-                if h != g && tv.0[self.ckt.gate_output(h).index()] == Trit::X {
-                    continue 'candidate;
-                }
-            }
-            return Some(g);
-        }
-        None
+    fn ample(&mut self, s: &Bits, excited: &[GateId]) -> Option<GateId> {
+        self.load_reach(s);
+        excited.iter().copied().find(|&g| {
+            self.frozen_reach(excited, g);
+            let ok = self.commutes(g);
+            self.undo_reach(s);
+            ok
+        })
+    }
+
+    /// Conditions (1) and (2) of [`Settler::ample`] on the fixpoint in
+    /// `reach` with `g` frozen.
+    fn commutes(&self, g: GateId) -> bool {
+        let reach = &self.reach.0;
+        // (1) The support of g stays definite (lub only moves values
+        // to X, so definite means unchanged in every avoided run).
+        let support_fixed = self.deps[g.index()].iter().all(|&d| reach[d] != Trit::X);
+        // (2) Nothing that reads out(g) can fire before g does.
+        support_fixed
+            && self.readers[self.ckt.gate_output(g).index()]
+                .iter()
+                .all(|&h| h == g || reach[self.ckt.gate_output(h).index()] != Trit::X)
     }
 
     /// Algorithm A (monotone lub fixpoint) with `frozen`'s output pinned
-    /// at its current value: the X positions over-approximate every
-    /// signal that can differ from `s` in any run that never fires
-    /// `frozen`.
-    fn frozen_reach(&self, state: &mut TritVec, frozen: GateId) {
-        let bound = 2 * self.ckt.num_state_bits() + 2;
-        for _ in 0..bound {
-            let mut changed = false;
-            for i in 0..self.ckt.num_gates() {
-                let g = GateId(i as u32);
-                if g == frozen {
-                    continue;
-                }
-                let out_idx = self.ckt.gate_output(g).index();
-                let cur = state.0[out_idx];
-                let next = cur.lub(eval_gate_ternary(self.ckt, g, state, &self.inj));
-                if next != cur {
-                    state.0[out_idx] = next;
-                    changed = true;
-                }
+    /// at its current value, computed on `reach` (which holds the state
+    /// `s` on entry): the X positions over-approximate every signal that
+    /// can differ from `s` in any run that never fires `frozen`.
+    ///
+    /// Event-driven: only a gate excited in `s` can move first, and a
+    /// gate can only move after one of the signals it reads has, so the
+    /// worklist starts from `excited` and follows `readers`.  Each
+    /// signal moves at most once (definite to X), so the work is
+    /// proportional to the frozen cone rather than to sweeps over every
+    /// gate, and the result is the same least fixpoint a Gauss–Seidel
+    /// sweep reaches.
+    fn frozen_reach(&mut self, excited: &[GateId], frozen: GateId) {
+        let Settler {
+            ckt,
+            inj,
+            readers,
+            reach,
+            work,
+            ..
+        } = self;
+        work.clear();
+        work.extend(excited.iter().copied().filter(|&h| h != frozen));
+        let mut next = 0;
+        while let Some(&h) = work.get(next) {
+            next += 1;
+            let out = ckt.gate_output(h).index();
+            if reach.0[out] == Trit::X || eval_gate_ternary(ckt, h, reach, inj) == reach.0[out] {
+                continue;
             }
-            if !changed {
-                return;
-            }
+            reach.0[out] = Trit::X;
+            work.extend(
+                readers[out]
+                    .iter()
+                    .copied()
+                    .filter(|&r| r != frozen && reach.0[ckt.gate_output(r).index()] != Trit::X),
+            );
         }
-        unreachable!("frozen ternary fixpoint did not converge");
+    }
+
+    /// Loads the state `s` into the `reach` scratch, keeping its buffer.
+    fn load_reach(&mut self, s: &Bits) {
+        self.reach.0.clear();
+        self.reach.0.extend(s.iter().map(Trit::from_bool));
+    }
+
+    /// Restores `reach` to the state `s` after [`Settler::frozen_reach`]:
+    /// every position it moved is the output of a gate on the worklist.
+    fn undo_reach(&mut self, s: &Bits) {
+        for &h in &self.work {
+            let out = self.ckt.gate_output(h).index();
+            self.reach.0[out] = Trit::from_bool(s.get(out));
+        }
+    }
+
+    /// The fixpoint [`Settler::ample`] tests candidate `frozen` against
+    /// in state `s`: every signal that can differ from `s` in a run that
+    /// never fires `frozen` is X.  Exposed so property tests can pin the
+    /// event-driven computation against a sweep to the fixpoint.
+    ///
+    /// # Panics
+    ///
+    /// Panics on a settler built with POR off (no reader tables).
+    pub fn frozen_fixpoint(&mut self, s: &Bits, frozen: GateId) -> TritVec {
+        assert!(self.por, "frozen_fixpoint needs a POR settler");
+        let excited = self.excited(s);
+        self.load_reach(s);
+        self.frozen_reach(&excited, frozen);
+        self.reach.clone()
     }
 }
 

@@ -4,13 +4,16 @@
 //!   (conservativeness, the soundness anchor of the whole ATPG flow);
 //! * the 64-lane parallel engine agrees lane-by-lane with the scalar
 //!   engine, including under fault injection;
-//! * settled states are stable.
+//! * settled states are stable;
+//! * the POR ample check's event-driven frozen fixpoint equals the
+//!   sweep to the fixpoint it replaced.
 
 use proptest::prelude::*;
 use satpg_netlist::{Bits, Circuit, CircuitBuilder, GateId, GateKind, Pattern, SignalId};
 use satpg_sim::{
-    parallel_settle, settle_explicit, ternary_settle, ExplicitConfig, Injection, ParallelInjection,
-    PlaneState, Settle, Site, TernaryOutcome, Trit, TritVec,
+    eval_gate_ternary, is_excited_inj, parallel_settle, settle_explicit, ternary_settle,
+    ExplicitConfig, Injection, ParallelInjection, PlaneState, Settle, Settler, SettlerConfig, Site,
+    TernaryOutcome, Trit, TritVec,
 };
 
 /// Blueprint for a random circuit (kept simple so shrinking works).
@@ -365,4 +368,96 @@ fn bits_roundtrip_via_planes() {
     }
     let b = Bits::from_str01("0101").unwrap();
     assert_eq!(b.to_string(), "0101");
+}
+
+/// Wider random circuits than [`arb_blueprint`]: more gates and fan-in,
+/// so frozen cones branch and reconverge.
+fn arb_wide_blueprint() -> impl Strategy<Value = Blueprint> {
+    (1usize..=4, 2usize..=14).prop_flat_map(|(ni, ng)| {
+        let gate = (
+            any::<u8>(),
+            proptest::collection::vec(0usize..(ni + ng), 1..=4),
+        );
+        proptest::collection::vec(gate, ng).prop_map(move |gates| Blueprint {
+            num_inputs: ni,
+            gates,
+        })
+    })
+}
+
+/// The reference for [`Settler::frozen_fixpoint`]: algorithm A with
+/// `frozen`'s output pinned, swept over every gate until a sweep
+/// changes nothing (the ample check's computation before it became
+/// event-driven).
+fn frozen_sweep(c: &Circuit, s: &Bits, inj: &Injection, frozen: GateId) -> TritVec {
+    let mut tv = TritVec::from_bits(s);
+    loop {
+        let mut changed = false;
+        for i in 0..c.num_gates() {
+            let g = GateId(i as u32);
+            if g == frozen {
+                continue;
+            }
+            let out = c.gate_output(g).index();
+            let next = tv.0[out].lub(eval_gate_ternary(c, g, &tv, inj));
+            if next != tv.0[out] {
+                tv.0[out] = next;
+                changed = true;
+            }
+        }
+        if !changed {
+            return tv;
+        }
+    }
+}
+
+/// A random injection: none, one output force or one pin force.
+fn injection_for(c: &Circuit, sel: u8, value: bool) -> Injection {
+    let gate = GateId((sel as u32 / 3) % c.num_gates() as u32);
+    let pins = c.gate(gate).inputs.len();
+    match sel % 3 {
+        0 => Injection::none(),
+        1 => Injection::single(gate, Site::Output, value),
+        _ => Injection::single(gate, Site::Pin(sel as usize % pins.max(1)), value),
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// The event-driven frozen fixpoint behind the POR ample check
+    /// equals the sweep it replaced, for every excited candidate along
+    /// a random walk from the stable initial state with a random input
+    /// pattern applied, under random pin and output forces.
+    #[test]
+    fn frozen_fixpoint_matches_sweep(
+        bp in arb_wide_blueprint(),
+        pattern in any::<u64>(),
+        force in (any::<u8>(), any::<bool>()),
+        walk in proptest::collection::vec(any::<u8>(), 0..8),
+    ) {
+        let Some(c) = build(&bp) else { return Ok(()) };
+        let inj = injection_for(&c, force.0, force.1);
+        let mut settler = Settler::new(&c, &inj, &SettlerConfig::for_circuit(&c));
+        let mut s = c.with_inputs(c.initial_state(), pattern & ((1 << c.num_inputs()) - 1));
+        for step in 0..=walk.len() {
+            let excited: Vec<GateId> = (0..c.num_gates())
+                .map(|i| GateId(i as u32))
+                .filter(|&g| is_excited_inj(&c, g, &s, &inj))
+                .collect();
+            for &g in &excited {
+                prop_assert_eq!(
+                    settler.frozen_fixpoint(&s, g),
+                    frozen_sweep(&c, &s, &inj, g),
+                    "state {} frozen {:?} under {:?}", s, g, inj
+                );
+            }
+            let Some(&pick) = walk.get(step) else { break };
+            if excited.is_empty() {
+                break;
+            }
+            let g = excited[pick as usize % excited.len()];
+            s.toggle(c.gate_output(g).index());
+        }
+    }
 }

@@ -34,6 +34,23 @@ fn escape(s: &str) -> String {
     out
 }
 
+/// Appends the arguments as comma-separated `"key":value` pairs.
+fn push_args(out: &mut String, args: &[(&'static str, ArgValue)]) {
+    for (i, (k, v)) in args.iter().enumerate() {
+        if i > 0 {
+            out.push(',');
+        }
+        match v {
+            ArgValue::Int(n) => {
+                let _ = write!(out, "\"{}\":{}", escape(k), n);
+            }
+            ArgValue::Str(s) => {
+                let _ = write!(out, "\"{}\":\"{}\"", escape(k), escape(s));
+            }
+        }
+    }
+}
+
 fn push_begin(out: &mut String, ev: &TraceEvent) {
     let _ = write!(
         out,
@@ -44,24 +61,22 @@ fn push_begin(out: &mut String, ev: &TraceEvent) {
         ev.id,
         ev.parent
     );
-    for (k, v) in &ev.args {
-        match v {
-            ArgValue::Int(i) => {
-                let _ = write!(out, ",\"{}\":{}", escape(k), i);
-            }
-            ArgValue::Str(s) => {
-                let _ = write!(out, ",\"{}\":\"{}\"", escape(k), escape(s));
-            }
-        }
+    if !ev.args.is_empty() {
+        out.push(',');
+        push_args(out, &ev.args);
     }
     out.push_str("}}");
 }
 
-fn push_end(out: &mut String, tid: u64, ts_us: u64) {
-    let _ = write!(
-        out,
-        "{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}}}"
-    );
+/// An `E` event, carrying the arguments recorded at the span's end.
+fn push_end(out: &mut String, tid: u64, ts_us: u64, args: &[(&'static str, ArgValue)]) {
+    let _ = write!(out, "{{\"ph\":\"E\",\"pid\":1,\"tid\":{tid},\"ts\":{ts_us}");
+    if !args.is_empty() {
+        out.push_str(",\"args\":{");
+        push_args(out, args);
+        out.push('}');
+    }
+    out.push('}');
 }
 
 /// Renders events (as returned by
@@ -97,11 +112,13 @@ pub fn render(events: &[TraceEvent], process_name: &str) -> String {
                         // Ends between `pos` and the top belong to
                         // spans that outlived this drain; close them
                         // synthetically so nesting stays balanced.
-                        for _ in pos..open.len() {
-                            open.pop();
+                        for _ in pos + 1..open.len() {
                             out.push_str(",\n");
-                            push_end(&mut out, tid, ev.ts_us);
+                            push_end(&mut out, tid, ev.ts_us, &[]);
                         }
+                        open.truncate(pos);
+                        out.push_str(",\n");
+                        push_end(&mut out, tid, ev.ts_us, &ev.args);
                     }
                 }
             }
@@ -109,7 +126,7 @@ pub fn render(events: &[TraceEvent], process_name: &str) -> String {
         // Spans still open at drain time: synthesize their ends.
         for _ in 0..open.len() {
             out.push_str(",\n");
-            push_end(&mut out, tid, last_ts);
+            push_end(&mut out, tid, last_ts, &[]);
         }
     }
     out.push_str("\n]}\n");
@@ -197,5 +214,20 @@ mod tests {
         let s = render(&events, "test");
         assert!(s.contains("\"n\":42"), "{s}");
         assert!(s.contains("\"s\":\"a\\\"b\\\\c\""), "{s}");
+    }
+
+    #[test]
+    fn end_args_ride_on_the_end_event() {
+        let mut end = ev(EventKind::End, 1, 1, 20);
+        end.args = vec![("nodes", ArgValue::Int(7)), ("k", ArgValue::Int(2))];
+        let events = vec![ev(EventKind::Begin, 1, 1, 10), end];
+        let s = render(&events, "test");
+        assert!(
+            s.contains(
+                "{\"ph\":\"E\",\"pid\":1,\"tid\":1,\"ts\":20,\"args\":{\"nodes\":7,\"k\":2}}"
+            ),
+            "{s}"
+        );
+        assert_eq!(balance(&s), (1, 1));
     }
 }

@@ -65,7 +65,8 @@ pub struct TraceEvent {
     pub tid: u64,
     /// Microseconds since the collector was installed.
     pub ts_us: u64,
-    /// Arguments captured at open (empty on `End`).
+    /// Arguments: on `Begin` those captured at open, on `End` those
+    /// recorded with [`Span::record`] while the span was open.
     pub args: Vec<(&'static str, ArgValue)>,
 }
 
@@ -208,6 +209,8 @@ pub struct Span {
     /// Captured at open so the end lands in the same collector/buffer
     /// even if install/uninstall races the span's lifetime.
     sink: Option<(Arc<TraceCollector>, Arc<ThreadBuf>)>,
+    /// Arguments known only once the work is done, emitted on `End`.
+    end_args: Vec<(&'static str, ArgValue)>,
 }
 
 impl Span {
@@ -218,6 +221,7 @@ impl Span {
             id: 0,
             name: "",
             sink: None,
+            end_args: Vec::new(),
         }
     }
 
@@ -275,6 +279,7 @@ impl Span {
                 id,
                 name,
                 sink: Some((collector, buf)),
+                end_args: Vec::new(),
             }
         })
     }
@@ -283,6 +288,15 @@ impl Span {
     /// spans opened on other threads.
     pub fn id(&self) -> u64 {
         self.id
+    }
+
+    /// Records an argument known only at the end of the span (a result
+    /// size, say); it is emitted on the `End` event, where trace viewers
+    /// merge it into the span's arguments.  A no-op on disabled spans.
+    pub fn record(&mut self, key: &'static str, value: impl Into<ArgValue>) {
+        if self.sink.is_some() {
+            self.end_args.push((key, value.into()));
+        }
     }
 }
 
@@ -300,7 +314,7 @@ impl Drop for Span {
                 parent: 0,
                 tid: buf.tid,
                 ts_us: collector.now_us(),
-                args: Vec::new(),
+                args: std::mem::take(&mut self.end_args),
             });
         }
         TLS.with(|t| {

@@ -136,3 +136,27 @@ fn chrome_export_is_balanced_and_loads_as_json() {
     assert!(s.contains("\"label\":\"muller\""), "{s}");
     assert!(s.contains("\"traceEvents\""));
 }
+
+#[test]
+fn recorded_args_land_on_the_end_event() {
+    let _g = lock();
+    let c = install();
+    {
+        let mut s = span!("t.recorded", edges = 3);
+        s.record("nodes", 42usize);
+    }
+    uninstall();
+    let events = c.drain();
+    let b = begin(&events, "t.recorded");
+    assert_eq!(b.args.len(), 1, "only the open-time argument on Begin");
+    let end = events
+        .iter()
+        .find(|e| e.kind == EventKind::End && e.id == b.id)
+        .expect("end event");
+    assert_eq!(end.args.len(), 1);
+    assert_eq!(end.args[0].0, "nodes");
+    // A disabled span ignores recordings.
+    let mut off = span!("t.off");
+    off.record("nodes", 1usize);
+    drop(off);
+}

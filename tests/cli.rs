@@ -235,6 +235,63 @@ fn engine_trace_covers_circuit_resolution() {
     assert_eq!(kind.and_then(Json::as_str), Some("family"));
 }
 
+#[test]
+fn engine_trace_nests_the_audit_under_its_worker() {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-trace-audit");
+    let _ = std::fs::remove_dir_all(&dir);
+    let dir_arg = dir.to_string_lossy();
+    let args = [
+        "engine",
+        "--family",
+        "arbiter",
+        "--size",
+        "4",
+        "--trace-out",
+        &dir_arg,
+    ];
+    ok(&args, None);
+    let files: Vec<PathBuf> = std::fs::read_dir(&dir)
+        .unwrap()
+        .map(|e| e.unwrap().path())
+        .collect();
+    assert_eq!(files.len(), 1, "one trace artifact: {files:?}");
+    let trace = Json::parse(&std::fs::read_to_string(&files[0]).unwrap()).unwrap();
+    let begins: Vec<&Json> = trace
+        .get("traceEvents")
+        .and_then(Json::as_arr)
+        .unwrap()
+        .iter()
+        .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
+        .collect();
+    let arg = |e: &Json, key: &str| {
+        e.get("args")
+            .and_then(|a| a.get(key))
+            .and_then(Json::as_u128)
+    };
+    let named = |name: &str| -> Vec<&Json> {
+        begins
+            .iter()
+            .copied()
+            .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
+            .collect()
+    };
+    let workers: Vec<u128> = named("worker")
+        .into_iter()
+        .filter_map(|e| arg(e, "span_id"))
+        .collect();
+    let builds = named("audit.build");
+    assert!(!builds.is_empty(), "the trace has audit.build spans");
+    for b in builds {
+        let parent = arg(b, "parent").expect("parent id");
+        assert!(
+            workers.contains(&parent),
+            "audit.build nests under a worker"
+        );
+        assert!(arg(b, "edges").unwrap() > 0, "edges arg");
+    }
+    assert!(!named("audit.check").is_empty(), "audited tests have spans");
+}
+
 /// A daemon on an ephemeral port, shut down when dropped.
 struct Daemon {
     child: Child,
