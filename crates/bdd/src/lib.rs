@@ -13,11 +13,12 @@
 //!   predicates between the interleaved current/next/auxiliary variable
 //!   frames,
 //! * model enumeration, counting and cube extraction,
-//! * mark-and-sweep garbage collection with rooted handles
-//!   ([`Manager::protect`]/[`Manager::root`], [`Manager::gc`],
-//!   [`Manager::gc_if_above`], [`Manager::set_gc_threshold`]) so
-//!   long-lived managers are bounded by their working set rather than
-//!   by everything they ever computed.
+//! * a one-pass builder for minterm sets ([`Manager::minterms`]).
+//!
+//! Nodes are immortal: a manager never frees a node, so handles need no
+//! rooting and memory is released by dropping the manager.  Both users,
+//! the §4.2 symbolic CSSG reference and the engine's opt-in audit, own
+//! a manager for one bounded computation (see `DESIGN.md`).
 //!
 //! Variable order is fixed: variable index *is* level (no dynamic
 //! reordering; callers choose a good static interleaving).
@@ -38,4 +39,4 @@ mod hash;
 mod manager;
 mod sat;
 
-pub use manager::{Bdd, GcStats, Manager, Root};
+pub use manager::{Bdd, Manager};

@@ -191,22 +191,20 @@ proptest! {
 }
 
 /// A random minterm set: the width `n` in 1..=24, the variable stride
-/// (1 packs `vars` densely, 2 leaves gaps), row masks with some rows
-/// repeated, and an optional auto-GC threshold.
-fn arb_minterms() -> impl Strategy<Value = (u32, u32, Vec<u32>, Option<usize>)> {
+/// (1 packs `vars` densely, 2 leaves gaps), and row masks with some rows
+/// repeated.
+fn arb_minterms() -> impl Strategy<Value = (u32, u32, Vec<u32>)> {
     (
         1u32..=24,
         1u32..=2,
         proptest::collection::vec(any::<u32>(), 0..=40),
         0usize..=8,
-        any::<bool>(),
-        1usize..=64,
     )
-        .prop_map(|(n, step, masks, dups, sweeps, threshold)| {
+        .prop_map(|(n, step, masks, dups)| {
             let mut rows: Vec<u32> = masks.iter().map(|&m| m & (u32::MAX >> (32 - n))).collect();
             let again = rows[..dups.min(rows.len())].to_vec();
             rows.extend(again);
-            (n, step, rows, sweeps.then_some(threshold))
+            (n, step, rows)
         })
 }
 
@@ -214,33 +212,27 @@ proptest! {
     #![proptest_config(ProptestConfig::with_cases(128))]
 
     /// The one-pass builder returns the very handle a `cube` + `or` fold
-    /// over the same rows reaches in the same manager (canonicity), with
-    /// and without sweeps running during the fold.
+    /// over the same rows reaches in the same manager (canonicity).
     #[test]
     fn minterms_match_cube_or_fold(case in arb_minterms()) {
-        let (n, step, rows, gc) = case;
+        let (n, step, rows) = case;
         let vars: Vec<u32> = (0..n).map(|j| j * step).collect();
         let mut m = Manager::new(n * step);
-        m.set_gc_threshold(gc);
         let table: Vec<Vec<bool>> = rows
             .iter()
             .map(|&r| (0..n).map(|j| r >> j & 1 == 1).collect())
             .collect();
         let built = m.minterms(&vars, &table);
-        m.protect(built);
         let mut acc = Bdd::FALSE;
         for row in &table {
             let lits: Vec<(u32, bool)> = vars.iter().copied().zip(row.iter().copied()).collect();
             let c = m.cube(&lits);
-            let next = m.or(acc, c);
-            acc = m.reroot(acc, next);
+            acc = m.or(acc, c);
         }
         prop_assert_eq!(built, acc);
         for &r in &rows {
             prop_assert!(m.eval(built, &|v| r >> (v / step) & 1 == 1));
         }
-        m.unprotect(acc);
-        m.unprotect(built);
     }
 }
 

@@ -48,7 +48,6 @@ fn measure(
         workers,
         broadcast: true,
         symbolic_audit: false,
-        gc_threshold: None,
         cssg_shards: 1,
     };
     // Warm-up, then best-of-`reps` wall clock.  With `reps == 0`
@@ -95,15 +94,9 @@ fn measure(
     (best, json)
 }
 
-/// Memory-policy probe: the same audited campaign under immortal nodes
-/// vs a GC'd worker manager, reporting the peak BDD unique-table size
-/// (the before/after figure for the reclamation work).
-fn measure_memory(
-    label: &str,
-    ckt: &Circuit,
-    gc_threshold: Option<usize>,
-    records: &mut Vec<BenchRecord>,
-) -> String {
+/// Audit-memory probe: the audited campaign's peak BDD unique-table
+/// size, the largest relation any worker built.
+fn measure_memory(label: &str, ckt: &Circuit, records: &mut Vec<BenchRecord>) -> String {
     let cfg = EngineConfig {
         atpg: AtpgConfig {
             random: None,
@@ -113,7 +106,6 @@ fn measure_memory(
         workers: 2,
         broadcast: true,
         symbolic_audit: true,
-        gc_threshold,
         cssg_shards: 1,
     };
     let out = run_engine(ckt, &cfg).expect("engine runs");
@@ -123,21 +115,15 @@ fn measure_memory(
         .map(|w| w.bdd_peak_unique)
         .max()
         .unwrap_or(0);
-    let reclaimed: usize = out.workers.iter().map(|w| w.bdd_reclaimed).sum();
-    let sweeps: usize = out.workers.iter().map(|w| w.bdd_gc_runs).sum();
-    let policy = match gc_threshold {
-        Some(t) => format!("gc{t}"),
-        None => "immortal".to_string(),
-    };
     records.push(record(
         "engine_memory",
-        format!("{label}/{policy}"),
+        format!("{label}/immortal"),
         peak as f64,
         "nodes",
     ));
     format!(
-        "{{\"bench\":\"engine_memory\",\"workload\":\"{label}\",\"policy\":\"{policy}\",\
-         \"bdd_peak_unique\":{peak},\"bdd_reclaimed\":{reclaimed},\"gc_sweeps\":{sweeps}}}"
+        "{{\"bench\":\"engine_memory\",\"workload\":\"{label}\",\"policy\":\"immortal\",\
+         \"bdd_peak_unique\":{peak}}}"
     )
 }
 
@@ -544,12 +530,10 @@ fn main() {
             first = false;
             let _ = write!(trajectory, "  {json}");
         }
-        for gc in [None, Some(1usize << 10)] {
-            let json = measure_memory(label, ckt, gc, &mut records);
-            println!("{json}");
-            trajectory.push_str(",\n");
-            let _ = write!(trajectory, "  {json}");
-        }
+        let json = measure_memory(label, ckt, &mut records);
+        println!("{json}");
+        trajectory.push_str(",\n");
+        let _ = write!(trajectory, "  {json}");
     }
     // Symbolic-audit price on the arbiter workload, whose dense CSSG
     // makes the per-worker relation the largest.

@@ -19,24 +19,18 @@ use crate::cssg::Cssg;
 use crate::error::CoreError;
 use crate::Result;
 use satpg_bdd::{Bdd, Manager};
-use satpg_netlist::{Bits, Circuit, Gate, GateId, GateKind};
+use satpg_netlist::{Bits, Circuit, GateId, GateKind};
 
 /// Frame offsets.
 const X: u32 = 0;
 const Y: u32 = 1;
 const Z: u32 = 2;
 
-/// Default auto-GC threshold for the builder's manager: generous enough
-/// that the bundled benchmarks never trigger it, tight enough that large
-/// generated families reclaim their TCR-iteration intermediates.
-pub const DEFAULT_GC_THRESHOLD: usize = 1 << 16;
-
 /// The symbolic CSSG builder.
 ///
-/// The builder roots its long-lived functions (the excitation vector,
-/// the stability predicate, the transition relations and the iterated
-/// TCR) so dead intermediates — in particular superseded TCR iterates —
-/// are reclaimed whenever the manager's auto-GC threshold trips.
+/// The product flow builds the CSSG explicitly
+/// ([`crate::explicit_cssg::build_cssg`]); this builder is the §4.2
+/// reference that the equivalence tests hold the explicit one to.
 ///
 /// # Example
 ///
@@ -55,7 +49,7 @@ pub struct SymbolicCssg {
 
 /// The relations the construction hands from [`SymbolicCssg::valid_relation`]
 /// to the extraction pass.  `valid` is the pruned CSSG relation; `tcr` and
-/// `stable_y` are kept alive so extraction can classify the pruned pairs.
+/// `stable_y` let the diagnostics pass classify the pruned pairs.
 struct Relations {
     valid: Bdd,
     tcr: Bdd,
@@ -67,88 +61,25 @@ struct Relations {
 
 impl SymbolicCssg {
     /// Builds the CSSG of `ckt` symbolically with transition bound `k`
-    /// (default `4·gates + 4`), under the default memory policy
-    /// ([`DEFAULT_GC_THRESHOLD`]).
+    /// (default `4·gates + 4`).
     ///
     /// # Errors
     ///
     /// [`CoreError::TooManyStateBits`] beyond 32 bits,
     /// [`CoreError::NoStableReset`] for an unstable reset state.
     pub fn build(ckt: &Circuit, k: Option<usize>) -> Result<Cssg> {
-        Self::build_with_gc(ckt, k, Some(DEFAULT_GC_THRESHOLD))
+        Self::construct(ckt, k, false)
     }
 
-    /// [`SymbolicCssg::build`] with an explicit GC policy: `None` keeps
-    /// every node immortal, `Some(t)` sweeps unrooted nodes whenever the
-    /// unique table exceeds `t` entries.
-    pub fn build_with_gc(ckt: &Circuit, k: Option<usize>, gc: Option<usize>) -> Result<Cssg> {
-        Ok(Self::construct(ckt, k, gc, false)?.0)
+    /// [`SymbolicCssg::build`] plus the pruning/truncation diagnostics
+    /// ([`Cssg::pruned_nonconfluent`] and friends).  The classification
+    /// costs an explicit-style enumeration pass over the reachable
+    /// states, so the plain builder skips it.
+    pub fn build_diagnostic(ckt: &Circuit, k: Option<usize>) -> Result<Cssg> {
+        Self::construct(ckt, k, true)
     }
 
-    /// [`SymbolicCssg::build_with_gc`] plus the pruning/truncation
-    /// diagnostics ([`Cssg::pruned_nonconfluent`] and friends).  The
-    /// classification costs an explicit-style enumeration pass over the
-    /// reachable states, so the plain builders skip it.
-    pub fn build_diagnostic(ckt: &Circuit, k: Option<usize>, gc: Option<usize>) -> Result<Cssg> {
-        Ok(Self::construct(ckt, k, gc, true)?.0)
-    }
-
-    /// [`SymbolicCssg::build_diagnostic`] with the per-reachable-state
-    /// TCR restriction work — the dominant cost of the diagnostics pass —
-    /// partitioned across `shards` threads.
-    ///
-    /// The relation itself is built once; each shard thread then
-    /// [`satpg_bdd::Manager::import`]s the TCR and stability predicate
-    /// into a private manager (under the same GC policy) and classifies
-    /// a contiguous chunk of the reachable states.  Per-state counts are
-    /// exact model counts, so summing them in state order yields
-    /// counters identical to the serial pass for every shard count.
-    pub fn build_sharded(
-        ckt: &Circuit,
-        k: Option<usize>,
-        gc: Option<usize>,
-        shards: usize,
-    ) -> Result<Cssg> {
-        Ok(Self::construct_sharded(ckt, k, gc, shards)?.0)
-    }
-
-    /// The full construction with diagnostics, also returning the
-    /// manager's GC telemetry (exposed for tests and benches).
-    pub fn build_inner(
-        ckt: &Circuit,
-        k: Option<usize>,
-        gc: Option<usize>,
-    ) -> Result<(Cssg, satpg_bdd::GcStats)> {
-        Self::construct(ckt, k, gc, true)
-    }
-
-    fn construct(
-        ckt: &Circuit,
-        k: Option<usize>,
-        gc: Option<usize>,
-        diagnose: bool,
-    ) -> Result<(Cssg, satpg_bdd::GcStats)> {
-        Self::construct_inner(ckt, k, gc, diagnose.then_some(1))
-    }
-
-    fn construct_sharded(
-        ckt: &Circuit,
-        k: Option<usize>,
-        gc: Option<usize>,
-        shards: usize,
-    ) -> Result<(Cssg, satpg_bdd::GcStats)> {
-        Self::construct_inner(ckt, k, gc, Some(shards.max(1)))
-    }
-
-    /// The shared construction body.  `diagnose_shards` is `None` for a
-    /// plain build, `Some(n)` for a diagnostic build whose
-    /// classification pass runs on `n` threads.
-    fn construct_inner(
-        ckt: &Circuit,
-        k: Option<usize>,
-        gc: Option<usize>,
-        diagnose_shards: Option<usize>,
-    ) -> Result<(Cssg, satpg_bdd::GcStats)> {
+    fn construct(ckt: &Circuit, k: Option<usize>, diagnose: bool) -> Result<Cssg> {
         let nbits = ckt.num_state_bits();
         if nbits > 32 {
             return Err(CoreError::TooManyStateBits(nbits));
@@ -157,25 +88,17 @@ impl SymbolicCssg {
             return Err(CoreError::NoStableReset);
         }
         let k = k.unwrap_or(4 * ckt.num_gates() + 4);
-        let mut mgr = Manager::new(3 * nbits as u32);
-        mgr.set_gc_threshold(gc);
         let mut s = SymbolicCssg {
-            mgr,
+            mgr: Manager::new(3 * nbits as u32),
             nbits,
             m: ckt.num_inputs(),
         };
         let rel = s.valid_relation(ckt, k);
-        s.mgr.protect(rel.valid);
-        let mut cssg = s.extract(ckt, &rel, k)?;
-        match diagnose_shards {
-            None => {}
-            Some(shards) if shards <= 1 => s.count_pruned(&mut cssg, &rel),
-            Some(shards) => s.count_pruned_sharded(&mut cssg, &rel, gc, shards),
+        let mut cssg = s.extract(ckt, &rel, k);
+        if diagnose {
+            s.count_pruned(&mut cssg, &rel);
         }
-        s.mgr.unprotect(rel.valid);
-        s.mgr.unprotect(rel.tcr);
-        s.mgr.unprotect(rel.stable_y);
-        Ok((cssg, s.mgr.gc_stats()))
+        Ok(cssg)
     }
 
     fn var(&mut self, bit: usize, frame: u32) -> Bdd {
@@ -184,7 +107,7 @@ impl SymbolicCssg {
 
     /// BDD of gate `g`'s function over the X frame.
     fn gate_fn(&mut self, ckt: &Circuit, g: GateId) -> Bdd {
-        let gate = ckt.gate(g).clone();
+        let gate = ckt.gate(g);
         let pins: Vec<Bdd> = gate
             .inputs
             .iter()
@@ -192,34 +115,19 @@ impl SymbolicCssg {
             .collect();
         let out = self.var(ckt.gate_output(g).index(), X);
         let m = &mut self.mgr;
-        // Pin handles (and the feedback pin `out`) are reused across the
-        // folds below, so an auto-GC inside any step must not sweep them.
-        for &p in &pins {
-            m.protect(p);
-        }
-        m.protect(out);
-        let r = Self::gate_fn_body(m, &gate, &pins, out);
-        m.unprotect(out);
-        for &p in &pins {
-            m.unprotect(p);
-        }
-        r
-    }
-
-    fn gate_fn_body(m: &mut Manager, gate: &Gate, pins: &[Bdd], out: Bdd) -> Bdd {
         let fold_and = |m: &mut Manager, xs: &[Bdd]| xs.iter().fold(Bdd::TRUE, |a, &b| m.and(a, b));
         let fold_or = |m: &mut Manager, xs: &[Bdd]| xs.iter().fold(Bdd::FALSE, |a, &b| m.or(a, b));
         match &gate.kind {
             GateKind::Input | GateKind::Buf => pins[0],
             GateKind::Not => m.not(pins[0]),
-            GateKind::And => fold_and(m, pins),
-            GateKind::Or => fold_or(m, pins),
+            GateKind::And => fold_and(m, &pins),
+            GateKind::Or => fold_or(m, &pins),
             GateKind::Nand => {
-                let a = fold_and(m, pins);
+                let a = fold_and(m, &pins);
                 m.not(a)
             }
             GateKind::Nor => {
-                let o = fold_or(m, pins);
+                let o = fold_or(m, &pins);
                 m.not(o)
             }
             GateKind::Xor => pins.iter().fold(Bdd::FALSE, |a, &b| m.xor(a, b)),
@@ -228,33 +136,19 @@ impl SymbolicCssg {
                 m.not(x)
             }
             GateKind::C => {
-                let all = fold_and(m, pins);
-                m.protect(all);
-                let any = fold_or(m, pins);
+                let all = fold_and(m, &pins);
+                let any = fold_or(m, &pins);
                 let hold = m.and(out, any);
-                let r = m.or(all, hold);
-                m.unprotect(all);
-                r
+                m.or(all, hold)
             }
-            GateKind::Sop(sop) => {
-                let mut acc = Bdd::FALSE;
-                m.protect(acc);
-                for cube in &sop.cubes {
-                    let mut c = Bdd::TRUE;
-                    m.protect(c);
-                    for l in &cube.0 {
-                        let v = pins[l.pin];
-                        let lit = if l.positive { v } else { m.not(v) };
-                        let nc = m.and(c, lit);
-                        c = m.reroot(c, nc);
-                    }
-                    let na = m.or(acc, c);
-                    acc = m.reroot(acc, na);
-                    m.unprotect(c);
-                }
-                m.unprotect(acc);
-                acc
-            }
+            GateKind::Sop(sop) => sop.cubes.iter().fold(Bdd::FALSE, |acc, cube| {
+                let c = cube.0.iter().fold(Bdd::TRUE, |c, l| {
+                    let v = pins[l.pin];
+                    let lit = if l.positive { v } else { m.not(v) };
+                    m.and(c, lit)
+                });
+                m.or(acc, c)
+            }),
             GateKind::Const(v) => {
                 if *v {
                     Bdd::TRUE
@@ -268,128 +162,83 @@ impl SymbolicCssg {
     /// `iff(bit@a, bit@b)` conjoined over a bit range.
     fn same(&mut self, bits: impl Iterator<Item = usize>, fa: u32, fb: u32) -> Bdd {
         let mut acc = Bdd::TRUE;
-        self.mgr.protect(acc);
         for i in bits {
             let a = self.var(i, fa);
             let b = self.var(i, fb);
-            // `acc` is held across the `iff`, so it stays rooted.
             let eq = self.mgr.iff(a, b);
-            let next = self.mgr.and(acc, eq);
-            acc = self.mgr.reroot(acc, next);
+            acc = self.mgr.and(acc, eq);
         }
-        self.mgr.unprotect(acc);
         acc
     }
 
     /// Builds the validated CSSG relation over (X, Y).
-    ///
-    /// Every BDD held across another operation is rooted for exactly the
-    /// span it is needed, so an auto-GC sweep at any operation boundary
-    /// reclaims precisely the superseded intermediates (most notably the
-    /// dead TCR iterates, the dominant allocation on large circuits).
     fn valid_relation(&mut self, ckt: &Circuit, k: usize) -> Relations {
         let nbits = self.nbits;
         let m_inputs = self.m;
         // Excitation and stability over X.
         let mut excited = Vec::with_capacity(ckt.num_gates());
         let mut stable = Bdd::TRUE;
-        self.mgr.protect(stable);
         for gi in 0..ckt.num_gates() {
             let g = GateId(gi as u32);
             let f = self.gate_fn(ckt, g);
             let out = self.var(ckt.gate_output(g).index(), X);
             let e = self.mgr.xor(f, out);
-            self.mgr.protect(e);
             excited.push(e);
             let ne = self.mgr.not(e);
-            let next = self.mgr.and(stable, ne);
-            stable = self.mgr.reroot(stable, next);
+            stable = self.mgr.and(stable, ne);
         }
 
         // R_δ(x,y): stable self-loop or one excited gate switches.
         let same_all = self.same(0..nbits, X, Y);
         let mut r_delta = self.mgr.and(stable, same_all);
-        self.mgr.protect(r_delta);
         for (gi, &exc) in excited.iter().enumerate() {
-            let g = GateId(gi as u32);
-            let out_bit = ckt.gate_output(g).index();
+            let out_bit = ckt.gate_output(GateId(gi as u32)).index();
             let same_rest = self.same((0..nbits).filter(|&i| i != out_bit), X, Y);
-            self.mgr.protect(same_rest);
             let xo = self.var(out_bit, X);
             let yo = self.var(out_bit, Y);
             let flip = self.mgr.xor(xo, yo);
             let t = self.mgr.and(exc, flip);
             let t = self.mgr.and(t, same_rest);
-            self.mgr.unprotect(same_rest);
-            let next = self.mgr.or(r_delta, t);
-            r_delta = self.mgr.reroot(r_delta, next);
-        }
-        // The excitation vector is dead from here on.
-        for &e in &excited {
-            self.mgr.unprotect(e);
+            r_delta = self.mgr.or(r_delta, t);
         }
 
         // R_I(x,y): stable, gates unchanged, inputs changed.
         let same_gates = self.same(m_inputs..nbits, X, Y);
-        self.mgr.protect(same_gates);
         let same_env = self.same(0..m_inputs, X, Y);
         let diff_env = self.mgr.not(same_env);
-        self.mgr.protect(diff_env);
         let r_i = self.mgr.and(stable, same_gates);
-        self.mgr.unprotect(same_gates);
         let r_i = self.mgr.and(r_i, diff_env);
-        self.mgr.unprotect(diff_env);
 
         // TCR_k = R_I ∘ R_δ^{k-1} with early fixpoint exit.
         let r_delta_yz = self.mgr.remap(r_delta, &|v| v + 1);
-        self.mgr.protect(r_delta_yz);
-        self.mgr.unprotect(r_delta);
         let yvars: Vec<u32> = (0..nbits as u32).map(|i| 3 * i + Y).collect();
         let mut t = r_i;
-        self.mgr.protect(t);
         let mut fixpoint = false;
         for _ in 1..k {
             let t_xz = self.mgr.and_exists(t, r_delta_yz, &yvars);
-            let t_next = self.mgr.remap(t_xz, &|v| {
-                if v % 3 == Z {
-                    v - 1
-                } else {
-                    v
-                }
-            });
+            let t_next = self
+                .mgr
+                .remap(t_xz, &|v| if v % 3 == Z { v - 1 } else { v });
             if t_next == t {
                 fixpoint = true;
                 break;
             }
-            // The superseded iterate unroots here — with an auto-GC
-            // threshold set, this is what bounds the TCR loop's memory.
-            t = self.mgr.reroot(t, t_next);
+            t = t_next;
         }
-        self.mgr.unprotect(r_delta_yz);
 
         // Pruning: keep (x,y) with y stable and no sibling z ≠ y sharing
         // y's input pattern.
         let stable_y = self.mgr.remap(stable, &|v| v + 1);
-        self.mgr.protect(stable_y);
-        self.mgr.unprotect(stable);
         let t_xz = self.mgr.remap(t, &|v| if v % 3 == Y { v + 1 } else { v });
-        self.mgr.protect(t_xz);
         let same_env_yz = self.same(0..m_inputs, Y, Z);
-        self.mgr.protect(same_env_yz);
         let same_all_yz = self.same(0..nbits, Y, Z);
         let diff_yz = self.mgr.not(same_all_yz);
         let sibling = self.mgr.and(same_env_yz, diff_yz);
-        self.mgr.unprotect(same_env_yz);
         let zvars: Vec<u32> = (0..nbits as u32).map(|i| 3 * i + Z).collect();
         let bad = self.mgr.and_exists(t_xz, sibling, &zvars);
-        self.mgr.unprotect(t_xz);
         let not_bad = self.mgr.not(bad);
-        self.mgr.protect(not_bad);
         let ok = self.mgr.and(t, stable_y);
         let valid = self.mgr.and(ok, not_bad);
-        self.mgr.unprotect(not_bad);
-        // `t` and `stable_y` stay protected: the extraction pass reuses
-        // them for the pruning diagnostics and unprotects them afterward.
         Relations {
             valid,
             tcr: t,
@@ -403,7 +252,7 @@ impl SymbolicCssg {
     /// (state, pattern) pairs of every reachable state so the symbolic
     /// construction reports the same pruning/truncation diagnostics as
     /// the explicit one.
-    fn extract(&mut self, ckt: &Circuit, rel: &Relations, k: usize) -> Result<Cssg> {
+    fn extract(&mut self, ckt: &Circuit, rel: &Relations, k: usize) -> Cssg {
         let nbits = self.nbits;
         // All edges (x→y) as packed pairs.
         let vars: Vec<u32> = (0..nbits as u32)
@@ -441,7 +290,7 @@ impl SymbolicCssg {
             }
         }
         cssg.sort_edges();
-        Ok(cssg)
+        cssg
     }
 
     /// Per reachable state: classify every environment pattern the TCR
@@ -455,18 +304,18 @@ impl SymbolicCssg {
         let env_y: Vec<u32> = (0..self.m as u32).map(|i| 3 * i + Y).collect();
         let gate_y: Vec<u32> = (self.m..nbits).map(|i| 3 * i as u32 + Y).collect();
         let not_stable_y = self.mgr.not(rel.stable_y);
-        self.mgr.protect(not_stable_y);
         for si in 0..cssg.num_states() {
-            let state = cssg.states()[si].clone();
-            let (unstable, reached) = classify_state(
-                &mut self.mgr,
-                nbits,
-                rel.tcr,
-                not_stable_y,
-                &env_y,
-                &gate_y,
-                &state,
-            );
+            // TCR restricted to this state, then its endpoints' patterns.
+            let state = &cssg.states()[si];
+            let mut t_x = rel.tcr;
+            for bit in 0..nbits {
+                t_x = self.mgr.restrict(t_x, 3 * bit as u32 + X, state.get(bit));
+            }
+            let all_pats = self.mgr.exists(t_x, &gate_y);
+            let unstable_part = self.mgr.and(t_x, not_stable_y);
+            let unstable_pats = self.mgr.exists(unstable_part, &gate_y);
+            let reached = self.mgr.models_packed(all_pats, &env_y).len();
+            let unstable = self.mgr.models_packed(unstable_pats, &env_y).len();
             let valid = cssg.edges(si).len();
             cssg.note_unstable_n(unstable);
             cssg.note_nonconfluent_n(reached.saturating_sub(unstable + valid));
@@ -474,135 +323,7 @@ impl SymbolicCssg {
                 cssg.note_truncated_n(unstable);
             }
         }
-        self.mgr.unprotect(not_stable_y);
     }
-
-    /// [`SymbolicCssg::count_pruned`] with the reachable states split
-    /// into contiguous chunks classified on worker threads.
-    ///
-    /// Each worker imports the TCR and the stability predicate into a
-    /// private manager (the built relation's manager is only read), so
-    /// no locking happens on the BDD side at all.  Per-state results are
-    /// merged back in state order; the counts are exact, so the summed
-    /// counters match the serial pass bit for bit.
-    fn count_pruned_sharded(
-        &mut self,
-        cssg: &mut Cssg,
-        rel: &Relations,
-        gc: Option<usize>,
-        shards: usize,
-    ) {
-        let n = cssg.num_states();
-        if n == 0 {
-            return;
-        }
-        let nbits = self.nbits;
-        let m_inputs = self.m;
-        let states: Vec<Bits> = cssg.states().to_vec();
-        let chunk = n.div_ceil(shards.max(1));
-        let ranges: Vec<(usize, usize)> = (0..shards)
-            .map(|w| (w * chunk, ((w + 1) * chunk).min(n)))
-            .filter(|&(lo, hi)| lo < hi)
-            .collect();
-        let src = &self.mgr;
-        let counts: Vec<Vec<(usize, usize)>> = std::thread::scope(|scope| {
-            let handles: Vec<_> = ranges
-                .iter()
-                .map(|&(lo, hi)| {
-                    let states = &states;
-                    scope.spawn(move || {
-                        classify_states(
-                            src,
-                            nbits,
-                            m_inputs,
-                            gc,
-                            rel.tcr,
-                            rel.stable_y,
-                            &states[lo..hi],
-                        )
-                    })
-                })
-                .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("symbolic shard worker panicked"))
-                .collect()
-        });
-        let mut si = 0usize;
-        for per_state in counts.into_iter().flatten() {
-            let (unstable, reached) = per_state;
-            let valid = cssg.edges(si).len();
-            cssg.note_unstable_n(unstable);
-            cssg.note_nonconfluent_n(reached.saturating_sub(unstable + valid));
-            if rel.depth_limited {
-                cssg.note_truncated_n(unstable);
-            }
-            si += 1;
-        }
-        debug_assert_eq!(si, n, "every reachable state classified");
-    }
-}
-
-/// The per-state classification body shared by the serial and sharded
-/// diagnostics passes: restrict the TCR to `state` and model-count the
-/// environment patterns it reaches, split into (unstable, all)
-/// endpoints.  One copy, so the sharded/serial counter identity cannot
-/// drift.  `tcr` and `not_stable_y` must be rooted by the caller; every
-/// intermediate held across an operation is rooted here, so the body is
-/// safe under any auto-GC threshold.
-fn classify_state(
-    m: &mut Manager,
-    nbits: usize,
-    tcr: Bdd,
-    not_stable_y: Bdd,
-    env_y: &[u32],
-    gate_y: &[u32],
-    state: &Bits,
-) -> (usize, usize) {
-    let mut t_x = tcr;
-    m.protect(t_x);
-    for bit in 0..nbits {
-        let r = m.restrict(t_x, 3 * bit as u32 + X, state.get(bit));
-        t_x = m.reroot(t_x, r);
-    }
-    let all_pats = m.exists(t_x, gate_y);
-    m.protect(all_pats);
-    let unstable_part = m.and(t_x, not_stable_y);
-    let unstable_pats = m.exists(unstable_part, gate_y);
-    let reached = m.models_packed(all_pats, env_y).len();
-    let unstable = m.models_packed(unstable_pats, env_y).len();
-    m.unprotect(all_pats);
-    m.unprotect(t_x);
-    (unstable, reached)
-}
-
-/// One shard of the diagnostics pass: [`classify_state`] over a chunk
-/// of the reachable states, on a private manager seeded by
-/// [`Manager::import`] from the built relation's (read-only) manager.
-fn classify_states(
-    src: &Manager,
-    nbits: usize,
-    m_inputs: usize,
-    gc: Option<usize>,
-    tcr: Bdd,
-    stable_y: Bdd,
-    states: &[Bits],
-) -> Vec<(usize, usize)> {
-    let mut m = Manager::new(3 * nbits as u32);
-    m.set_gc_threshold(gc);
-    let tcr = m.import(src, tcr);
-    m.protect(tcr);
-    let stable = m.import(src, stable_y);
-    m.protect(stable);
-    let not_stable_y = m.not(stable);
-    m.protect(not_stable_y);
-    m.unprotect(stable);
-    let env_y: Vec<u32> = (0..m_inputs as u32).map(|i| 3 * i + Y).collect();
-    let gate_y: Vec<u32> = (m_inputs..nbits).map(|i| 3 * i as u32 + Y).collect();
-    states
-        .iter()
-        .map(|state| classify_state(&mut m, nbits, tcr, not_stable_y, &env_y, &gate_y, state))
-        .collect()
 }
 
 #[cfg(test)]
@@ -619,8 +340,7 @@ mod tests {
             ..CssgConfig::default()
         };
         let explicit = build_cssg(ckt, &cfg).unwrap();
-        let symbolic =
-            SymbolicCssg::build_diagnostic(ckt, None, Some(DEFAULT_GC_THRESHOLD)).unwrap();
+        let symbolic = SymbolicCssg::build_diagnostic(ckt, None).unwrap();
         assert_eq!(
             explicit.num_states(),
             symbolic.num_states(),
@@ -701,84 +421,6 @@ mod tests {
         assert_same_cssg(&library::muller_pipeline2());
     }
 
-    /// A brutally small GC threshold (sweep at nearly every operation)
-    /// must not change the constructed CSSG on any library circuit, and
-    /// must actually reclaim nodes on the non-trivial ones.
-    #[test]
-    fn tiny_gc_threshold_is_semantically_invisible() {
-        let mut reclaimed_anywhere = false;
-        for ckt in library::all() {
-            let immortal = SymbolicCssg::build_with_gc(&ckt, None, None).unwrap();
-            let (gc, stats) = SymbolicCssg::build_inner(&ckt, None, Some(16)).unwrap();
-            assert_eq!(
-                immortal.num_states(),
-                gc.num_states(),
-                "{}: states diverge under GC",
-                ckt.name()
-            );
-            assert_eq!(
-                immortal.num_edges(),
-                gc.num_edges(),
-                "{}: edges diverge under GC",
-                ckt.name()
-            );
-            for si in 0..immortal.num_states() {
-                let state = &immortal.states()[si];
-                let sj = gc.state_index(state).expect("state survives GC");
-                assert_eq!(immortal.edges(si), gc.edges(sj), "{}", ckt.name());
-            }
-            reclaimed_anywhere |= stats.reclaimed > 0;
-        }
-        assert!(reclaimed_anywhere, "threshold 16 must trigger sweeps");
-    }
-
-    /// The default policy bounds the working set: under a small
-    /// threshold the peak unique-table size stays near the threshold
-    /// rather than near the total allocation.
-    #[test]
-    fn gc_bounds_symbolic_working_set() {
-        let ckt = library::muller_pipeline2();
-        let (_, stats) = SymbolicCssg::build_inner(&ckt, None, Some(64)).unwrap();
-        assert!(stats.runs > 0);
-        assert!(stats.reclaimed > 0, "TCR iterates are reclaimed");
-    }
-
-    /// The sharded diagnostics pass must be invisible: same states,
-    /// edges and pruning counters as the serial diagnostic build, for
-    /// every shard count, with and without a GC policy.
-    #[test]
-    fn sharded_diagnostics_match_serial_on_library() {
-        for ckt in library::all() {
-            if ckt.num_state_bits() > 32 {
-                continue;
-            }
-            for gc in [None, Some(1024)] {
-                let serial = SymbolicCssg::build_diagnostic(&ckt, None, gc).unwrap();
-                for shards in 1..=4 {
-                    let sharded = SymbolicCssg::build_sharded(&ckt, None, gc, shards).unwrap();
-                    let ctx = format!("{} @ {shards} shards, gc {gc:?}", ckt.name());
-                    assert_eq!(serial.num_states(), sharded.num_states(), "{ctx}");
-                    assert_eq!(serial.num_edges(), sharded.num_edges(), "{ctx}");
-                    assert_eq!(serial.states(), sharded.states(), "{ctx}: state order");
-                    for si in 0..serial.num_states() {
-                        assert_eq!(serial.edges(si), sharded.edges(si), "{ctx}: state {si}");
-                    }
-                    assert_eq!(
-                        serial.pruned_nonconfluent(),
-                        sharded.pruned_nonconfluent(),
-                        "{ctx}"
-                    );
-                    assert_eq!(serial.pruned_unstable(), sharded.pruned_unstable(), "{ctx}");
-                    assert_eq!(
-                        serial.pruned_truncated(),
-                        sharded.pruned_truncated(),
-                        "{ctx}"
-                    );
-                }
-            }
-        }
-    }
-
     #[test]
     fn plain_build_skips_the_diagnostics_pass() {
         let ckt = library::c_element();
@@ -788,7 +430,7 @@ mod tests {
             0,
             "plain builds skip the enumeration pass"
         );
-        let diag = SymbolicCssg::build_diagnostic(&ckt, None, None).unwrap();
+        let diag = SymbolicCssg::build_diagnostic(&ckt, None).unwrap();
         assert!(diag.pruned_nonconfluent() > 0, "diagnostics classify drops");
         assert_eq!(plain.num_states(), diag.num_states());
         assert_eq!(plain.num_edges(), diag.num_edges());

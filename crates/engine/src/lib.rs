@@ -7,10 +7,10 @@
 //!
 //! * the collapsed fault list is **sharded** round-robin across
 //!   per-worker deques with **work stealing** ([`shard`]);
-//! * every worker shares the read-only [`satpg_core::Cssg`] and circuit,
-//!   and owns a **private [`satpg_bdd::Manager`]** used to audit its
-//!   discoveries symbolically ([`audit`]) and report per-worker BDD
-//!   telemetry;
+//! * every worker shares the read-only [`satpg_core::Cssg`] and circuit;
+//!   with the opt-in [`EngineConfig::symbolic_audit`] it also owns a
+//!   **private [`satpg_bdd::Manager`]** that replays its discoveries
+//!   symbolically ([`audit`]);
 //! * a test found by one worker is **broadcast**: other workers
 //!   fault-simulate it against their pending faults and drop the ones it
 //!   already covers, skipping their three-phase searches;

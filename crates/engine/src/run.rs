@@ -70,7 +70,7 @@ pub enum EngineEvent {
     },
     /// A worker drained its queue and exited.
     WorkerDone {
-        /// Its final telemetry (BDD nodes, GC sweeps/reclaimed/peak, …).
+        /// Its final telemetry (searches, steals, audit BDD peak, …).
         stats: WorkerStats,
     },
     /// The deterministic merge finished; the report follows.
@@ -109,12 +109,9 @@ pub struct EngineConfig {
     /// pending faults early.
     pub broadcast: bool,
     /// Symbolically audit every discovered test on the worker's private
-    /// BDD manager.
+    /// BDD manager ([`crate::audit`]; the `--audit` CLI flag).  Off by
+    /// default: the audit never changes a verdict.
     pub symbolic_audit: bool,
-    /// Per-worker BDD GC policy: with `Some(t)`, each worker's private
-    /// manager sweeps unrooted nodes whenever more than `t` are live
-    /// (the `--gc-threshold` CLI flag).  `None` keeps nodes immortal.
-    pub gc_threshold: Option<usize>,
     /// Threads for the CSSG construction phase
     /// ([`satpg_core::build_cssg_sharded`]).  `0` matches the campaign's
     /// worker count, so a parallel job also builds its abstraction in
@@ -129,8 +126,7 @@ impl Default for EngineConfig {
             atpg: AtpgConfig::default(),
             workers: 0,
             broadcast: true,
-            symbolic_audit: true,
-            gc_threshold: None,
+            symbolic_audit: false,
             cssg_shards: 0,
         }
     }
@@ -188,20 +184,11 @@ pub struct WorkerStats {
     /// Discovered tests that failed the symbolic audit (always 0 unless
     /// the explicit search and the BDD relation disagree — a bug).
     pub audit_failures: usize,
-    /// Size of the worker's private BDD node slab at exit: live nodes,
-    /// swept slots awaiting reuse and the two terminals
-    /// ([`satpg_bdd::Manager::num_nodes`]); `bdd_peak_unique` is the
-    /// live high-water mark.
-    pub bdd_nodes: usize,
-    /// Operation-cache entries in the private manager at exit.
+    /// Operation-cache entries in the audit's private manager at exit
+    /// (0 with the audit off).
     pub bdd_cache: usize,
-    /// Times the bounded-cache heuristic cleared the cache.
-    pub bdd_cache_clears: usize,
-    /// GC sweeps the private manager ran (0 with GC disabled).
-    pub bdd_gc_runs: usize,
-    /// BDD nodes the private manager reclaimed across all sweeps.
-    pub bdd_reclaimed: usize,
-    /// High-water mark of the private manager's unique table.
+    /// Decision nodes the audit's private manager made.  Nodes are never
+    /// freed, so this is its high-water mark (0 with the audit off).
     pub bdd_peak_unique: usize,
     /// State expansions this worker's settling analyses performed across
     /// its three-phase searches.
@@ -232,14 +219,7 @@ impl WorkerStats {
                 Json::int(self.broadcast_drops),
             ),
             ("audit_failures".to_string(), Json::int(self.audit_failures)),
-            ("bdd_nodes".to_string(), Json::int(self.bdd_nodes)),
             ("bdd_cache".to_string(), Json::int(self.bdd_cache)),
-            (
-                "bdd_cache_clears".to_string(),
-                Json::int(self.bdd_cache_clears),
-            ),
-            ("bdd_gc_runs".to_string(), Json::int(self.bdd_gc_runs)),
-            ("bdd_reclaimed".to_string(), Json::int(self.bdd_reclaimed)),
             (
                 "bdd_peak_unique".to_string(),
                 Json::int(self.bdd_peak_unique),
@@ -647,9 +627,6 @@ fn flush_engine_metrics(
             .add(w.broadcast_drops as u64);
         m.counter("engine.audit_failures")
             .add(w.audit_failures as u64);
-        m.counter("engine.bdd_gc_runs").add(w.bdd_gc_runs as u64);
-        m.counter("engine.bdd_reclaimed")
-            .add(w.bdd_reclaimed as u64);
         m.counter("engine.settle_states").add(w.settle_states);
         m.counter("engine.settle_por_pruned")
             .add(w.settle_por_pruned);
@@ -696,7 +673,7 @@ fn worker_loop(
     };
     let mut auditor = cfg.symbolic_audit.then(|| {
         let mut span = satpg_trace::span!("audit.build", edges = cssg.num_edges());
-        let aud = WalkAuditor::with_gc(cssg, cfg.gc_threshold);
+        let aud = WalkAuditor::new(cssg);
         span.record("vars", aud.num_vars());
         span.record("nodes", aud.unique_len());
         aud
@@ -771,12 +748,8 @@ fn worker_loop(
     }
 
     if let Some(aud) = auditor {
-        stats.bdd_nodes = aud.num_nodes();
         stats.bdd_cache = aud.cache_len();
-        stats.bdd_cache_clears = aud.cache_clears;
-        stats.bdd_gc_runs = aud.gc_runs();
-        stats.bdd_reclaimed = aud.reclaimed_nodes();
-        stats.bdd_peak_unique = aud.peak_unique();
+        stats.bdd_peak_unique = aud.unique_len();
     }
     stats.us_busy = t0.elapsed().as_micros();
     stats
@@ -808,6 +781,7 @@ mod tests {
             for workers in 1..=4 {
                 let cfg = EngineConfig {
                     workers,
+                    symbolic_audit: true,
                     ..EngineConfig::paper()
                 };
                 let parallel = run_engine(&ckt, &cfg);
@@ -848,48 +822,14 @@ mod tests {
         let cfg = EngineConfig {
             workers: 2,
             broadcast: false,
+            symbolic_audit: true,
             ..EngineConfig::paper()
         };
         let out = run_engine(&ckt, &cfg).unwrap();
         let searched: usize = out.workers.iter().map(|w| w.searched).sum();
         assert_eq!(searched, out.parallel_verdicts);
         for w in &out.workers {
-            assert!(w.bdd_nodes >= 2, "auditor built a relation");
-        }
-    }
-
-    #[test]
-    fn gc_pressure_keeps_reports_identical() {
-        // Disable random TPG so every class reaches the workers, then
-        // squeeze the per-worker managers with a tiny GC threshold: the
-        // report must not move, and the sweeps must actually run.  (The
-        // relation is built without garbage, so on a circuit this small
-        // they find nothing to reclaim; the auditor's own tests pin
-        // reclamation.)
-        let ckt = library::muller_pipeline2();
-        let atpg = AtpgConfig {
-            random: None,
-            ..AtpgConfig::paper()
-        };
-        let serial = run_atpg(&ckt, &atpg).unwrap();
-        for workers in [1, 3] {
-            let out = run_engine(
-                &ckt,
-                &EngineConfig {
-                    atpg: atpg.clone(),
-                    workers,
-                    gc_threshold: Some(16),
-                    ..EngineConfig::default()
-                },
-            )
-            .unwrap();
-            assert!(reports_identical(&out.report, &serial), "{workers} workers");
-            assert_eq!(
-                out.workers.iter().map(|w| w.audit_failures).sum::<usize>(),
-                0
-            );
-            let gc_runs: usize = out.workers.iter().map(|w| w.bdd_gc_runs).sum();
-            assert!(gc_runs > 0, "tiny threshold must sweep");
+            assert!(w.bdd_peak_unique > 0, "auditor built a relation");
         }
     }
 

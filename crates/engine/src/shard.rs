@@ -103,30 +103,6 @@ impl ShardedQueues {
     }
 }
 
-/// Splits `pending` into at most `units` contiguous chunks of
-/// near-equal size, preserving order.  This is the distribution shape a
-/// fleet coordinator ships across daemons: contiguous runs keep each
-/// remote shard's classes adjacent in serial order, so a broadcast from
-/// class `ca` screens whole shards of later classes at once.  Purely a
-/// function of its inputs — any two coordinators plan identical shards.
-pub fn plan_shards(pending: &[usize], units: usize) -> Vec<Vec<usize>> {
-    assert!(units > 0, "at least one shard");
-    if pending.is_empty() {
-        return Vec::new();
-    }
-    let units = units.min(pending.len());
-    let base = pending.len() / units;
-    let extra = pending.len() % units;
-    let mut out = Vec::with_capacity(units);
-    let mut at = 0usize;
-    for i in 0..units {
-        let take = base + usize::from(i < extra);
-        out.push(pending[at..at + take].to_vec());
-        at += take;
-    }
-    out
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -177,24 +153,6 @@ mod tests {
             left.push(p.item());
         }
         assert_eq!(left, vec![11, 13]);
-    }
-
-    #[test]
-    fn plan_shards_is_contiguous_and_complete() {
-        let pending: Vec<usize> = (3..20).collect();
-        for units in 1..=6 {
-            let shards = plan_shards(&pending, units);
-            assert!(shards.len() <= units);
-            let flat: Vec<usize> = shards.iter().flatten().copied().collect();
-            assert_eq!(flat, pending, "{units} units must cover in order");
-            let (min, max) = shards
-                .iter()
-                .map(|s| s.len())
-                .fold((usize::MAX, 0), |(lo, hi), l| (lo.min(l), hi.max(l)));
-            assert!(max - min <= 1, "{units} units must balance");
-        }
-        assert!(plan_shards(&[], 4).is_empty());
-        assert_eq!(plan_shards(&[7], 4), vec![vec![7]]);
     }
 
     #[test]

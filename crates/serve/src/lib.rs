@@ -12,9 +12,8 @@
 //!   limit) and a fixed executor pool, each job running the
 //!   fault-parallel engine with its own worker count;
 //! * **streams telemetry** while a job runs: stage transitions,
-//!   per-worker stats (searches, steals, broadcast drops, BDD
-//!   GC sweeps/reclaimed/peak), discovered tests, and the final
-//!   machine-readable report;
+//!   per-worker stats (searches, steals, broadcast drops, settle
+//!   work), discovered tests, and the final machine-readable report;
 //! * keeps a **cross-request cache** ([`cache`]) of parsed netlists and
 //!   constructed CSSGs keyed by content hash with an LRU bound, so a
 //!   repeated or batched submission skips reconstruction — the
@@ -23,9 +22,9 @@
 //!
 //! Reports are *identical* to the serial [`satpg_core::run_atpg`] for
 //! the same configuration (the engine's deterministic-merge guarantee),
-//! so a daemon answer is as trustworthy as a batch run.  Per-job BDD
-//! managers die with their job and respect `gc_threshold` while alive,
-//! which keeps daemon-lifetime memory bounded.
+//! so a daemon answer is as trustworthy as a batch run.  Jobs run with
+//! the engine's defaults (symbolic audit off), so the daemon holds no
+//! BDD managers; its memory is bounded by the caches' LRU capacity.
 //!
 //! On top of the single-daemon service sits the **fleet** layer
 //! ([`fleet`]): a coordinator partitions one campaign's fault classes

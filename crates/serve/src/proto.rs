@@ -151,8 +151,6 @@ pub struct JobSpec {
     pub circuit: CircuitSpec,
     /// Engine workers for this job; `0` uses the server default.
     pub workers: usize,
-    /// Per-worker BDD GC threshold; `None` uses the server default.
-    pub gc_threshold: Option<usize>,
     /// Target output stuck-at faults instead of input stuck-at.
     pub output_model: bool,
     /// Structurally collapse equivalent faults.
@@ -176,7 +174,6 @@ impl JobSpec {
         JobSpec {
             circuit,
             workers: 0,
-            gc_threshold: None,
             output_model: false,
             collapse: false,
             no_random: false,
@@ -307,9 +304,6 @@ fn job_fields(spec: &JobSpec, m: &mut Vec<(String, Json)>) {
     if spec.workers != 0 {
         m.push(("workers".to_string(), Json::int(spec.workers)));
     }
-    if let Some(t) = spec.gc_threshold {
-        m.push(("gc_threshold".to_string(), Json::int(t)));
-    }
     if spec.output_model {
         m.push(("output_model".to_string(), Json::Bool(true)));
     }
@@ -330,8 +324,31 @@ fn job_fields(spec: &JobSpec, m: &mut Vec<(String, Json)>) {
     }
 }
 
+/// The keys a `submit` object may carry: the command, the correlation
+/// id and the fields [`job_fields`] writes.
+const JOB_KEYS: [&str; 10] = [
+    "cmd",
+    "id",
+    "circuit",
+    "workers",
+    "output_model",
+    "collapse",
+    "no_random",
+    "pp_random",
+    "k",
+    "pattern_budget",
+];
+
 /// Parses the job-spec knob fields of a `submit`/`shard_submit` object.
-fn job_from_json(v: &Json) -> Result<JobSpec, String> {
+/// A key outside [`JOB_KEYS`] and `extra` is an error, so a misspelt or
+/// retired knob fails loudly instead of running with the default.
+fn job_from_json(v: &Json, extra: &[&str]) -> Result<JobSpec, String> {
+    if let Json::Obj(fields) = v {
+        let known = |key: &str| JOB_KEYS.contains(&key) || extra.contains(&key);
+        if let Some((key, _)) = fields.iter().find(|(key, _)| !known(key)) {
+            return Err(format!("unknown job field `{key}`"));
+        }
+    }
     let circuit = CircuitSpec::from_json(v.get("circuit").ok_or("request requires `circuit`")?)?;
     let usize_knob = |key: &str, max: usize| -> Result<Option<usize>, String> {
         match v.get(key) {
@@ -356,7 +373,6 @@ fn job_from_json(v: &Json) -> Result<JobSpec, String> {
     Ok(JobSpec {
         circuit,
         workers: usize_knob("workers", MAX_JOB_WORKERS)?.unwrap_or(0),
-        gc_threshold: usize_knob("gc_threshold", usize::MAX / 2)?,
         output_model: bool_knob("output_model")?,
         collapse: bool_knob("collapse")?,
         no_random: bool_knob("no_random")?,
@@ -438,9 +454,9 @@ impl Request {
             "metrics" => Request::Metrics,
             "shutdown" => Request::Shutdown,
             "enlist" => Request::Enlist,
-            "submit" => Request::Submit(Box::new(job_from_json(&v)?)),
+            "submit" => Request::Submit(Box::new(job_from_json(&v, &[])?)),
             "shard_submit" => {
-                let job = job_from_json(&v)?;
+                let job = job_from_json(&v, &["classes"])?;
                 let arr = match v.get("classes") {
                     Some(Json::Arr(a)) => a,
                     _ => return Err("shard_submit requires a `classes` array".to_string()),
@@ -705,7 +721,6 @@ mod tests {
                 size: 8,
             },
             workers: 4,
-            gc_threshold: Some(1024),
             output_model: true,
             collapse: true,
             no_random: true,
@@ -846,6 +861,19 @@ mod tests {
                 "classes",
             ),
             ("{\"cmd\":\"broadcast\",\"shard\":1,\"class\":0}", "test"),
+            // Retired and misspelt knobs are rejected, not ignored.
+            (
+                "{\"cmd\":\"submit\",\"circuit\":{\"bench\":\"x\"},\"gc_threshold\":1024}",
+                "unknown job field `gc_threshold`",
+            ),
+            (
+                "{\"cmd\":\"submit\",\"circuit\":{\"bench\":\"x\"},\"worker\":4}",
+                "unknown job field `worker`",
+            ),
+            (
+                "{\"cmd\":\"shard_submit\",\"circuit\":{\"bench\":\"x\"},\"classes\":[0],\"gc_threshold\":16}",
+                "unknown job field `gc_threshold`",
+            ),
             (
                 "{\"cmd\":\"broadcast\",\"shard\":1,\"class\":0,\"test\":[17]}",
                 "bitstring",

@@ -20,9 +20,8 @@
 //! Backpressure: a `submit` that arrives with the queue at
 //! `queue_depth` is answered with a `rejected` event immediately — the
 //! client decides whether to retry.  Memory: jobs share nothing but the
-//! read-only circuit/CSSG `Arc`s from the cache; per-worker BDD
-//! managers die with the job, and `gc_threshold` bounds them while it
-//! runs, so daemon-lifetime memory stays bounded.
+//! read-only circuit/CSSG `Arc`s from the cache, so daemon-lifetime
+//! memory is bounded by the caches' LRU capacity.
 
 use crate::cache::{fnv64, SessionCache, SingleFlight};
 use crate::fleet::{run_fleet_built, FleetConfig};
@@ -58,8 +57,6 @@ pub struct ServeConfig {
     pub cache_entries: usize,
     /// Default per-job engine workers (`0` = one per CPU).
     pub default_job_workers: usize,
-    /// Default per-worker BDD GC threshold for jobs that do not set one.
-    pub gc_threshold: Option<usize>,
     /// Directory for per-job Chrome trace-event files; `None` leaves
     /// the span collector uninstalled (spans cost one atomic load).
     pub trace_out: Option<PathBuf>,
@@ -88,7 +85,6 @@ impl Default for ServeConfig {
             queue_depth: 16,
             cache_entries: 64,
             default_job_workers: 0,
-            gc_threshold: None,
             trace_out: None,
             peers: Vec::new(),
             max_shards: 16,
@@ -164,9 +160,6 @@ struct State {
     jobs_done: AtomicUsize,
     jobs_failed: AtomicUsize,
     jobs_rejected: AtomicUsize,
-    /// Max across jobs of the per-worker unique-table high-water mark:
-    /// the daemon's RSS proxy for BDD memory.
-    peak_bdd_nodes: AtomicUsize,
     /// Telemetry events a job emitted after its client disconnected.
     /// The events are lost (nowhere to send them) but the *count* is
     /// not — `status` reports it, and the job's metrics still land in
@@ -221,7 +214,6 @@ impl Server {
             jobs_done: AtomicUsize::new(0),
             jobs_failed: AtomicUsize::new(0),
             jobs_rejected: AtomicUsize::new(0),
-            peak_bdd_nodes: AtomicUsize::new(0),
             events_dropped: AtomicUsize::new(0),
             streaming: AtomicUsize::new(0),
             shards_running: AtomicUsize::new(0),
@@ -586,10 +578,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         } else {
             job.spec.workers
         },
-        broadcast: true,
-        symbolic_audit: true,
-        gc_threshold: job.spec.gc_threshold.or(state.cfg.gc_threshold),
-        cssg_shards: 0,
+        ..EngineConfig::default()
     };
 
     let skey: CssgKey = (
@@ -659,15 +648,6 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         events_dropped: &state.events_dropped,
     };
     let out = run_engine_on_streaming(&ckt, &cssg, &faults, &cfg, us_cssg, &sink);
-
-    let peak = out
-        .workers
-        .iter()
-        .map(|w| w.bdd_peak_unique)
-        .max()
-        .unwrap_or(0);
-    state.peak_bdd_nodes.fetch_max(peak, Ordering::SeqCst);
-
     let mut body = out.to_json_value(true);
     if let Json::Obj(m) = &mut body {
         m.push((
@@ -756,10 +736,6 @@ fn status_json(state: &State) -> Json {
         (
             "cssg_singleflight_waits".to_string(),
             Json::int(state.cssg_waits.load(Ordering::SeqCst)),
-        ),
-        (
-            "peak_bdd_nodes".to_string(),
-            Json::int(state.peak_bdd_nodes.load(Ordering::SeqCst)),
         ),
         ("queue_depth".to_string(), Json::int(state.cfg.queue_depth)),
         (

@@ -1,6 +1,6 @@
 //! Service integration tests: concurrent submissions against a live
 //! daemon, result identity with the serial flow, cache hit paths,
-//! backpressure, malformed input, and bounded memory across jobs.
+//! backpressure and malformed input.
 
 use satpg_core::json::Json;
 use satpg_core::{run_atpg, AtpgConfig, ThreePhaseConfig};
@@ -409,48 +409,46 @@ fn correlation_ids_echo_on_every_reply() {
     handle.join().unwrap().unwrap();
 }
 
+/// Unknown job fields are rejected, not dropped: a retired knob such as
+/// `gc_threshold` or a misspelt one fails with a diagnostic instead of
+/// running with defaults, and the same connection then serves a valid
+/// submit.
 #[test]
-fn twenty_sequential_jobs_keep_bdd_memory_bounded() {
+fn unknown_job_fields_are_rejected_then_the_connection_serves() {
+    use std::io::{BufRead, BufReader, Write};
     let (addr, handle) = start(ServeConfig::default());
-    let mut client = Client::connect(&addr).expect("connect");
-    let spec = || JobSpec {
-        workers: 1, // deterministic audit partition → comparable peaks
-        gc_threshold: Some(1024),
-        no_random: true, // keep every class for the workers' managers
-        ..JobSpec::new(CircuitSpec::Bench {
-            name: "converta".to_string(),
-            style: "si".to_string(),
-        })
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut reply = |req: &str| -> Json {
+        stream.write_all(req.as_bytes()).unwrap();
+        stream.write_all(b"\n").unwrap();
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        Json::parse(line.trim()).expect("reply is protocol JSON")
     };
-    let mut peaks = Vec::new();
-    for i in 0..20 {
-        let out = client
-            .submit(spec())
-            .unwrap_or_else(|e| panic!("job {i}: {e}"));
-        let engine = out.report.get("engine").expect("engine telemetry");
-        let peak = engine
-            .get("workers")
-            .and_then(Json::as_arr)
-            .expect("worker stats")
-            .iter()
-            .map(|w| w.get("bdd_peak_unique").and_then(Json::as_usize).unwrap())
-            .max()
-            .unwrap();
-        peaks.push(peak);
+    let dff = r#""circuit":{"bench":"dff","style":"si"}"#;
+    for (extra, key) in [
+        (r#""gc_threshold":1024"#, "gc_threshold"),
+        (r#""worker":4"#, "worker"),
+    ] {
+        let v = reply(&format!(r#"{{"cmd":"submit",{dff},{extra}}}"#));
+        assert_eq!(v.get("event").and_then(Json::as_str), Some("rejected"));
+        let reason = v.get("reason").and_then(Json::as_str).unwrap();
+        assert!(
+            reason.contains(&format!("unknown job field `{key}`")),
+            "{reason}"
+        );
     }
-    // Per-job managers die with the job and GC bounds them while alive:
-    // the peak must not grow across jobs (the RSS proxy of the daemon).
-    let first = peaks[0];
-    assert!(first > 0);
-    for (i, &p) in peaks.iter().enumerate() {
-        assert_eq!(p, first, "job {i}: peak drifted across identical jobs");
+    let mut v = reply(&format!(r#"{{"cmd":"submit",{dff},"workers":1}}"#));
+    assert_eq!(v.get("event").and_then(Json::as_str), Some("accepted"));
+    while v.get("event").and_then(Json::as_str) != Some("report") {
+        let mut line = String::new();
+        reader.read_line(&mut line).unwrap();
+        v = Json::parse(line.trim()).expect("event is protocol JSON");
     }
-    let status = client.status().expect("status");
-    let reported = status
-        .get("peak_bdd_nodes")
-        .and_then(Json::as_usize)
-        .unwrap();
-    assert_eq!(reported, first);
+    assert_eq!(daemon_report_json(&v), serial_json("dff"));
+    drop((reader, stream));
+    let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
 }

@@ -9,7 +9,7 @@
 //! satpg table <1|2>                  # regenerate a paper table
 //! satpg dot <circuit> [--style …]    # Graphviz export
 //! satpg gen <family|circuit> [--size K]       # print the circuit as .ckt
-//! satpg engine <circuit> [--workers N] [--no-broadcast] [--no-audit]
+//! satpg engine <circuit> [--workers N] [--no-broadcast] [--audit]
 //!                                    # fault-parallel ATPG
 //! satpg serve  [--addr A] [--serve-workers N] [--queue-depth N] ...
 //!                                    # persistent service daemon
@@ -95,15 +95,15 @@ fn usage() -> ExitCode {
            dot   <circuit> [--style si|2l|2lr]\n  \
            gen   <family|circuit> [--size K]  # print the circuit as .ckt\n  \
            engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
-                  [--collapse] [--no-random] [--no-broadcast] [--no-audit] [--json]\n          \
+                  [--collapse] [--no-random] [--no-broadcast] [--json]\n          \
+                  [--audit]           # replay each test on a BDD of the CSSG\n          \
                   [--pp-random]       # random stage: 64 patterns per pass, 1 fault\n          \
                   [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n          \
-                  [--gc-threshold N]  # sweep worker BDDs above N live nodes\n          \
                   [--cssg-shards N]   # parallel CSSG build (0 = worker count)\n          \
                   [--no-por]          # naive interleaving walks (no reduction)\n          \
                   [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n  \
            serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]\n          \
-                  [--cache-size N] [--workers N] [--gc-threshold N]\n          \
+                  [--cache-size N] [--workers N]\n          \
                   [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
                   [--max-shards N] [--fleet-chunk N] [--fleet-retries N]\n          \
                   [--fleet-timeout-ms N] [--fleet-backoff-ms N]\n  \
@@ -112,7 +112,7 @@ fn usage() -> ExitCode {
                   [--fleet-backoff-ms N] [--k N] [--output-model] [--collapse]\n          \
                   [--no-random] [--json]   # one campaign across peer daemons\n  \
            submit <circuit> [--addr A] [--style si|2l|2lr]\n          \
-                  [--workers N] [--gc-threshold N] [--k N] [--output-model] [--collapse]\n          \
+                  [--workers N] [--k N] [--output-model] [--collapse]\n          \
                   [--no-random] [--json]\n  \
            status [--addr A] [--json]\n  \
            metrics [--addr A] [--json]   # process-wide metrics registry snapshot\n  \
@@ -141,8 +141,7 @@ struct Opts {
     workers: usize,
     size: Option<usize>,
     no_broadcast: bool,
-    no_audit: bool,
-    gc_threshold: Option<usize>,
+    audit: bool,
     cssg_shards: usize,
     no_por: bool,
     settle_cap: Option<usize>,
@@ -175,8 +174,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         workers: 0,
         size: None,
         no_broadcast: false,
-        no_audit: false,
-        gc_threshold: None,
+        audit: false,
         cssg_shards: 0,
         no_por: false,
         settle_cap: None,
@@ -208,8 +206,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--workers" => o.workers = it.next()?.parse().ok()?,
             "--size" => o.size = Some(it.next()?.parse().ok()?),
             "--no-broadcast" => o.no_broadcast = true,
-            "--no-audit" => o.no_audit = true,
-            "--gc-threshold" => o.gc_threshold = Some(it.next()?.parse().ok()?),
+            "--audit" => o.audit = true,
             "--cssg-shards" => o.cssg_shards = it.next()?.parse().ok()?,
             "--no-por" => o.no_por = true,
             "--settle-cap" => o.settle_cap = Some(it.next()?.parse().ok()?),
@@ -302,7 +299,6 @@ fn job_spec(o: &Opts) -> Result<JobSpec, String> {
     Ok(JobSpec {
         circuit: circuit_spec(o)?,
         workers: o.workers,
-        gc_threshold: o.gc_threshold,
         output_model: o.output_model,
         collapse: o.collapse,
         no_random: o.no_random,
@@ -531,8 +527,7 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
                 atpg: atpg_config(o, &spec, &ckt),
                 workers: o.workers,
                 broadcast: !o.no_broadcast,
-                symbolic_audit: !o.no_audit,
-                gc_threshold: o.gc_threshold,
+                symbolic_audit: o.audit,
                 cssg_shards: o.cssg_shards,
             };
             let result = run_engine(&ckt, &cfg);
@@ -553,17 +548,13 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
             );
             for w in &out.workers {
                 outln!(
-                    "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, bdd {} nodes / {} cache ({} clears), gc {} sweeps / {} reclaimed (peak {}), settle {} states / {} por-pruned, busy {} us",
+                    "  worker {}: searched {:>3} (stolen {:>3}), tests {:>3}, drops {:>3}, audit {} failures / {} bdd nodes, settle {} states / {} por-pruned, busy {} us",
                     w.worker,
                     w.searched,
                     w.stolen,
                     w.tests_found,
                     w.broadcast_drops,
-                    w.bdd_nodes,
-                    w.bdd_cache,
-                    w.bdd_cache_clears,
-                    w.bdd_gc_runs,
-                    w.bdd_reclaimed,
+                    w.audit_failures,
                     w.bdd_peak_unique,
                     w.settle_states,
                     w.settle_por_pruned,
@@ -591,7 +582,6 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
                 queue_depth: o.queue_depth,
                 cache_entries: o.cache_size,
                 default_job_workers: o.workers,
-                gc_threshold: o.gc_threshold,
                 trace_out: o.trace_out.clone(),
                 peers: o.peers.clone(),
                 max_shards: o.max_shards,
@@ -738,10 +728,13 @@ fn print_event(ev: &Json) {
             if let Some(s) = ev.get("stats") {
                 let g = |k: &str| s.get(k).and_then(Json::as_u128).unwrap_or(0);
                 outln!(
-                    "  worker {}: searched {} (stolen {}), tests {}, drops {}, gc {} sweeps / {} reclaimed (peak {}), busy {} us",
-                    g("worker"), g("searched"), g("stolen"), g("tests_found"),
-                    g("broadcast_drops"), g("bdd_gc_runs"), g("bdd_reclaimed"),
-                    g("bdd_peak_unique"), g("us_busy")
+                    "  worker {}: searched {} (stolen {}), tests {}, drops {}, busy {} us",
+                    g("worker"),
+                    g("searched"),
+                    g("stolen"),
+                    g("tests_found"),
+                    g("broadcast_drops"),
+                    g("us_busy")
                 );
             }
         }
@@ -814,8 +807,7 @@ fn print_status(status: &Json) {
     }
     let top = |k: &str| status.get(k).and_then(Json::as_u128).unwrap_or(0);
     outln!(
-        "peak bdd nodes {}, queue depth {}, pool workers {}, uptime {} us",
-        top("peak_bdd_nodes"),
+        "queue depth {}, pool workers {}, uptime {} us",
         top("queue_depth"),
         top("pool_workers"),
         top("uptime_us")

@@ -82,14 +82,9 @@ fn build_from_table(m: &mut Manager, table: &[bool]) -> Bdd {
             hi.push(table[2 * j + 1]);
         }
         let l = rec(m, &lo, v + 1);
-        m.protect(l);
         let h = rec(m, &hi, v + 1);
-        m.protect(h);
         let x = m.var(v);
-        let r = m.ite(x, h, l);
-        m.unprotect(h);
-        m.unprotect(l);
-        r
+        m.ite(x, h, l)
     }
     rec(m, table, 0)
 }
@@ -178,29 +173,18 @@ fn adder_carry_node_counts_match_reference() {
         let expect = reference_node_count(&table, 2 * n);
         let mut m = Manager::new(2 * n);
         let mut carry = Bdd::FALSE;
-        m.protect(carry);
         for i in 0..n {
             let a = m.var(2 * i);
-            m.protect(a);
             let b = m.var(2 * i + 1);
-            m.protect(b);
             let gen = m.and(a, b);
-            m.protect(gen);
             let prop = m.xor(a, b);
             let pc = m.and(prop, carry);
-            let next = m.or(gen, pc);
-            m.protect(next);
-            m.unprotect(gen);
-            m.unprotect(b);
-            m.unprotect(a);
-            m.unprotect(carry);
-            carry = next;
+            carry = m.or(gen, pc);
         }
         assert_eq!(m.node_count(carry), expect, "carry-{n}");
         // The linear growth that motivates the interleaved order: 3n-1
         // decision nodes plus the two terminals.
         assert_eq!(expect, (3 * n - 1) as usize + 2, "carry-{n} closed form");
-        m.unprotect(carry);
     }
 }
 
@@ -261,27 +245,5 @@ fn random_cubes_agree_with_reference() {
                 .unwrap_or(false)
         };
         assert!(m.eval(c, &assign));
-    }
-}
-
-/// Canonical sizes are independent of the memory policy: building under
-/// an adversarial auto-GC threshold yields the same node counts as the
-/// immortal build.
-#[test]
-fn node_counts_are_gc_invariant() {
-    let mut rng = Lcg(0x6c_1234);
-    for _ in 0..8 {
-        let n = 6u32;
-        let table: Vec<bool> = (0..(1u64 << n)).map(|_| rng.bits(1) == 1).collect();
-        let mut immortal = Manager::new(n);
-        let fi = build_from_table(&mut immortal, &table);
-        let mut gc = Manager::new(n);
-        gc.set_gc_threshold(Some(4));
-        let fg = build_from_table(&mut gc, &table);
-        gc.protect(fg);
-        gc.gc();
-        assert_eq!(gc.node_count(fg), immortal.node_count(fi));
-        assert_eq!(gc.sat_count(fg), immortal.sat_count(fi));
-        gc.unprotect(fg);
     }
 }

@@ -235,12 +235,13 @@ fn engine_trace_covers_circuit_resolution() {
     assert_eq!(kind.and_then(Json::as_str), Some("family"));
 }
 
-#[test]
-fn engine_trace_nests_the_audit_under_its_worker() {
-    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join("cli-trace-audit");
+/// Runs `satpg engine` on arbiter-4 with `--trace-out` plus `extra`;
+/// returns the begin (`B`) events of its one trace artifact.
+fn engine_trace_begins(dir_name: &str, extra: &[&str]) -> Vec<Json> {
+    let dir = PathBuf::from(env!("CARGO_TARGET_TMPDIR")).join(dir_name);
     let _ = std::fs::remove_dir_all(&dir);
     let dir_arg = dir.to_string_lossy();
-    let args = [
+    let mut args = vec![
         "engine",
         "--family",
         "arbiter",
@@ -249,6 +250,7 @@ fn engine_trace_nests_the_audit_under_its_worker() {
         "--trace-out",
         &dir_arg,
     ];
+    args.extend_from_slice(extra);
     ok(&args, None);
     let files: Vec<PathBuf> = std::fs::read_dir(&dir)
         .unwrap()
@@ -256,13 +258,19 @@ fn engine_trace_nests_the_audit_under_its_worker() {
         .collect();
     assert_eq!(files.len(), 1, "one trace artifact: {files:?}");
     let trace = Json::parse(&std::fs::read_to_string(&files[0]).unwrap()).unwrap();
-    let begins: Vec<&Json> = trace
+    trace
         .get("traceEvents")
         .and_then(Json::as_arr)
         .unwrap()
         .iter()
         .filter(|e| e.get("ph").and_then(Json::as_str) == Some("B"))
-        .collect();
+        .cloned()
+        .collect()
+}
+
+#[test]
+fn engine_trace_nests_the_audit_under_its_worker() {
+    let begins = engine_trace_begins("cli-trace-audit", &["--audit"]);
     let arg = |e: &Json, key: &str| {
         e.get("args")
             .and_then(|a| a.get(key))
@@ -271,7 +279,6 @@ fn engine_trace_nests_the_audit_under_its_worker() {
     let named = |name: &str| -> Vec<&Json> {
         begins
             .iter()
-            .copied()
             .filter(|e| e.get("name").and_then(Json::as_str) == Some(name))
             .collect()
     };
@@ -290,6 +297,21 @@ fn engine_trace_nests_the_audit_under_its_worker() {
         assert!(arg(b, "edges").unwrap() > 0, "edges arg");
     }
     assert!(!named("audit.check").is_empty(), "audited tests have spans");
+
+    // The audit is opt-in: without `--audit` the same run has workers
+    // but no audit spans.
+    let plain = engine_trace_begins("cli-trace-no-audit", &[]);
+    let name = |e: &Json| {
+        e.get("name")
+            .and_then(Json::as_str)
+            .unwrap_or("")
+            .to_string()
+    };
+    assert!(plain.iter().any(|e| name(e) == "worker"), "workers ran");
+    assert!(
+        !plain.iter().any(|e| name(e).starts_with("audit.")),
+        "audit spans without --audit"
+    );
 }
 
 /// A daemon on an ephemeral port, shut down when dropped.

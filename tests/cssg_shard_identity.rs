@@ -2,9 +2,7 @@
 //! every shard count, [`build_cssg_sharded`] produces a CSSG
 //! **bit-identical** to the serial [`build_cssg`] — same state
 //! numbering, same edge lists, and the same pruning/truncation
-//! counters — and the sharded symbolic diagnostics pass
-//! ([`SymbolicCssg::build_sharded`]) matches the serial
-//! [`SymbolicCssg::build_diagnostic`], including under a GC policy.
+//! counters.
 //!
 //! Quick tier: all 23 bundled benchmarks plus small generated
 //! muller/arbiter/dme/sequencer families, shards 1..=4.  Release tier
@@ -12,7 +10,6 @@
 //! `--include-ignored`): the larger generated sizes whose serial builds
 //! dominate engine start-up.
 
-use satpg::core::symbolic::SymbolicCssg;
 use satpg::core::{build_cssg, build_cssg_sharded, Cssg, CssgConfig};
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::Circuit;
@@ -133,33 +130,6 @@ fn explicit_sharded_matches_serial_with_truncations() {
             ckt.name()
         );
         assert_sharded_matches(&ckt, &cfg, ckt.name());
-    }
-}
-
-/// Symbolic builder: the sharded per-reachable-state TCR restriction
-/// pass matches the serial diagnostics — including under the
-/// `--gc-threshold 1024` memory policy on every private shard manager.
-#[test]
-fn symbolic_sharded_matches_serial_under_gc_threshold_1024() {
-    let mut circuits: Vec<Circuit> = vec![muller_pipeline(4), arbiter_tree(3)];
-    for name in ["converta", "dff", "hazard"] {
-        circuits.push(si_circuit(name));
-    }
-    for ckt in &circuits {
-        if ckt.num_state_bits() > 32 {
-            continue;
-        }
-        for gc in [Some(1024), None] {
-            let serial = SymbolicCssg::build_diagnostic(ckt, None, gc).unwrap();
-            for shards in 1..=4 {
-                let sharded = SymbolicCssg::build_sharded(ckt, None, gc, shards).unwrap();
-                assert_identical(
-                    &serial,
-                    &sharded,
-                    &format!("{} symbolic @ {shards} shards, gc {gc:?}", ckt.name()),
-                );
-            }
-        }
     }
 }
 

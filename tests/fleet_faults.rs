@@ -33,7 +33,6 @@ fn spec() -> JobSpec {
             style: "si".to_string(),
         },
         workers: 2,
-        gc_threshold: None,
         output_model: false,
         collapse: false,
         no_random: true,

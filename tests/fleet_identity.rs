@@ -40,7 +40,6 @@ fn bench_spec(name: &str) -> JobSpec {
             style: "si".to_string(),
         },
         workers: 2,
-        gc_threshold: None,
         output_model: false,
         collapse: false,
         no_random: false,
@@ -135,7 +134,6 @@ fn fleet_report_identical_to_serial_generated_families() {
             workers: 2,
             broadcast: true,
             symbolic_audit: false,
-            gc_threshold: None,
             cssg_shards: 1,
         };
         let serial = run_engine(&ckt, &engine_cfg).expect("engine runs");

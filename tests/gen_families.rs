@@ -125,7 +125,7 @@ fn seq_family_completes_at_size_15() {
 }
 
 /// The engine sees the same scaled limits (CLI parity) and stays
-/// serial-identical on a generated family with GC-pressured workers.
+/// serial-identical on a generated family.
 #[test]
 fn engine_on_generated_family_with_scaled_limits() {
     let ckt = muller_pipeline(10);
@@ -137,7 +137,6 @@ fn engine_on_generated_family_with_scaled_limits() {
         &EngineConfig {
             atpg,
             workers: 3,
-            gc_threshold: Some(64),
             ..EngineConfig::default()
         },
     )
@@ -150,7 +149,7 @@ fn engine_on_generated_family_with_scaled_limits() {
 /// historical behavior (fixed 4096 faulty-set cap, exhaustive walk)
 /// is reproduced with POR off; with POR on — the default since PR 5 —
 /// even the paper caps suffice at these sizes, which is pinned as the
-/// improvement.  Run via the CI GC-stress job
+/// improvement.  Run via the CI bdd-oracle job
 /// (`cargo test --release --test gen_families -- --include-ignored`).
 #[test]
 #[ignore = "release-mode tier: several seconds in debug builds"]

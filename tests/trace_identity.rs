@@ -23,7 +23,6 @@ fn cfg(workers: usize) -> EngineConfig {
         // The audit re-derives verdicts symbolically; it is orthogonal
         // to the observability layer and would dominate the sweep.
         symbolic_audit: false,
-        gc_threshold: None,
         cssg_shards: workers,
     }
 }
