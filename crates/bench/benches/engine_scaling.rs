@@ -287,24 +287,17 @@ fn measure_settler(
     (best, json)
 }
 
-/// Random-stage probe: the classic fault-per-lane layout (one pattern
-/// against 63 faults) vs the pattern-per-bit layout (64 patterns per
-/// settling pass against one broadcast fault).  The JSON line carries
-/// the stage's own telemetry — `patterns_evaluated / passes` is the
-/// measured per-pass pattern parallelism (64 in pattern-per-bit mode).
+/// Random-stage probe (§5.4): one pattern per settling pass against
+/// 63 faults.  The JSON line carries the stage's own telemetry.
 fn measure_random(
     label: &str,
     ckt: &Circuit,
-    pattern_parallel: bool,
     reps: u32,
     records: &mut Vec<BenchRecord>,
 ) -> (u128, String) {
     let cssg = build_cssg(ckt, &CssgConfig::default()).expect("CSSG builds");
     let faults = faults_for(ckt, FaultModel::InputStuckAt);
-    let cfg = RandomTpgConfig {
-        pattern_parallel,
-        ..RandomTpgConfig::default()
-    };
+    let cfg = RandomTpgConfig::default();
     let mut best = u128::MAX;
     let mut last = None;
     for _ in 0..=reps {
@@ -320,33 +313,22 @@ fn measure_random(
     let stats = res.stats();
     let covered = res.detected.len();
     let json = format!(
-        "{{\"bench\":\"random_stage\",\"workload\":\"{label}\",\"mode\":\"{}\",\
+        "{{\"bench\":\"random_stage\",\"workload\":\"{label}\",\"mode\":\"fault_per_lane\",\
          \"best_us\":{best},\"faults\":{},\"covered\":{covered},\
-         \"passes\":{},\"patterns_evaluated\":{},\"patterns_per_pass\":{:.1}}}",
-        if pattern_parallel {
-            "ppsfp"
-        } else {
-            "fault_per_lane"
-        },
+         \"passes\":{},\"patterns_evaluated\":{}}}",
         faults.len(),
         stats.passes,
         stats.patterns_evaluated,
-        stats.patterns_evaluated as f64 / stats.passes.max(1) as f64,
     );
-    let mode = if pattern_parallel {
-        "ppsfp"
-    } else {
-        "fault_per_lane"
-    };
     records.push(record(
         "random_stage",
-        format!("{label}/{mode}"),
+        format!("{label}/fault_per_lane"),
         best as f64,
         "us",
     ));
     records.push(record(
         "random_stage",
-        format!("{label}/{mode}/covered"),
+        format!("{label}/fault_per_lane/covered"),
         covered as f64,
         "count",
     ));
@@ -475,22 +457,16 @@ fn main() {
         let _ = write!(trajectory, "  {json}");
     }
 
-    // Random-stage pattern parallelism: fault-per-lane vs
-    // pattern-per-bit on each engine workload.
+    // The random stage on each engine workload.
     for (label, ckt) in &workloads {
-        for pp in [false, true] {
-            let (best, json) = measure_random(label, ckt, pp, reps, &mut records);
-            println!(
-                "bench random_stage/{label}/{} {best:>10} us",
-                if pp { "ppsfp " } else { "lanes " }
-            );
-            println!("{json}");
-            if !first {
-                trajectory.push_str(",\n");
-            }
-            first = false;
-            let _ = write!(trajectory, "  {json}");
+        let (best, json) = measure_random(label, ckt, reps, &mut records);
+        println!("bench random_stage/{label}/lanes  {best:>10} us");
+        println!("{json}");
+        if !first {
+            trajectory.push_str(",\n");
         }
+        first = false;
+        let _ = write!(trajectory, "  {json}");
     }
 
     // CSSG construction scaling on the build-bound workload.

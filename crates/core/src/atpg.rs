@@ -121,10 +121,8 @@ pub struct AtpgReport {
     pub cssg_patterns_skipped: u64,
     /// Bit-parallel fixpoint passes run by the random stage.
     pub random_passes: usize,
-    /// Pattern evaluations performed by the random stage;
-    /// `random_patterns / random_passes` is the measured
-    /// patterns-per-pass throughput of the lane machinery (64 in
-    /// pattern-per-bit mode).
+    /// Pattern evaluations performed by the random stage: one per pass,
+    /// so always equal to `random_passes`.
     pub random_patterns: u64,
     /// Test vectors the random stage applied.
     pub random_vectors: usize,

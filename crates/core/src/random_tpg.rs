@@ -1,16 +1,10 @@
 //! Random test pattern generation (§5.4): a seeded random walk over the
 //! CSSG, fault-simulated on 64 machines per pass.
 //!
-//! Two lane layouts share the engine:
-//!
-//! * **fault-per-lane** (default): lane 0 is the good machine, lanes
-//!   1..64 carry distinct faults, and one pattern per pass is broadcast
-//!   to every lane — 63 faults × 1 pattern per fixpoint.
-//! * **pattern-per-bit** (`pattern_parallel`): one fault is broadcast
-//!   to all 64 lanes and each lane walks its *own* random CSSG path, so
-//!   a single fixpoint evaluates 64 candidate vectors against that
-//!   fault — 1 fault × 64 patterns per pass, with the fault dropped at
-//!   the first detecting lane.
+//! Lane 0 is the good machine and lanes 1..64 carry distinct faults, so
+//! each pass broadcasts one pattern to every lane: 63 faults × 1
+//! pattern per fixpoint.  Faults past the first 63 run in further
+//! batches, each with its own `max_vectors` budget.
 
 use crate::cssg::{Cssg, TestSequence};
 use crate::fault::Fault;
@@ -18,24 +12,17 @@ use crate::fsim::detect_lanes;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 use satpg_netlist::{Circuit, Pattern};
-use satpg_sim::{
-    parallel_settle, parallel_settle_patterns, Injection, ParallelInjection, PlaneState, LANES,
-};
+use satpg_sim::{parallel_settle, Injection, ParallelInjection, PlaneState};
 
 /// Configuration for [`random_tpg`].
 #[derive(Clone, Copy, Debug)]
 pub struct RandomTpgConfig {
-    /// Vector budget: per 63-fault batch in fault-per-lane mode, per
-    /// fault (in 64-vector passes) in pattern-per-bit mode.
+    /// Vector budget per 63-fault batch.
     pub max_vectors: usize,
-    /// Restart from reset after this many vectors without full coverage
-    /// (per lane in pattern-per-bit mode).
+    /// Restart from reset after this many vectors without full coverage.
     pub restart_after: usize,
     /// RNG seed (runs are deterministic given the seed).
     pub seed: u64,
-    /// Use the pattern-per-bit layout: 64 patterns per pass against one
-    /// broadcast fault, instead of one pattern against 63 faults.
-    pub pattern_parallel: bool,
 }
 
 impl Default for RandomTpgConfig {
@@ -44,7 +31,6 @@ impl Default for RandomTpgConfig {
             max_vectors: 10,
             restart_after: 5,
             seed: 0x005A_1797,
-            pattern_parallel: false,
         }
     }
 }
@@ -58,17 +44,14 @@ pub struct RandomTpgResult {
     pub vectors_applied: usize,
     /// Bit-parallel fixpoint passes run.
     pub passes: usize,
-    /// Total (pattern, lane-layout) evaluations: one per pass in
-    /// fault-per-lane mode, up to 64 per pass in pattern-per-bit mode.
-    /// `patterns_evaluated / passes` is the measured patterns-per-pass
-    /// throughput of the lane machinery.
+    /// Pattern evaluations: one per pass, so always equal to `passes`.
     pub patterns_evaluated: u64,
 }
 
 impl RandomTpgResult {
-    fn note_pass(&mut self, patterns: usize) {
+    fn note_pass(&mut self) {
         self.passes += 1;
-        self.patterns_evaluated += patterns as u64;
+        self.patterns_evaluated += 1;
     }
 
     /// The run's throughput counters, detached from the detection list.
@@ -82,17 +65,15 @@ impl RandomTpgResult {
 }
 
 /// Throughput counters of a random-TPG run, carried through
-/// [`crate::stages::StageState`] into the report:
-/// `patterns_evaluated / passes` is the measured patterns-per-pass
-/// throughput of the lane machinery (1 in fault-per-lane mode, 64 in
-/// pattern-per-bit mode).
+/// [`crate::stages::StageState`] into the report.
 #[derive(Clone, Copy, PartialEq, Eq, Debug, Default)]
 pub struct RandomStats {
-    /// Total vectors applied across all batches / lanes.
+    /// Total vectors applied across all batches.
     pub vectors_applied: usize,
     /// Bit-parallel fixpoint passes run.
     pub passes: usize,
-    /// Total pattern evaluations across all passes.
+    /// Pattern evaluations across all passes; always equal to `passes`
+    /// (one pattern per pass).
     pub patterns_evaluated: u64,
 }
 
@@ -105,9 +86,6 @@ pub fn random_tpg(
     faults: &[Fault],
     cfg: &RandomTpgConfig,
 ) -> RandomTpgResult {
-    if cfg.pattern_parallel {
-        return random_tpg_ppsfp(ckt, cssg, faults, cfg);
-    }
     let mut rng = StdRng::seed_from_u64(cfg.seed);
     let mut result = RandomTpgResult::default();
     for (chunk_idx, chunk) in faults.chunks(63).enumerate() {
@@ -120,7 +98,7 @@ pub fn random_tpg(
 
         let mut detected = vec![false; lanes];
         let mut planes = parallel_settle(ckt, &PlaneState::broadcast(s0), &p0, &pinj);
-        result.note_pass(1);
+        result.note_pass();
         let mut good = cssg.initial();
         let mut seq: Vec<Pattern> = Vec::new();
         detect_lanes(ckt, &planes, &cssg.states()[good], lanes, &mut detected);
@@ -141,7 +119,7 @@ pub fn random_tpg(
             let edges = cssg.edges(good);
             if edges.is_empty() || since_restart >= cfg.restart_after {
                 planes = parallel_settle(ckt, &PlaneState::broadcast(s0), &p0, &pinj);
-                result.note_pass(1);
+                result.note_pass();
                 good = cssg.initial();
                 seq.clear();
                 since_restart = 0;
@@ -151,93 +129,11 @@ pub fn random_tpg(
             seq.push(pattern.clone());
             since_restart += 1;
             planes = parallel_settle(ckt, &planes, &pattern, &pinj);
-            result.note_pass(1);
+            result.note_pass();
             good = succ;
             result.vectors_applied += 1;
             detect_lanes(ckt, &planes, &cssg.states()[good], lanes, &mut detected);
             record_new(&mut result, &detected, &mut already, chunk_idx, &seq);
-        }
-    }
-    result
-}
-
-/// Pattern-per-bit random TPG: per fault, all 64 lanes carry the same
-/// injection and each lane follows its own random walk of the CSSG, so
-/// one fixpoint pass evaluates 64 candidate vectors.  The fault is
-/// dropped (its remaining lanes abandoned) at the first lane that
-/// provably detects it.
-fn random_tpg_ppsfp(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &RandomTpgConfig,
-) -> RandomTpgResult {
-    let mut rng = StdRng::seed_from_u64(cfg.seed);
-    let mut result = RandomTpgResult::default();
-    let s0 = &cssg.states()[cssg.initial()];
-    let p0 = ckt.input_pattern(s0);
-    let outs: Vec<usize> = ckt.outputs().iter().map(|o| o.index()).collect();
-
-    for (fi, fault) in faults.iter().enumerate() {
-        let pinj = ParallelInjection::new(&vec![fault.injection(); LANES]);
-        // Reset checkpoint: every lane at the faulty reset fixpoint.
-        let reset = parallel_settle(ckt, &PlaneState::broadcast(s0), &p0, &pinj);
-        result.note_pass(LANES);
-
-        // Detection at reset (all lanes identical: check lane 0).
-        let detect_at = |planes: &PlaneState, lane: usize, good: usize| -> bool {
-            let gs = &cssg.states()[good];
-            outs.iter()
-                .any(|&o| planes.definite(o, lane).is_some_and(|v| v != gs.get(o)))
-        };
-        if detect_at(&reset, 0, cssg.initial()) {
-            result.detected.push((fi, TestSequence::default()));
-            continue;
-        }
-
-        let mut planes = reset.clone();
-        let mut good = vec![cssg.initial(); LANES];
-        let mut seqs: Vec<Vec<Pattern>> = vec![Vec::new(); LANES];
-        let mut since_restart = vec![0usize; LANES];
-        let mut caught: Option<(usize, Vec<Pattern>)> = None;
-
-        'fault: for _ in 0..cfg.max_vectors {
-            // Deal each lane its next pattern (restarting stuck lanes).
-            let mut pats: Vec<Pattern> = Vec::with_capacity(LANES);
-            let mut stepped = 0usize;
-            for l in 0..LANES {
-                let edges = cssg.edges(good[l]);
-                if edges.is_empty() || since_restart[l] >= cfg.restart_after {
-                    planes.copy_lane_from(&reset, l);
-                    good[l] = cssg.initial();
-                    seqs[l].clear();
-                    since_restart[l] = 0;
-                    // A restarting lane re-applies the reset pattern: a
-                    // no-op settle that keeps the pass full-width.
-                    pats.push(p0.clone());
-                    continue;
-                }
-                let (pattern, succ) = edges[rng.gen_range(0..edges.len())].clone();
-                seqs[l].push(pattern.clone());
-                good[l] = succ;
-                since_restart[l] += 1;
-                stepped += 1;
-                pats.push(pattern);
-            }
-            planes = parallel_settle_patterns(ckt, &planes, &pats, &pinj);
-            result.note_pass(LANES);
-            result.vectors_applied += stepped;
-            for l in 0..LANES {
-                if detect_at(&planes, l, good[l]) {
-                    // Fault drop: first detecting lane wins; its walk is
-                    // the recorded test.
-                    caught = Some((l, seqs[l].clone()));
-                    break 'fault;
-                }
-            }
-        }
-        if let Some((_, patterns)) = caught {
-            result.detected.push((fi, TestSequence { patterns }));
         }
     }
     result
@@ -294,7 +190,7 @@ mod tests {
         assert!(res.passes > 0);
         assert_eq!(
             res.patterns_evaluated, res.passes as u64,
-            "fault-per-lane mode evaluates one pattern per pass"
+            "one pattern per pass"
         );
     }
 
@@ -344,49 +240,5 @@ mod tests {
         for (_, seq) in &res.detected {
             assert!(seq.is_empty());
         }
-    }
-
-    #[test]
-    fn pattern_parallel_evaluates_64_patterns_per_pass() {
-        let ckt = library::muller_pipeline2();
-        let cssg = build_cssg(&ckt, &CssgConfig::default()).unwrap();
-        let faults = input_stuck_faults(&ckt);
-        let cfg = RandomTpgConfig {
-            pattern_parallel: true,
-            ..Default::default()
-        };
-        let res = random_tpg(&ckt, &cssg, &faults, &cfg);
-        assert!(res.passes > 0);
-        assert_eq!(
-            res.patterns_evaluated,
-            res.passes as u64 * LANES as u64,
-            "pattern-per-bit mode fills all 64 lanes every pass"
-        );
-        // Its sequences replay to detection exactly like the default mode's.
-        assert!(!res.detected.is_empty());
-        for (fi, seq) in &res.detected {
-            let det = replay_batch(&ckt, &cssg, seq, &[faults[*fi]])
-                .expect("recorded sequences are valid CSSG walks");
-            assert!(det[0], "fault {} not re-detected by its sequence", fi);
-        }
-    }
-
-    #[test]
-    fn pattern_parallel_is_deterministic_and_comparable() {
-        let ckt = library::c_element();
-        let cssg = build_cssg(&ckt, &CssgConfig::default()).unwrap();
-        let faults = input_stuck_faults(&ckt);
-        let cfg = RandomTpgConfig {
-            pattern_parallel: true,
-            seed: 7,
-            ..Default::default()
-        };
-        let a = random_tpg(&ckt, &cssg, &faults, &cfg);
-        let b = random_tpg(&ckt, &cssg, &faults, &cfg);
-        assert_eq!(a.detected, b.detected);
-        assert_eq!(a.passes, b.passes);
-        // 64 walks per fault should cover at least what one walk does.
-        let serial = random_tpg(&ckt, &cssg, &faults, &RandomTpgConfig::default());
-        assert!(a.detected.len() >= serial.detected.len() / 2);
     }
 }

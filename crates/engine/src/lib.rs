@@ -11,9 +11,14 @@
 //!   with the opt-in [`EngineConfig::symbolic_audit`] it also owns a
 //!   **private [`satpg_bdd::Manager`]** that replays its discoveries
 //!   symbolically ([`audit`]);
-//! * a test found by one worker is **broadcast**: other workers
-//!   fault-simulate it against their pending faults and drop the ones it
-//!   already covers, skipping their three-phase searches;
+//! * a test found by one worker is **broadcast**: before each pop, every
+//!   worker fault-simulates the tests logged since its last look against
+//!   its pending faults and drops the ones they already cover, skipping
+//!   their three-phase searches;
+//! * that class-search loop is [`search_classes`], and it is the only
+//!   one: a fleet peer (`satpg-serve`) runs it too, over a one-deque
+//!   [`shard::ShardedQueues`] holding its shard and a test log its
+//!   coordinator's relays append to;
 //! * results are merged by a **deterministic serial replay** over the
 //!   resumable stages of [`satpg_core::stages`], so the final
 //!   [`EngineReport`] carries fault records and tests *identical* to the
@@ -46,6 +51,6 @@ pub mod shard;
 
 pub use run::{
     merge_partial, prepare_campaign, reports_identical, run_engine, run_engine_on,
-    run_engine_on_streaming, run_engine_streaming, Campaign, EngineConfig, EngineEvent,
-    EngineReport, EngineSink, NullSink, PartialMerge, WorkerStats,
+    run_engine_on_streaming, run_engine_streaming, search_classes, Campaign, EngineConfig,
+    EngineEvent, EngineReport, EngineSink, NullSink, PartialMerge, WorkerStats,
 };

@@ -46,8 +46,7 @@ pub enum EngineEvent {
         resolved: usize,
         /// Bit-parallel fixpoint passes it ran.
         passes: usize,
-        /// Pattern evaluations across those passes (`patterns / passes`
-        /// is the lane throughput: 1 fault-per-lane, 64 pattern-per-bit).
+        /// Pattern evaluations across those passes (one per pass).
         patterns: u64,
         /// Microseconds spent.
         us: u128,
@@ -517,7 +516,7 @@ fn run_engine_built(
     let workers = cfg.effective_workers(pending.len());
     let queues = ShardedQueues::new(workers, &pending);
     let outcomes: Vec<OnceLock<FaultStatus>> = (0..plan.len()).map(|_| OnceLock::new()).collect();
-    let broadcasts: RwLock<Vec<(usize, TestSequence)>> = RwLock::new(Vec::new());
+    let tests: RwLock<Vec<(usize, TestSequence)>> = RwLock::new(Vec::new());
 
     let t2 = Instant::now();
     let parallel_span =
@@ -538,20 +537,29 @@ fn run_engine_built(
                 .map(|w| {
                     let queues = &queues;
                     let outcomes = &outcomes;
-                    let broadcasts = &broadcasts;
+                    let tests = &tests;
                     let plan = &plan;
                     scope.spawn(move || {
-                        let stats = worker_loop(
+                        let stats = search_classes(
                             ckt,
                             cssg,
                             plan,
                             cfg,
-                            w,
                             queues,
-                            outcomes,
-                            broadcasts,
-                            sink,
+                            w,
+                            tests,
                             parallel_span_id,
+                            &mut |ci, verdict| {
+                                if let FaultStatus::Detected { sequence } = &verdict {
+                                    sink.event(EngineEvent::TestFound {
+                                        worker: w,
+                                        class: ci,
+                                        cycles: sequence.len(),
+                                    });
+                                }
+                                // Each class is popped at most once.
+                                let _ = outcomes[ci].set(verdict);
+                            },
                         );
                         sink.event(EngineEvent::WorkerDone {
                             stats: stats.clone(),
@@ -646,22 +654,33 @@ fn flush_engine_metrics(
         .record(us_merge.min(u64::MAX as u128) as u64);
 }
 
+/// The class-search loop of one worker — the only one: engine workers
+/// run it over their work-stealing deques, and a fleet peer runs it over
+/// a one-deque [`ShardedQueues`] holding its shard.
+///
+/// Before each pop the worker screens its own backlog against the tests
+/// appended to `tests` since its last look ([`screen_backlog`]); then it
+/// pops a class, runs the three-phase search, appends a found test to
+/// `tests` and hands the verdict to `on_verdict`.  `tests` is append-only
+/// `(class, test)` pairs: the worker's own finds, plus whatever other
+/// workers (or a fleet coordinator's relays) append.  Screening only
+/// runs when [`EngineConfig::broadcast`] and the flow's fault simulation
+/// are both on.
 #[allow(clippy::too_many_arguments)]
-fn worker_loop(
+pub fn search_classes(
     ckt: &Circuit,
     cssg: &Cssg,
     plan: &FaultPlan,
     cfg: &EngineConfig,
-    w: usize,
     queues: &ShardedQueues,
-    outcomes: &[OnceLock<FaultStatus>],
-    broadcasts: &RwLock<Vec<(usize, TestSequence)>>,
-    sink: &dyn EngineSink,
+    w: usize,
+    tests: &RwLock<Vec<(usize, TestSequence)>>,
     parent_span: u64,
+    on_verdict: &mut dyn FnMut(usize, FaultStatus),
 ) -> WorkerStats {
     let t0 = Instant::now();
-    // The worker's span parents under the parallel stage explicitly
-    // (the stage span lives on the spawning thread's stack, not ours).
+    // The worker's span parents under the caller's span explicitly (that
+    // span lives on the spawning thread's stack, not ours).
     let _span = satpg_trace::Span::enter_with_parent(
         "worker",
         parent_span,
@@ -678,41 +697,22 @@ fn worker_loop(
         span.record("nodes", aud.unique_len());
         aud
     });
-    let mut seen_broadcasts = 0usize;
-    // Broadcasting only pays off when the merge can harvest the skipped
+    let mut seen = 0usize;
+    // Screening only pays off when the merge can harvest the skipped
     // classes as fault-sim credits; with fault_sim off every drop would
     // serialize a recomputation instead.
-    let broadcast = cfg.broadcast && cfg.atpg.fault_sim;
+    let screen = cfg.broadcast && cfg.atpg.fault_sim;
 
-    while let Some(popped) = queues.pop(w) {
-        // Screen the backlog against tests found elsewhere since the
-        // last check.  Only classes *after* the broadcaster in serial
-        // order are dropped: those are the ones the serial flow would
-        // also have resolved by fault simulation, so the merge will not
-        // need to re-search them.
-        if broadcast {
-            let log = broadcasts.read().expect("broadcast lock");
-            let fresh: Vec<(usize, TestSequence)> = log[seen_broadcasts..].to_vec();
-            seen_broadcasts = log.len();
-            drop(log);
-            let _span =
-                (!fresh.is_empty()).then(|| satpg_trace::span!("fsim.screen", tests = fresh.len()));
-            for (ca, test) in fresh {
-                stats.broadcast_drops += queues.drop_pending(w, |backlog| {
-                    let candidates: Vec<usize> =
-                        backlog.iter().copied().filter(|&cb| cb > ca).collect();
-                    let cand_faults: Vec<Fault> = candidates
-                        .iter()
-                        .map(|&cb| plan.classes()[cb].representative)
-                        .collect();
-                    satpg_core::fault_simulate(ckt, cssg, &test, &cand_faults)
-                        .into_iter()
-                        .map(|hit| candidates[hit])
-                        .collect()
-                });
-            }
+    loop {
+        if screen {
+            let fresh: Vec<(usize, TestSequence)> = {
+                let log = tests.read().expect("test log lock");
+                log[seen..].to_vec()
+            };
+            seen += fresh.len();
+            stats.broadcast_drops += screen_backlog(ckt, cssg, plan, queues, w, &fresh);
         }
-
+        let Some(popped) = queues.pop(w) else { break };
         let ci = popped.item();
         if matches!(popped, Popped::Stolen { .. }) {
             stats.stolen += 1;
@@ -725,26 +725,20 @@ fn worker_loop(
         stats.searched += 1;
         if let FaultStatus::Detected { sequence } = &verdict {
             stats.tests_found += 1;
-            sink.event(EngineEvent::TestFound {
-                worker: w,
-                class: ci,
-                cycles: sequence.len(),
-            });
             if let Some(aud) = auditor.as_mut() {
                 let _span = satpg_trace::span!("audit.check", cycles = sequence.len());
                 if !aud.check(sequence) {
                     stats.audit_failures += 1;
                 }
             }
-            if broadcast {
-                broadcasts
+            if screen {
+                tests
                     .write()
-                    .expect("broadcast lock")
+                    .expect("test log lock")
                     .push((ci, sequence.clone()));
             }
         }
-        // First write wins; each class is processed at most once anyway.
-        let _ = outcomes[ci].set(verdict);
+        on_verdict(ci, verdict);
     }
 
     if let Some(aud) = auditor {
@@ -755,17 +749,41 @@ fn worker_loop(
     stats
 }
 
-/// Convenience: checks whether an engine report is verdict-identical to a
-/// serial report (everything except wall-clock fields).
+/// The screening rule: drops from worker `w`'s deque every class `cb`
+/// that a test found at class `ca` detects, for `cb > ca` only.  Those
+/// are the classes the serial flow would also resolve by fault
+/// simulation, so the merge never has to re-search them.  Returns how
+/// many classes were dropped.
+fn screen_backlog(
+    ckt: &Circuit,
+    cssg: &Cssg,
+    plan: &FaultPlan,
+    queues: &ShardedQueues,
+    w: usize,
+    fresh: &[(usize, TestSequence)],
+) -> usize {
+    let _span = (!fresh.is_empty()).then(|| satpg_trace::span!("fsim.screen", tests = fresh.len()));
+    let mut dropped = 0;
+    for (ca, test) in fresh {
+        dropped += queues.drop_pending(w, |backlog| {
+            let candidates: Vec<usize> = backlog.iter().copied().filter(|&cb| cb > *ca).collect();
+            let cand_faults: Vec<Fault> = candidates
+                .iter()
+                .map(|&cb| plan.classes()[cb].representative)
+                .collect();
+            satpg_core::fault_simulate(ckt, cssg, test, &cand_faults)
+                .into_iter()
+                .map(|hit| candidates[hit])
+                .collect()
+        });
+    }
+    dropped
+}
+
+/// Whether two reports are identical apart from wall-clock fields: their
+/// timing-free JSON renderings are equal byte for byte.
 pub fn reports_identical(a: &AtpgReport, b: &AtpgReport) -> bool {
-    a.circuit == b.circuit
-        && a.cssg_states == b.cssg_states
-        && a.cssg_edges == b.cssg_edges
-        && a.cssg_patterns_skipped == b.cssg_patterns_skipped
-        && a.random_passes == b.random_passes
-        && a.random_patterns == b.random_patterns
-        && a.records == b.records
-        && a.tests == b.tests
+    a.to_json_value(false).render() == b.to_json_value(false).render()
 }
 
 #[cfg(test)]
@@ -799,6 +817,17 @@ mod tests {
                 }
             }
         }
+    }
+
+    #[test]
+    fn report_identity_covers_every_timing_free_field() {
+        let ckt = library::muller_pipeline2();
+        let a = run_atpg(&ckt, &AtpgConfig::paper()).unwrap();
+        let mut b = a.clone();
+        b.us_cssg += 1;
+        assert!(reports_identical(&a, &b), "wall-clock fields are ignored");
+        b.cssg_settle_states += 1;
+        assert!(!reports_identical(&a, &b), "settle counts are compared");
     }
 
     #[test]

@@ -85,8 +85,8 @@ impl ShardedQueues {
     }
 
     /// Removes every pending item that `drop_if` approves from `worker`'s
-    /// own deque, returning how many were removed.  This is the broadcast
-    /// path: a test found elsewhere screens this worker's backlog.
+    /// own deque, returning how many were removed.  This is the screening
+    /// path: a logged test screens this worker's backlog.
     pub fn drop_pending(&self, worker: usize, drop_if: impl Fn(&[usize]) -> Vec<usize>) -> usize {
         let mut q = self.queues[worker].lock().expect("queue lock");
         let snapshot: Vec<usize> = q.iter().copied().collect();

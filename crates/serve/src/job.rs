@@ -119,14 +119,7 @@ pub fn job_atpg_config(spec: &JobSpec, ckt: &Circuit) -> AtpgConfig {
             pattern_budget: spec.pattern_budget,
             ..CssgConfig::default()
         },
-        random: if spec.no_random {
-            None
-        } else {
-            Some(RandomTpgConfig {
-                pattern_parallel: spec.pp_random,
-                ..Default::default()
-            })
-        },
+        random: (!spec.no_random).then(RandomTpgConfig::default),
         fault_model: if spec.output_model {
             FaultModel::OutputStuckAt
         } else {

@@ -157,9 +157,6 @@ pub struct JobSpec {
     pub collapse: bool,
     /// Skip the random-TPG stage.
     pub no_random: bool,
-    /// Run the random stage pattern-per-bit: 64 patterns per settling
-    /// pass against one broadcast fault.
-    pub pp_random: bool,
     /// Explicit CSSG transition bound; `None` derives it.
     pub k: Option<usize>,
     /// Per-state CSSG pattern budget.  Required for circuits with more
@@ -177,7 +174,6 @@ impl JobSpec {
             output_model: false,
             collapse: false,
             no_random: false,
-            pp_random: false,
             k: None,
             pattern_budget: None,
         }
@@ -313,9 +309,6 @@ fn job_fields(spec: &JobSpec, m: &mut Vec<(String, Json)>) {
     if spec.no_random {
         m.push(("no_random".to_string(), Json::Bool(true)));
     }
-    if spec.pp_random {
-        m.push(("pp_random".to_string(), Json::Bool(true)));
-    }
     if let Some(k) = spec.k {
         m.push(("k".to_string(), Json::int(k)));
     }
@@ -326,7 +319,7 @@ fn job_fields(spec: &JobSpec, m: &mut Vec<(String, Json)>) {
 
 /// The keys a `submit` object may carry: the command, the correlation
 /// id and the fields [`job_fields`] writes.
-const JOB_KEYS: [&str; 10] = [
+const JOB_KEYS: [&str; 9] = [
     "cmd",
     "id",
     "circuit",
@@ -334,7 +327,6 @@ const JOB_KEYS: [&str; 10] = [
     "output_model",
     "collapse",
     "no_random",
-    "pp_random",
     "k",
     "pattern_budget",
 ];
@@ -376,7 +368,6 @@ fn job_from_json(v: &Json, extra: &[&str]) -> Result<JobSpec, String> {
         output_model: bool_knob("output_model")?,
         collapse: bool_knob("collapse")?,
         no_random: bool_knob("no_random")?,
-        pp_random: bool_knob("pp_random")?,
         k: usize_knob("k", MAX_K)?,
         pattern_budget: usize_knob("pattern_budget", usize::MAX / 2)?.map(|b| b as u64),
     })
@@ -724,7 +715,6 @@ mod tests {
             output_model: true,
             collapse: true,
             no_random: true,
-            pp_random: true,
             k: Some(40),
             pattern_budget: Some(256),
         })));
@@ -873,6 +863,14 @@ mod tests {
             (
                 "{\"cmd\":\"shard_submit\",\"circuit\":{\"bench\":\"x\"},\"classes\":[0],\"gc_threshold\":16}",
                 "unknown job field `gc_threshold`",
+            ),
+            (
+                "{\"cmd\":\"submit\",\"circuit\":{\"bench\":\"x\"},\"pp_random\":true}",
+                "unknown job field `pp_random`",
+            ),
+            (
+                "{\"cmd\":\"shard_submit\",\"circuit\":{\"bench\":\"x\"},\"classes\":[0],\"pp_random\":true}",
+                "unknown job field `pp_random`",
             ),
             (
                 "{\"cmd\":\"broadcast\",\"shard\":1,\"class\":0,\"test\":[17]}",

@@ -30,17 +30,17 @@ use crate::net::{connect, read_line_capped, write_line, Conn, Listener};
 use crate::proto::{event, CircuitSpec, JobSpec, Request, ShardSpec, MAX_LINE_BYTES};
 use satpg_core::json::Json;
 use satpg_core::stages::FaultPlan;
-use satpg_core::{
-    build_cssg_sharded, fault_simulate, faults_for, three_phase, Cssg, CssgConfig, FaultStatus,
-    TestSequence,
+use satpg_core::{build_cssg_sharded, faults_for, Cssg, CssgConfig, TestSequence};
+use satpg_engine::shard::ShardedQueues;
+use satpg_engine::{
+    run_engine_on_streaming, search_classes, EngineConfig, EngineEvent, EngineSink,
 };
-use satpg_engine::{run_engine_on_streaming, EngineConfig, EngineEvent, EngineSink};
 use satpg_netlist::{to_ckt, Circuit};
 use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex};
+use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -758,11 +758,13 @@ fn send_event(writer: &Mutex<Conn>, ev: &Json) -> io::Result<()> {
 
 /// A live shard session on this daemon acting as a fleet peer.
 struct ShardSession {
-    /// `(class, test)` pairs relayed by the coordinator's `broadcast`
-    /// requests: appended by the connection thread, drained by cursor in
-    /// [`execute_shard`] between classes.  Append-only, so a cursor is
-    /// enough and no relay is ever lost to a race.
-    broadcasts: Mutex<Vec<(usize, TestSequence)>>,
+    /// The shard's test log: `(class, test)` pairs relayed by the
+    /// coordinator's `broadcast` requests (appended by the connection
+    /// thread) and the shard's own finds (appended by
+    /// [`search_classes`]), read by cursor before each class.
+    /// Append-only, so a cursor is enough and no relay is ever lost to a
+    /// race.
+    broadcasts: RwLock<Vec<(usize, TestSequence)>>,
 }
 
 fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
@@ -818,8 +820,8 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
                 let known = match session {
                     Some(s) => {
                         s.broadcasts
-                            .lock()
-                            .expect("broadcast lock")
+                            .write()
+                            .expect("test log lock")
                             .push((class, test));
                         true
                     }
@@ -853,7 +855,7 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
                 }
                 let shard = id.unwrap_or_else(|| state.next_job.fetch_add(1, Ordering::SeqCst));
                 let session = Arc::new(ShardSession {
-                    broadcasts: Mutex::new(Vec::new()),
+                    broadcasts: RwLock::new(Vec::new()),
                 });
                 sessions
                     .lock()
@@ -944,14 +946,14 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
     }
 }
 
-/// Runs one fleet shard: the assigned classes in ascending serial order,
-/// each three-phase verdict streamed as a `shard_verdict` event.
-///
-/// Two screening rules keep redundant work down, both the engine
-/// worker's exact rule (`cb > ca` and the test fault-simulates to a
-/// hit) so the coordinator's serial merge replay re-derives every drop:
-/// a test found *here* screens this shard's own remaining classes, and
-/// coordinator-relayed broadcasts screen them too.
+/// Runs one fleet shard on the engine's own class-search loop
+/// ([`search_classes`]): one worker over a one-deque queue holding the
+/// assigned classes in ascending serial order, with the session's test
+/// log as its broadcast log.  Each verdict streams as a `shard_verdict`
+/// event.  The loop screens the backlog before each class against the
+/// shard's own finds and the coordinator's relays alike, by the engine
+/// worker's rule, so the coordinator's serial merge replay re-derives
+/// every drop.
 fn execute_shard(
     state: &Arc<State>,
     writer: &Arc<Mutex<Conn>>,
@@ -964,7 +966,7 @@ fn execute_shard(
         let _ = send_event(writer, &event::with_id(ev, id));
     };
 
-    let _span = satpg_trace::span!("fleet.shard", shard = shard, classes = spec.classes.len());
+    let span = satpg_trace::span!("fleet.shard", shard = shard, classes = spec.classes.len());
     let ckey = fnv64(spec.job.circuit.cache_text().as_bytes());
     let (ckt, _) = match cached_circuit(state, &spec.job.circuit, ckey) {
         Ok(hit) => hit,
@@ -996,60 +998,28 @@ fn execute_shard(
 
     let m = satpg_trace::metrics();
     m.counter("fleet.shards_executed").inc();
-    // Does `test`, found at class `ca`, screen out pending class `cb`?
-    let screens = |ca: usize, test: &TestSequence, cb: usize| -> bool {
-        cb > ca
-            && !fault_simulate(
-                &ckt,
-                &cssg,
-                test,
-                std::slice::from_ref(&plan.classes()[cb].representative),
-            )
-            .is_empty()
+    let cfg = EngineConfig {
+        atpg: acfg,
+        workers: 1,
+        ..EngineConfig::default()
     };
-    let mut pending: VecDeque<usize> = spec.classes.iter().copied().collect();
-    let mut computed = 0usize;
-    let mut dropped = 0usize;
-    let mut seen = 0usize;
-    while let Some(ci) = pending.pop_front() {
-        let fresh: Vec<(usize, TestSequence)> = {
-            let b = session.broadcasts.lock().expect("broadcast lock");
-            b[seen..].to_vec()
-        };
-        seen += fresh.len();
-        let mut ci_screened = false;
-        if acfg.fault_sim {
-            for (ca, test) in &fresh {
-                ci_screened = ci_screened || screens(*ca, test, ci);
-                pending.retain(|&cb| {
-                    let hit = screens(*ca, test, cb);
-                    dropped += usize::from(hit);
-                    !hit
-                });
-            }
-        }
-        if ci_screened {
-            dropped += 1;
-            continue;
-        }
-        let verdict = three_phase(
-            &ckt,
-            &cssg,
-            &plan.classes()[ci].representative,
-            &acfg.three_phase,
-        );
-        if acfg.fault_sim {
-            if let FaultStatus::Detected { sequence } = &verdict {
-                pending.retain(|&cb| {
-                    let hit = screens(ci, sequence, cb);
-                    dropped += usize::from(hit);
-                    !hit
-                });
-            }
-        }
-        reply(event::shard_verdict(shard, ci, &verdict));
-        m.counter("fleet.shard_verdicts").inc();
-        computed += 1;
-    }
-    reply(event::shard_result(shard, computed, dropped));
+    let stats = search_classes(
+        &ckt,
+        &cssg,
+        &plan,
+        &cfg,
+        &ShardedQueues::new(1, &spec.classes),
+        0,
+        &session.broadcasts,
+        span.id(),
+        &mut |ci, verdict| {
+            reply(event::shard_verdict(shard, ci, &verdict));
+            m.counter("fleet.shard_verdicts").inc();
+        },
+    );
+    reply(event::shard_result(
+        shard,
+        stats.searched,
+        stats.broadcast_drops,
+    ));
 }

@@ -9,7 +9,7 @@
 
 use crate::inject::{Injection, Site};
 use crate::ternary::Trit;
-use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern, Pattern};
+use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern};
 
 /// Number of machines simulated per pass.
 pub const LANES: usize = 64;
@@ -155,20 +155,6 @@ impl PlaneState {
         Some(Bits::from_fn(self.planes.len(), |i| {
             self.trit(i, lane) == Trit::One
         }))
-    }
-
-    /// Overwrites `lane` of `self` with `lane` of `from` on every signal.
-    ///
-    /// Used by the pattern-parallel random stage to restart a single
-    /// lane's machine from a stored checkpoint (e.g. the post-reset
-    /// state) without touching the other 63 lanes.
-    pub fn copy_lane_from(&mut self, from: &PlaneState, lane: usize) {
-        assert_eq!(self.planes.len(), from.planes.len(), "same circuit");
-        let m = 1u64 << lane;
-        for (p, q) in self.planes.iter_mut().zip(&from.planes) {
-            p.lo = (p.lo & !m) | (q.lo & m);
-            p.hi = (p.hi & !m) | (q.hi & m);
-        }
     }
 }
 
@@ -327,48 +313,11 @@ pub fn parallel_settle(
     st
 }
 
-/// Applies a *distinct* pattern to each lane — the pattern-per-bit mode
-/// (PPSFP): one fault injection broadcast across all lanes, up to
-/// [`LANES`] input vectors evaluated in a single fixpoint pass.
-///
-/// Lanes beyond `patterns.len()` repeat the last pattern (so their
-/// results are redundant, never garbage).
-///
-/// # Panics
-///
-/// Panics if `patterns` is empty or longer than [`LANES`].
-pub fn parallel_settle_patterns(
-    ckt: &Circuit,
-    from: &PlaneState,
-    patterns: &[Pattern],
-    inj: &ParallelInjection,
-) -> PlaneState {
-    assert!(!patterns.is_empty(), "at least one pattern");
-    assert!(patterns.len() <= LANES, "at most {LANES} patterns");
-    let mut st = from.clone();
-    for i in 0..ckt.num_inputs() {
-        let mut ones = 0u64;
-        for l in 0..LANES {
-            let p = patterns.get(l).unwrap_or_else(|| patterns.last().unwrap());
-            if p.get(i) {
-                ones |= 1u64 << l;
-            }
-        }
-        st.planes[i] = Planes {
-            lo: !ones,
-            hi: ones,
-        };
-    }
-    fixpoint_planes(ckt, &mut st, inj, true);
-    fixpoint_planes(ckt, &mut st, inj, false);
-    st
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::ternary::{ternary_settle, TernaryOutcome, TritVec};
-    use satpg_netlist::library;
+    use satpg_netlist::{library, Pattern};
 
     /// Lane-0 of the parallel engine must agree with the scalar engine.
     fn check_lane0_agrees(ckt: &satpg_netlist::Circuit, pattern: u64) {
@@ -399,43 +348,6 @@ mod tests {
             for pattern in Pattern::all(ckt.num_inputs()) {
                 check_lane0_agrees(&ckt, pattern.as_u64().unwrap());
             }
-        }
-    }
-
-    #[test]
-    fn pattern_per_lane_matches_broadcast() {
-        // Every pattern of the C-element applied per-lane in one pass must
-        // agree lane-by-lane with a broadcast pass of that same pattern.
-        let c = library::c_element();
-        let pinj = ParallelInjection::new(&[Injection::none()]);
-        let patterns: Vec<Pattern> = Pattern::all(c.num_inputs()).collect();
-        let from = PlaneState::broadcast(c.initial_state());
-        let multi = parallel_settle_patterns(&c, &from, &patterns, &pinj);
-        for (l, p) in patterns.iter().enumerate() {
-            let single = parallel_settle(&c, &from, p, &pinj);
-            for i in 0..c.num_state_bits() {
-                assert_eq!(multi.trit(i, l), single.trit(i, 0), "signal {i} lane {l}");
-            }
-        }
-        // Lanes past the pattern list repeat the last pattern.
-        for i in 0..c.num_state_bits() {
-            assert_eq!(multi.trit(i, LANES - 1), multi.trit(i, patterns.len() - 1));
-        }
-    }
-
-    #[test]
-    fn copy_lane_restores_checkpoint() {
-        let c = library::c_element();
-        let pinj = ParallelInjection::new(&[Injection::none()]);
-        let reset = PlaneState::broadcast(c.initial_state());
-        let mut st = parallel_settle(&c, &reset, 0b11, &pinj);
-        assert_ne!(st, reset);
-        let settled = st.clone();
-        st.copy_lane_from(&reset, 5);
-        for i in 0..c.num_state_bits() {
-            assert_eq!(st.trit(i, 5), reset.trit(i, 5), "lane 5 restored");
-            assert_eq!(st.trit(i, 0), settled.trit(i, 0), "lane 0 untouched");
-            assert_eq!(st.trit(i, 6), settled.trit(i, 6), "lane 6 untouched");
         }
     }
 

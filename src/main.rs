@@ -88,8 +88,8 @@ fn usage() -> ExitCode {
            cssg  <circuit> [--style si|2l|2lr] [--k N] [--cssg-shards N] [--no-por]\n          \
                   [--settle-cap N]\n  \
            atpg  <circuit> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
-                  [--pp-random] [--pattern-budget N] [--program] [--json] [--cssg-shards N]\n          \
-                  [--no-por] [--settle-cap N]\n  \
+                  [--pattern-budget N] [--program] [--json] [--cssg-shards N] [--no-por]\n          \
+                  [--settle-cap N]\n  \
            scan  <circuit> [--style si|2l|2lr]\n  \
            table <1|2>\n  \
            dot   <circuit> [--style si|2l|2lr]\n  \
@@ -97,7 +97,6 @@ fn usage() -> ExitCode {
            engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
                   [--collapse] [--no-random] [--no-broadcast] [--json]\n          \
                   [--audit]           # replay each test on a BDD of the CSSG\n          \
-                  [--pp-random]       # random stage: 64 patterns per pass, 1 fault\n          \
                   [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n          \
                   [--cssg-shards N]   # parallel CSSG build (0 = worker count)\n          \
                   [--no-por]          # naive interleaving walks (no reduction)\n          \
@@ -135,7 +134,6 @@ struct Opts {
     output_model: bool,
     collapse: bool,
     no_random: bool,
-    pp_random: bool,
     pattern_budget: Option<u64>,
     program: bool,
     workers: usize,
@@ -168,7 +166,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         output_model: false,
         collapse: false,
         no_random: false,
-        pp_random: false,
         pattern_budget: None,
         program: false,
         workers: 0,
@@ -200,7 +197,6 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--output-model" => o.output_model = true,
             "--collapse" => o.collapse = true,
             "--no-random" => o.no_random = true,
-            "--pp-random" => o.pp_random = true,
             "--pattern-budget" => o.pattern_budget = Some(it.next()?.parse().ok()?),
             "--program" => o.program = true,
             "--workers" => o.workers = it.next()?.parse().ok()?,
@@ -302,7 +298,6 @@ fn job_spec(o: &Opts) -> Result<JobSpec, String> {
         output_model: o.output_model,
         collapse: o.collapse,
         no_random: o.no_random,
-        pp_random: o.pp_random,
         k: o.k,
         pattern_budget: o.pattern_budget,
     })

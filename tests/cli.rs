@@ -395,6 +395,15 @@ fn bad_circuits_exit_1_with_a_diagnostic() {
 }
 
 #[test]
+fn a_retired_flag_prints_the_usage() {
+    // A retired flag fails like any unknown option, never as a no-op.
+    let out = satpg(&["engine", "converta", "--pp-random"], None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("usage: satpg"), "{stderr}");
+}
+
+#[test]
 fn a_reader_that_closes_early_is_not_a_panic() {
     let cases: [&[&str]; 3] = [
         &["table", "1"],

@@ -36,7 +36,6 @@ fn spec() -> JobSpec {
         output_model: false,
         collapse: false,
         no_random: true,
-        pp_random: false,
         k: None,
         pattern_budget: None,
     }

@@ -43,7 +43,6 @@ fn bench_spec(name: &str) -> JobSpec {
         output_model: false,
         collapse: false,
         no_random: false,
-        pp_random: false,
         k: None,
         pattern_budget: None,
     }
