@@ -3,10 +3,10 @@
 //!
 //! Two entry points share one semantics: [`build_cssg`] explores the
 //! reachable stable states serially, [`build_cssg_sharded`] splits the
-//! reachability frontier across worker threads (each with its private
-//! interleaving-set tracking inside [`settle_explicit`]) and then merges
-//! deterministically — the result is **bit-identical** to the serial
-//! build for any shard count (see `crates/core/DESIGN.md`).
+//! reachability frontier across worker threads (each running its own
+//! [`Settler`]) and then merges deterministically — the result is
+//! **bit-identical** to the serial build for any shard count (see
+//! `crates/core/DESIGN.md`).
 
 use crate::cssg::Cssg;
 use crate::error::CoreError;

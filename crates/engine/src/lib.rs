@@ -11,7 +11,8 @@
 //!   with the opt-in [`EngineConfig::symbolic_audit`] it also owns a
 //!   **private [`satpg_bdd::Manager`]** that replays its discoveries
 //!   symbolically ([`audit`]);
-//! * a test found by one worker is **broadcast**: before each pop, every
+//! * a test found by one worker is **broadcast**: when the flow
+//!   fault-simulates (`AtpgConfig::fault_sim`), before each pop every
 //!   worker fault-simulates the tests logged since its last look against
 //!   its pending faults and drops the ones they already cover, skipping
 //!   their three-phase searches;

@@ -97,38 +97,18 @@ impl EngineSink for NullSink {
 }
 
 /// Configuration of a fault-parallel campaign.
-#[derive(Clone, Debug)]
+#[derive(Clone, Debug, Default)]
 pub struct EngineConfig {
     /// The underlying flow configuration (shared with the serial driver,
-    /// so reports are comparable).
+    /// so reports are comparable).  Workers screen their backlogs
+    /// against each other's tests exactly when its `fault_sim` is on.
     pub atpg: AtpgConfig,
     /// Number of workers.  `0` means one per available CPU.
     pub workers: usize,
-    /// Broadcast discovered tests so other workers can drop covered
-    /// pending faults early.
-    pub broadcast: bool,
     /// Symbolically audit every discovered test on the worker's private
     /// BDD manager ([`crate::audit`]; the `--audit` CLI flag).  Off by
     /// default: the audit never changes a verdict.
     pub symbolic_audit: bool,
-    /// Threads for the CSSG construction phase
-    /// ([`satpg_core::build_cssg_sharded`]).  `0` matches the campaign's
-    /// worker count, so a parallel job also builds its abstraction in
-    /// parallel; any value yields a CSSG structurally identical to the
-    /// serial build (the `--cssg-shards` CLI flag).
-    pub cssg_shards: usize,
-}
-
-impl Default for EngineConfig {
-    fn default() -> Self {
-        EngineConfig {
-            atpg: AtpgConfig::default(),
-            workers: 0,
-            broadcast: true,
-            symbolic_audit: false,
-            cssg_shards: 0,
-        }
-    }
 }
 
 impl EngineConfig {
@@ -156,14 +136,12 @@ impl EngineConfig {
         }
     }
 
-    /// Threads the CSSG build phase uses: `cssg_shards`, defaulting to
-    /// the campaign's worker count when 0.
+    /// Threads the CSSG build phase uses
+    /// ([`satpg_core::build_cssg_sharded`]): the campaign's worker
+    /// count, so a parallel job also builds its abstraction in parallel.
+    /// Any count yields a CSSG bit-identical to the serial build.
     pub fn build_shards(&self) -> usize {
-        if self.cssg_shards == 0 {
-            self.requested_workers()
-        } else {
-            self.cssg_shards
-        }
+        self.requested_workers()
     }
 }
 
@@ -664,8 +642,7 @@ fn flush_engine_metrics(
 /// `tests` and hands the verdict to `on_verdict`.  `tests` is append-only
 /// `(class, test)` pairs: the worker's own finds, plus whatever other
 /// workers (or a fleet coordinator's relays) append.  Screening only
-/// runs when [`EngineConfig::broadcast`] and the flow's fault simulation
-/// are both on.
+/// runs when the flow's fault simulation is on.
 #[allow(clippy::too_many_arguments)]
 pub fn search_classes(
     ckt: &Circuit,
@@ -701,7 +678,7 @@ pub fn search_classes(
     // Screening only pays off when the merge can harvest the skipped
     // classes as fault-sim credits; with fault_sim off every drop would
     // serialize a recomputation instead.
-    let screen = cfg.broadcast && cfg.atpg.fault_sim;
+    let screen = cfg.atpg.fault_sim;
 
     loop {
         if screen {
@@ -830,18 +807,25 @@ mod tests {
         assert!(!reports_identical(&a, &b), "settle counts are compared");
     }
 
+    /// With fault simulation off nothing screens, so no class is
+    /// dropped and the merge re-searches none.
     #[test]
     fn broadcast_off_still_identical() {
         let ckt = library::muller_pipeline2();
-        let serial = run_atpg(&ckt, &AtpgConfig::paper()).unwrap();
+        let atpg = AtpgConfig {
+            fault_sim: false,
+            ..AtpgConfig::paper()
+        };
+        let serial = run_atpg(&ckt, &atpg).unwrap();
         let cfg = EngineConfig {
+            atpg,
             workers: 3,
-            broadcast: false,
-            symbolic_audit: false,
-            ..EngineConfig::paper()
+            ..EngineConfig::default()
         };
         let out = run_engine(&ckt, &cfg).unwrap();
         assert!(reports_identical(&out.report, &serial));
+        let drops: usize = out.workers.iter().map(|w| w.broadcast_drops).sum();
+        assert_eq!(drops, 0, "fault_sim off screens nothing");
         assert_eq!(out.merge_fallbacks, 0, "no drops, no fallbacks");
     }
 
@@ -850,7 +834,6 @@ mod tests {
         let ckt = library::muller_pipeline2();
         let cfg = EngineConfig {
             workers: 2,
-            broadcast: false,
             symbolic_audit: true,
             ..EngineConfig::paper()
         };
@@ -901,7 +884,6 @@ mod tests {
             }) => {
                 assert_eq!(*states, out.report.cssg_states);
                 assert_eq!(*edges, out.report.cssg_edges);
-                // cssg_shards defaults to the worker count.
                 assert_eq!(*shards, 2, "build fan-out follows the workers");
             }
             other => panic!("expected CssgReady first, got {other:?}"),
@@ -926,27 +908,6 @@ mod tests {
         // Streaming must not perturb the verdicts.
         let serial = run_atpg(&ckt, &cfg.atpg).unwrap();
         assert!(reports_identical(&out.report, &serial));
-    }
-
-    #[test]
-    fn cssg_shards_override_is_report_invisible() {
-        let ckt = library::muller_pipeline2();
-        let serial = run_atpg(&ckt, &AtpgConfig::paper()).unwrap();
-        for cssg_shards in [1, 3] {
-            let out = run_engine(
-                &ckt,
-                &EngineConfig {
-                    workers: 2,
-                    cssg_shards,
-                    ..EngineConfig::paper()
-                },
-            )
-            .unwrap();
-            assert!(
-                reports_identical(&out.report, &serial),
-                "{cssg_shards} build shards"
-            );
-        }
     }
 
     #[test]

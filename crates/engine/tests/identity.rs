@@ -79,7 +79,6 @@ fn assert_audit_clean(ckt: &Circuit, atpg: AtpgConfig, workers: &[usize]) -> usi
             atpg: atpg.clone(),
             workers: w,
             symbolic_audit: true,
-            ..EngineConfig::default()
         };
         let out = run_engine(ckt, &cfg).unwrap();
         let ctx = format!("{} @ {w} workers", ckt.name());

@@ -13,8 +13,8 @@
 //!   remote workers drop classes the test already covers (the engine
 //!   worker's own screening rule);
 //! * a peer that dies, stalls past the timeout, or replies garbage is
-//!   declared lost: its unfinished classes requeue for the survivors and
-//!   a bounded-backoff reviver tries to reconnect it.
+//!   declared lost for the rest of the campaign: its unfinished classes
+//!   requeue for the survivors.
 //!
 //! Correctness never depends on any of that machinery.  A class verdict
 //! is a pure function of `(circuit, CSSG, fault, config)`, and the final
@@ -31,7 +31,7 @@ use crate::proto::{
 };
 use satpg_core::json::Json;
 use satpg_core::{
-    build_cssg_sharded, faults_for, AtpgConfig, AtpgReport, Cssg, Fault, FaultStatus, TestSequence,
+    build_cssg, faults_for, AtpgConfig, AtpgReport, Cssg, Fault, FaultStatus, TestSequence,
 };
 use satpg_engine::{merge_partial, prepare_campaign};
 use satpg_netlist::Circuit;
@@ -49,12 +49,8 @@ pub struct FleetConfig {
     /// three of them (enough granularity to rebalance around a loss
     /// without drowning the wire in tiny submissions).
     pub chunk: usize,
-    /// Reconnect attempts per lost peer before it is abandoned.
-    pub max_retries: usize,
     /// Milliseconds of in-flight silence before a peer is declared lost.
     pub peer_timeout_ms: u64,
-    /// Base reconnect backoff in milliseconds, doubled per attempt.
-    pub backoff_ms: u64,
 }
 
 impl Default for FleetConfig {
@@ -62,9 +58,7 @@ impl Default for FleetConfig {
         FleetConfig {
             peers: Vec::new(),
             chunk: 0,
-            max_retries: 2,
             peer_timeout_ms: 10_000,
-            backoff_ms: 50,
         }
     }
 }
@@ -144,7 +138,7 @@ pub fn run_fleet(spec: &JobSpec, fc: &FleetConfig) -> Result<FleetOutcome, Strin
     let ckt = resolve_circuit(&spec.circuit)?;
     let acfg = job_atpg_config(spec, &ckt);
     let t0 = Instant::now();
-    let cssg = build_cssg_sharded(&ckt, &acfg.cssg, 1).map_err(|e| e.to_string())?;
+    let cssg = build_cssg(&ckt, &acfg.cssg).map_err(|e| e.to_string())?;
     let us_cssg = t0.elapsed().as_micros();
     if cssg.num_edges() == 0 {
         return Err(satpg_core::CoreError::NoValidVectors.to_string());
@@ -206,7 +200,7 @@ pub fn run_fleet_built(
     }
 }
 
-/// Messages from peer reader / reviver threads to the coordinator loop.
+/// Messages from peer reader threads to the coordinator loop.
 enum PeerMsg {
     /// A peer delivered one class verdict.
     Verdict {
@@ -215,43 +209,27 @@ enum PeerMsg {
         status: FaultStatus,
     },
     /// A peer finished its in-flight shard.
-    ShardDone { peer: usize, gen: usize },
+    ShardDone { peer: usize },
     /// A peer was lost: EOF, stall past the timeout, or garbage.
-    Dead {
-        peer: usize,
-        gen: usize,
-        reason: String,
-    },
-    /// A reviver reconnected and re-enlisted a lost peer.
-    Revived {
-        peer: usize,
-        writer: Conn,
-        reader: TimedLineReader,
-    },
-    /// A reviver's attempt failed.
-    ReviveFailed { peer: usize, reason: String },
+    Dead { peer: usize, reason: String },
 }
 
 /// Stall-watchdog stamp shared between the coordinator and a peer's
-/// reader thread (a socket property would not survive reconnects): when
-/// the in-flight shard was dispatched, refreshed on every reply line;
-/// `None` while idle, so silence without work is not a stall.
+/// reader thread: when the in-flight shard was dispatched, refreshed on
+/// every reply line; `None` while idle, so silence without work is not
+/// a stall.
 type Watchdog = Arc<Mutex<Option<Instant>>>;
 
-/// Coordinator-side view of one peer.
+/// Coordinator-side view of one enlisted peer.
 struct Peer {
     addr: String,
-    /// Write half of the live connection; `None` while lost.
+    /// Write half of the connection; `None` once the peer is lost, which
+    /// it stays for the rest of the campaign.
     writer: Option<Conn>,
     /// In-flight shard id and its dispatch time, if any.
     shard: Option<(u64, Instant)>,
     /// The in-flight shard's classes (for requeue on loss).
     chunk: Vec<usize>,
-    /// Revival attempts initiated so far.
-    attempts: usize,
-    /// Connection generation; messages from older generations are stale
-    /// stragglers and ignored.
-    gen: usize,
     inflight_since: Watchdog,
 }
 
@@ -309,13 +287,12 @@ fn enlist(addr: &str, timeout: Duration) -> Result<(Conn, TimedLineReader), Stri
 fn reader_loop(
     mut reader: TimedLineReader,
     peer: usize,
-    gen: usize,
     inflight_since: Watchdog,
     timeout: Duration,
     tx: mpsc::Sender<PeerMsg>,
 ) {
     let dead = |reason: String| {
-        let _ = tx.send(PeerMsg::Dead { peer, gen, reason });
+        let _ = tx.send(PeerMsg::Dead { peer, reason });
     };
     loop {
         match reader.next() {
@@ -344,7 +321,7 @@ fn reader_loop(
                         }
                     }
                     Some("shard_result") => {
-                        let _ = tx.send(PeerMsg::ShardDone { peer, gen });
+                        let _ = tx.send(PeerMsg::ShardDone { peer });
                     }
                     // Handshake echoes and acks carry no coordinator
                     // state; `status`/`metrics` could share the socket.
@@ -378,64 +355,17 @@ fn reader_loop(
     }
 }
 
-/// Installs a fresh connection on peer `q` and spawns its reader thread
-/// (named `fleet-rx`) under a new generation; the thread's handle goes
-/// to `readers` so the campaign can join it.
-fn attach(
-    peers: &mut [Peer],
-    q: usize,
-    writer: Conn,
-    reader: TimedLineReader,
-    timeout: Duration,
-    tx: &mpsc::Sender<PeerMsg>,
-    readers: &mut Vec<JoinHandle<()>>,
-) {
-    let p = &mut peers[q];
-    p.gen += 1;
-    p.writer = Some(writer);
-    let gen = p.gen;
-    let inflight_since = p.inflight_since.clone();
-    let tx = tx.clone();
-    readers.push(
-        std::thread::Builder::new()
-            .name("fleet-rx".to_string())
-            .spawn(move || reader_loop(reader, q, gen, inflight_since, timeout, tx))
-            .expect("spawn fleet reader thread"),
-    );
+/// Logs and counts the loss of the peer at `addr`.
+fn note_lost(addr: &str, reason: &str, stats: &mut FleetStats) {
+    eprintln!("satpg fleet: peer {addr} lost: {reason}");
+    stats.peer_deaths += 1;
+    satpg_trace::metrics().counter("fleet.peer_deaths").inc();
 }
 
-/// Schedules one revival attempt for peer `q` with exponential backoff.
-fn spawn_reviver(
-    q: usize,
-    addr: String,
-    attempt: usize,
-    fc: &FleetConfig,
-    tx: &mpsc::Sender<PeerMsg>,
-) {
-    let backoff = Duration::from_millis(fc.backoff_ms << attempt.saturating_sub(1).min(16));
-    let timeout = Duration::from_millis(fc.peer_timeout_ms.max(1));
-    let tx = tx.clone();
-    std::thread::spawn(move || {
-        std::thread::sleep(backoff);
-        match enlist(&addr, timeout) {
-            Ok((writer, reader)) => {
-                let _ = tx.send(PeerMsg::Revived {
-                    peer: q,
-                    writer,
-                    reader,
-                });
-            }
-            Err(reason) => {
-                let _ = tx.send(PeerMsg::ReviveFailed { peer: q, reason });
-            }
-        }
-    });
-}
-
-/// Declares peer `q` lost: requeues whatever of its in-flight shard
-/// still lacks verdicts and (within the retry budget) schedules a
-/// revival attempt.
-#[allow(clippy::too_many_arguments)]
+/// Declares peer `q` lost for the rest of the campaign and requeues
+/// whatever of its in-flight shard still lacks verdicts.  A peer that is
+/// already lost is left alone: its reader's report of the EOF that
+/// losing it caused is a straggler.
 fn kill_peer(
     peers: &mut [Peer],
     q: usize,
@@ -443,24 +373,14 @@ fn kill_peer(
     queue: &mut VecDeque<Vec<usize>>,
     verdicts: &[Option<FaultStatus>],
     stats: &mut FleetStats,
-    fc: &FleetConfig,
-    reviving: &mut usize,
-    tx: &mpsc::Sender<PeerMsg>,
 ) {
-    let m = satpg_trace::metrics();
-    let addr = peers[q].addr.clone();
-    eprintln!("satpg fleet: peer {addr} lost: {reason}");
     let p = &mut peers[q];
+    let Some(w) = p.writer.take() else { return };
     // Shut the socket down: the reader owns a clone, so dropping this
     // handle would not close it, and EOF is what ends the reader.
-    if let Some(w) = p.writer.take() {
-        let _ = w.shutdown();
-    }
-    // Invalidate straggler messages from the dying connection's reader.
-    p.gen += 1;
+    let _ = w.shutdown();
+    note_lost(&p.addr, reason, stats);
     *p.inflight_since.lock().expect("peer watchdog lock") = None;
-    stats.peer_deaths += 1;
-    m.counter("fleet.peer_deaths").inc();
     if p.shard.take().is_some() {
         let chunk = std::mem::take(&mut p.chunk);
         // Verdicts that already arrived are kept — work is requeued,
@@ -471,15 +391,9 @@ fn kill_peer(
             .collect();
         if !remaining.is_empty() {
             stats.retries += 1;
-            m.counter("fleet.retries").inc();
+            satpg_trace::metrics().counter("fleet.retries").inc();
             queue.push_back(remaining);
         }
-    }
-    if p.attempts < fc.max_retries {
-        p.attempts += 1;
-        let attempt = p.attempts;
-        *reviving += 1;
-        spawn_reviver(q, addr, attempt, fc, tx);
     }
 }
 
@@ -512,38 +426,35 @@ fn distribute(
     // bookkeeping, because all of a chunk's classes ascend.
     let mut queue: VecDeque<Vec<usize>> = pending.chunks(chunk).map(<[usize]>::to_vec).collect();
     let (tx, rx) = mpsc::channel::<PeerMsg>();
-    let mut peers: Vec<Peer> = fc
-        .peers
-        .iter()
-        .map(|addr| Peer {
+    // Each address gets one `enlist`; a peer that fails it is lost for
+    // the campaign, and the others enlist with a reader thread each
+    // (named `fleet-rx`, joined when the campaign ends).
+    let mut peers: Vec<Peer> = Vec::new();
+    let mut readers: Vec<JoinHandle<()>> = Vec::new();
+    for addr in &fc.peers {
+        let (writer, reader) = match enlist(addr, timeout) {
+            Ok(link) => link,
+            Err(reason) => {
+                note_lost(addr, &reason, stats);
+                continue;
+            }
+        };
+        let q = peers.len();
+        let inflight_since: Watchdog = Arc::new(Mutex::new(None));
+        let (since, tx) = (inflight_since.clone(), tx.clone());
+        readers.push(
+            std::thread::Builder::new()
+                .name("fleet-rx".to_string())
+                .spawn(move || reader_loop(reader, q, since, timeout, tx))
+                .expect("spawn fleet reader thread"),
+        );
+        peers.push(Peer {
             addr: addr.clone(),
-            writer: None,
+            writer: Some(writer),
             shard: None,
             chunk: Vec::new(),
-            attempts: 0,
-            gen: 0,
-            inflight_since: Arc::new(Mutex::new(None)),
-        })
-        .collect();
-    let mut readers: Vec<JoinHandle<()>> = Vec::new();
-    let mut reviving = 0usize;
-    for q in 0..peers.len() {
-        match enlist(&peers[q].addr, timeout) {
-            Ok((writer, reader)) => {
-                attach(&mut peers, q, writer, reader, timeout, &tx, &mut readers);
-            }
-            Err(reason) => kill_peer(
-                &mut peers,
-                q,
-                &reason,
-                &mut queue,
-                verdicts,
-                stats,
-                fc,
-                &mut reviving,
-                &tx,
-            ),
-        }
+            inflight_since,
+        });
     }
 
     let mut next_shard: u64 = 1;
@@ -581,9 +492,6 @@ fn distribute(
                         &mut queue,
                         verdicts,
                         stats,
-                        fc,
-                        &mut reviving,
-                        &tx,
                     );
                 }
             }
@@ -593,9 +501,9 @@ fn distribute(
         if queue.is_empty() && !inflight {
             break;
         }
-        if reviving == 0 && peers.iter().all(|p| p.writer.is_none()) {
-            // The whole fleet is gone and nothing is coming back.  Count
-            // what never ran and let the merge recompute it locally.
+        if peers.iter().all(|p| p.writer.is_none()) {
+            // The whole fleet is gone.  Count what never ran and let the
+            // merge recompute it locally.
             stats.unassigned_classes += queue.iter().map(Vec::len).sum::<usize>()
                 + peers
                     .iter()
@@ -618,16 +526,7 @@ fn distribute(
                     if acfg.fault_sim {
                         if let FaultStatus::Detected { sequence } = &status {
                             relay(
-                                &mut peers,
-                                peer,
-                                class,
-                                sequence,
-                                &mut queue,
-                                verdicts,
-                                stats,
-                                fc,
-                                &mut reviving,
-                                &tx,
+                                &mut peers, peer, class, sequence, &mut queue, verdicts, stats,
                             );
                         }
                     }
@@ -636,53 +535,18 @@ fn distribute(
                     m.counter("fleet.remote_verdicts").inc();
                 }
             }
-            Ok(PeerMsg::ShardDone { peer, gen }) => {
+            Ok(PeerMsg::ShardDone { peer }) => {
+                // A lost peer has no shard or chunk left, so its
+                // stragglers change nothing here.
                 let p = &mut peers[peer];
-                if gen == p.gen {
-                    if let Some((_, sent)) = p.shard.take() {
-                        rtt.record(sent.elapsed().as_micros() as u64);
-                    }
-                    p.chunk.clear();
-                    *p.inflight_since.lock().expect("peer watchdog lock") = None;
+                if let Some((_, sent)) = p.shard.take() {
+                    rtt.record(sent.elapsed().as_micros() as u64);
                 }
+                p.chunk.clear();
+                *p.inflight_since.lock().expect("peer watchdog lock") = None;
             }
-            Ok(PeerMsg::Dead { peer, gen, reason }) => {
-                if gen == peers[peer].gen {
-                    kill_peer(
-                        &mut peers,
-                        peer,
-                        &reason,
-                        &mut queue,
-                        verdicts,
-                        stats,
-                        fc,
-                        &mut reviving,
-                        &tx,
-                    );
-                }
-            }
-            Ok(PeerMsg::Revived {
-                peer,
-                writer,
-                reader,
-            }) => {
-                reviving -= 1;
-                eprintln!("satpg fleet: peer {} revived", peers[peer].addr);
-                attach(&mut peers, peer, writer, reader, timeout, &tx, &mut readers);
-            }
-            Ok(PeerMsg::ReviveFailed { peer, reason }) => {
-                reviving -= 1;
-                if peers[peer].attempts < fc.max_retries {
-                    peers[peer].attempts += 1;
-                    let attempt = peers[peer].attempts;
-                    reviving += 1;
-                    spawn_reviver(peer, peers[peer].addr.clone(), attempt, fc, &tx);
-                } else {
-                    eprintln!(
-                        "satpg fleet: peer {} abandoned after {} attempts: {reason}",
-                        peers[peer].addr, peers[peer].attempts
-                    );
-                }
+            Ok(PeerMsg::Dead { peer, reason }) => {
+                kill_peer(&mut peers, peer, &reason, &mut queue, verdicts, stats);
             }
             Err(mpsc::RecvTimeoutError::Timeout) => {}
             // Unreachable while we hold `tx`, but harmless.
@@ -704,7 +568,6 @@ fn distribute(
 /// Relays a `Detected` test from `from` to every other peer with a
 /// shard in flight.  A failed write is a peer death (the socket is
 /// broken for shard traffic too).
-#[allow(clippy::too_many_arguments)]
 fn relay(
     peers: &mut [Peer],
     from: usize,
@@ -713,9 +576,6 @@ fn relay(
     queue: &mut VecDeque<Vec<usize>>,
     verdicts: &[Option<FaultStatus>],
     stats: &mut FleetStats,
-    fc: &FleetConfig,
-    reviving: &mut usize,
-    tx: &mpsc::Sender<PeerMsg>,
 ) {
     for q in 0..peers.len() {
         if q == from || peers[q].writer.is_none() {
@@ -744,9 +604,6 @@ fn relay(
                 queue,
                 verdicts,
                 stats,
-                fc,
-                reviving,
-                tx,
             ),
         }
     }

@@ -69,12 +69,8 @@ pub struct ServeConfig {
     pub max_shards: usize,
     /// Classes per fleet shard; `0` sizes chunks automatically.
     pub fleet_chunk: usize,
-    /// Reconnect attempts per lost peer before giving up on it.
-    pub fleet_retries: usize,
     /// Milliseconds of in-flight silence before a peer is declared lost.
     pub fleet_timeout_ms: u64,
-    /// Base reconnect backoff in milliseconds (doubled per attempt).
-    pub fleet_backoff_ms: u64,
 }
 
 impl Default for ServeConfig {
@@ -89,9 +85,7 @@ impl Default for ServeConfig {
             peers: Vec::new(),
             max_shards: 16,
             fleet_chunk: 0,
-            fleet_retries: 2,
             fleet_timeout_ms: 10_000,
-            fleet_backoff_ms: 50,
         }
     }
 }
@@ -102,9 +96,7 @@ impl ServeConfig {
         FleetConfig {
             peers: self.peers.clone(),
             chunk: self.fleet_chunk,
-            max_retries: self.fleet_retries,
             peer_timeout_ms: self.fleet_timeout_ms,
-            backoff_ms: self.fleet_backoff_ms,
         }
     }
 }
@@ -176,7 +168,7 @@ struct State {
     /// Coordinator-side fleet totals across jobs, surfaced in `status`
     /// so an operator (and the fault-injection suite) can see requeues.
     fleet_campaigns: AtomicUsize,
-    fleet_retries: AtomicUsize,
+    fleet_requeues: AtomicUsize,
     fleet_peer_deaths: AtomicUsize,
     fleet_remote_verdicts: AtomicUsize,
     fleet_fallbacks: AtomicUsize,
@@ -218,7 +210,7 @@ impl Server {
             streaming: AtomicUsize::new(0),
             shards_running: AtomicUsize::new(0),
             fleet_campaigns: AtomicUsize::new(0),
-            fleet_retries: AtomicUsize::new(0),
+            fleet_requeues: AtomicUsize::new(0),
             fleet_peer_deaths: AtomicUsize::new(0),
             fleet_remote_verdicts: AtomicUsize::new(0),
             fleet_fallbacks: AtomicUsize::new(0),
@@ -615,7 +607,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         );
         state.fleet_campaigns.fetch_add(1, Ordering::SeqCst);
         state
-            .fleet_retries
+            .fleet_requeues
             .fetch_add(outcome.stats.retries, Ordering::SeqCst);
         state
             .fleet_peer_deaths
@@ -702,7 +694,7 @@ fn status_json(state: &State) -> Json {
                 ),
                 (
                     "retries".to_string(),
-                    Json::int(state.fleet_retries.load(Ordering::SeqCst)),
+                    Json::int(state.fleet_requeues.load(Ordering::SeqCst)),
                 ),
                 (
                     "peer_deaths".to_string(),

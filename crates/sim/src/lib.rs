@@ -12,23 +12,21 @@
 //!   behind random TPG and fault simulation.
 //! * [`Settler`] — the unified settling engine: exhaustive interleaving
 //!   exploration (the k-bounded settling analysis that *defines* the
-//!   CSSG) with partial-order reduction over commuting gate switchings,
-//!   adaptive caps ([`CapPolicy`]) and optional intra-settle
-//!   parallelism.  [`settle_explicit`] / [`settle_set`] are its legacy
-//!   naive-mode adapters, also usable as a nondeterministic oracle to
-//!   validate emitted tests against any gate delays.
+//!   CSSG) with partial-order reduction over commuting gate switchings
+//!   and adaptive caps ([`CapPolicy`]).  With POR off
+//!   ([`SettlerConfig::por`]) it is the naive reference walk, also
+//!   usable as a nondeterministic oracle to validate emitted tests
+//!   against any gate delays.
 //!
 //! Faults never modify a netlist: every engine accepts an [`Injection`]
 //! that forces gate input pins or gate outputs to constants, so the same
 //! [`satpg_netlist::Circuit`] serves the good machine and all faulty ones.
 
-mod explicit;
 mod inject;
 mod parallel;
 mod settler;
 mod ternary;
 
-pub use explicit::{settle_explicit, settle_set, ExplicitConfig};
 pub use inject::{eval_gate_inj, is_excited_inj, Force, Injection, Site};
 pub use parallel::{parallel_settle, ParallelInjection, PlaneState, LANES};
 pub use settler::{CapPolicy, SetSettle, Settle, SettleStats, Settler, SettlerConfig};

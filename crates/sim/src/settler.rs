@@ -1,10 +1,8 @@
 //! The unified settling engine: one frontier walker under every
 //! interleaving analysis.
 //!
-//! Historically the k-bounded settling semantics was implemented three
-//! times (`settle_explicit`, `settle_set`, and ad-hoc closures at the
-//! call sites), each with its own cap accounting and truncation
-//! behavior.  [`Settler`] consolidates them behind one engine that owns:
+//! [`Settler`] is the one implementation of the k-bounded settling
+//! semantics (§4.1).  It owns:
 //!
 //! * **frontier expansion with hashed dedup** — the per-depth state set
 //!   of every interleaving, stable states self-looping;
@@ -19,9 +17,8 @@
 //!   [`Settle::Truncated`] verdict (and [`SetSettle::Truncated`]) in
 //!   place of the old ambiguous `None`.
 //!
-//! The legacy [`crate::settle_explicit`] / [`crate::settle_set`] entry
-//! points remain as thin adapters over this engine (POR off, fixed cap),
-//! preserving their exact historical semantics.
+//! With POR off ([`SettlerConfig::por`]) the walker is the naive
+//! reference walk that the property tests compare the reduction against.
 
 use crate::inject::{is_excited_inj, Injection};
 use crate::ternary::{eval_gate_ternary, ternary_settle, TernaryOutcome, Trit, TritVec};
@@ -154,7 +151,12 @@ pub struct SettlerConfig {
     /// Partial-order reduction on commuting gate switchings.
     pub por: bool,
     /// Skip the exhaustive exploration when scalar ternary simulation
-    /// already proves confluence.
+    /// already proves confluence.  A definite ternary outcome means every
+    /// *fair* schedule (each excited gate eventually fires, as finite
+    /// inertial delays guarantee) settles to that state; the literal
+    /// k-bounded frontier also holds unfair interleavings that postpone
+    /// a gate forever, so the fast path may accept a vector the raw
+    /// `TCR_k` definition rejects.  Turn it off for the exact definition.
     pub ternary_fast_path: bool,
 }
 
@@ -268,8 +270,7 @@ impl<'c> Settler<'c> {
     pub fn new(ckt: &'c Circuit, inj: &Injection, cfg: &SettlerConfig) -> Self {
         let ng = ckt.num_gates();
         // The dependency tables only feed the ample-singleton check, so
-        // naive-mode settlers (including every legacy adapter call)
-        // skip building them.
+        // naive-mode settlers skip building them.
         let (deps, readers) = if cfg.por {
             let mut deps: Vec<Vec<usize>> = Vec::with_capacity(ng);
             for i in 0..ng {
@@ -677,6 +678,143 @@ mod tests {
             por: true,
             ternary_fast_path: false,
             ..SettlerConfig::for_circuit(ckt)
+        }
+    }
+
+    /// The naive walk under a fixed 2^16 cap, with the fast path as
+    /// given: the reference configuration of the exact-semantics tests.
+    fn fixed_cfg(ckt: &Circuit, ternary_fast_path: bool) -> SettlerConfig {
+        SettlerConfig {
+            cap: CapPolicy::Fixed(1 << 16),
+            por: false,
+            ternary_fast_path,
+            ..SettlerConfig::for_circuit(ckt)
+        }
+    }
+
+    fn cfg_exact(ckt: &Circuit) -> SettlerConfig {
+        fixed_cfg(ckt, false)
+    }
+
+    /// One settle from the reset state on a fresh settler.
+    fn settle_reset(
+        ckt: &Circuit,
+        pattern: impl IntoPattern,
+        inj: &Injection,
+        cfg: &SettlerConfig,
+    ) -> Settle {
+        Settler::new(ckt, inj, cfg).settle(ckt.initial_state(), pattern)
+    }
+
+    #[test]
+    fn c_element_confluent() {
+        let c = library::c_element();
+        let r = settle_reset(&c, 0b11, &Injection::none(), &cfg_exact(&c));
+        let s = r.confluent().expect("C-element raise is confluent");
+        assert!(c.is_stable(s));
+        assert!(s.get(c.signal_by_name("y").unwrap().index()));
+    }
+
+    #[test]
+    fn figure1a_non_confluent() {
+        let c = library::figure1a();
+        let r = settle_reset(&c, 0b01, &Injection::none(), &cfg_exact(&c));
+        match r {
+            Settle::NonConfluent(states) => {
+                assert!(states.len() >= 2);
+                let y = c.signal_by_name("y").unwrap().index();
+                let ys: std::collections::HashSet<bool> = states.iter().map(|s| s.get(y)).collect();
+                assert_eq!(ys.len(), 2, "y differs between outcomes");
+            }
+            other => panic!("expected non-confluence, got {other:?}"),
+        }
+    }
+
+    #[test]
+    fn figure1b_unstable() {
+        let c = library::figure1b();
+        let r = settle_reset(&c, 0b01, &Injection::none(), &cfg_exact(&c));
+        assert!(matches!(r, Settle::Unstable(_)), "oscillation detected");
+    }
+
+    #[test]
+    fn fast_path_agrees_with_exact_on_definite_cases() {
+        for ckt in library::all() {
+            let inj = Injection::none();
+            for pattern in Pattern::all(ckt.num_inputs()) {
+                let fast = settle_reset(&ckt, &pattern, &inj, &fixed_cfg(&ckt, true));
+                let exact = settle_reset(&ckt, &pattern, &inj, &cfg_exact(&ckt));
+                if let (Settle::Confluent(a), Settle::Confluent(b)) = (&fast, &exact) {
+                    assert_eq!(a, b, "{} pattern {pattern}", ckt.name());
+                }
+                // The fast path may *only* add confluent answers where the
+                // exact analysis ran out of k, never contradict it.
+                if let Settle::NonConfluent(_) = exact {
+                    assert!(
+                        !fast.is_valid(),
+                        "{} pattern {pattern}: ternary accepted a race",
+                        ckt.name()
+                    );
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn small_k_reports_unstable() {
+        let c = library::c_element();
+        let cfg = SettlerConfig {
+            k: 2, // input application + one gate step: cannot finish
+            cap: CapPolicy::Fixed(1024),
+            por: false,
+            ternary_fast_path: false,
+        };
+        let r = settle_reset(&c, 0b11, &Injection::none(), &cfg);
+        assert!(matches!(r, Settle::Unstable(_)));
+    }
+
+    #[test]
+    fn injection_changes_settling() {
+        let c = library::c_element();
+        let y = c.driver(c.signal_by_name("y").unwrap()).unwrap();
+        let inj = Injection::single(y, Site::Output, false);
+        let r = settle_reset(&c, 0b11, &inj, &cfg_exact(&c));
+        let s = r
+            .confluent()
+            .expect("stuck-at keeps circuit confluent here");
+        assert!(!s.get(c.signal_by_name("y").unwrap().index()));
+    }
+
+    #[test]
+    fn truncation_is_reported() {
+        let c = library::figure1a();
+        let cfg = SettlerConfig {
+            k: 64,
+            cap: CapPolicy::Fixed(1),
+            por: false,
+            ternary_fast_path: false,
+        };
+        let r = settle_reset(&c, 0b01, &Injection::none(), &cfg);
+        assert_eq!(r, Settle::Truncated);
+    }
+
+    #[test]
+    fn ternary_definite_implies_explicit_confluent() {
+        // The conservativeness direction the ATPG soundness rests on.
+        for ckt in library::all() {
+            for pattern in Pattern::all(ckt.num_inputs()) {
+                if let TernaryOutcome::Definite(tb) =
+                    ternary_settle(&ckt, ckt.initial_state(), &pattern, &Injection::none())
+                {
+                    match settle_reset(&ckt, &pattern, &Injection::none(), &cfg_exact(&ckt)) {
+                        Settle::Confluent(eb) => assert_eq!(tb, eb, "{}", ckt.name()),
+                        other => panic!(
+                            "{} pattern {pattern}: ternary definite but explicit {other:?}",
+                            ckt.name()
+                        ),
+                    }
+                }
+            }
         }
     }
 

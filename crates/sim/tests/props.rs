@@ -9,11 +9,13 @@
 //!   sweep to the fixpoint it replaced.
 
 use proptest::prelude::*;
-use satpg_netlist::{Bits, Circuit, CircuitBuilder, GateId, GateKind, Pattern, SignalId};
+use satpg_netlist::{
+    Bits, Circuit, CircuitBuilder, GateId, GateKind, IntoPattern, Pattern, SignalId,
+};
 use satpg_sim::{
-    eval_gate_ternary, is_excited_inj, parallel_settle, settle_explicit, ternary_settle,
-    ExplicitConfig, Injection, ParallelInjection, PlaneState, Settle, Settler, SettlerConfig, Site,
-    TernaryOutcome, Trit, TritVec,
+    eval_gate_ternary, is_excited_inj, parallel_settle, ternary_settle, CapPolicy, Injection,
+    ParallelInjection, PlaneState, Settle, Settler, SettlerConfig, Site, TernaryOutcome, Trit,
+    TritVec,
 };
 
 /// Blueprint for a random circuit (kept simple so shrinking works).
@@ -89,12 +91,19 @@ fn arb_blueprint() -> impl Strategy<Value = Blueprint> {
     })
 }
 
-fn exact_cfg(c: &Circuit) -> ExplicitConfig {
-    ExplicitConfig {
+/// The exact k-bounded semantics: the naive walk, no fast path.
+fn exact_cfg(c: &Circuit) -> SettlerConfig {
+    SettlerConfig {
         k: 6 * c.num_gates() + 6,
-        max_states: 1 << 14,
+        cap: CapPolicy::Fixed(1 << 14),
+        por: false,
         ternary_fast_path: false,
     }
+}
+
+/// One settle from the reset state under `cfg`, fault-free.
+fn settle_reset(c: &Circuit, pattern: impl IntoPattern, cfg: &SettlerConfig) -> Settle {
+    Settler::new(c, &Injection::none(), cfg).settle(c.initial_state(), pattern)
 }
 
 proptest! {
@@ -114,7 +123,7 @@ proptest! {
             ternary_settle(&c, c.initial_state(), pattern, &Injection::none())
         {
             prop_assert!(c.is_stable(&tb), "ternary-definite state must be stable");
-            match settle_explicit(&c, c.initial_state(), pattern, &Injection::none(), &exact_cfg(&c)) {
+            match settle_reset(&c, pattern, &exact_cfg(&c)) {
                 Settle::Confluent(eb) => prop_assert_eq!(tb, eb),
                 Settle::Truncated => {} // cap hit; no verdict
                 Settle::NonConfluent(_) => {
@@ -149,7 +158,7 @@ proptest! {
         let pattern = pattern & ((1 << c.num_inputs()) - 1);
         let cfg = exact_cfg(&c);
         if let Settle::Confluent(target) =
-            settle_explicit(&c, c.initial_state(), pattern, &Injection::none(), &cfg)
+            settle_reset(&c, pattern, &cfg)
         {
             let mut s = c.with_inputs(c.initial_state(), pattern);
             for _ in 0..cfg.k {
@@ -197,7 +206,7 @@ proptest! {
     fn settle_outputs_are_stable(bp in arb_blueprint(), pattern in any::<u64>()) {
         let Some(c) = build(&bp) else { return Ok(()) };
         let pattern = pattern & ((1 << c.num_inputs()) - 1);
-        match settle_explicit(&c, c.initial_state(), pattern, &Injection::none(), &exact_cfg(&c)) {
+        match settle_reset(&c, pattern, &exact_cfg(&c)) {
             Settle::Confluent(s) => prop_assert!(c.is_stable(&s)),
             Settle::NonConfluent(ss) => {
                 prop_assert!(ss.len() >= 2);
@@ -274,8 +283,8 @@ proptest! {
         // classification is compared like for like.
         let cfg = exact_cfg(&narrow);
         let wq = Pattern::from_fn(ni + 64, |i| i < ni && (pattern >> i) & 1 == 1);
-        let en = settle_explicit(&narrow, narrow.initial_state(), pattern, &Injection::none(), &cfg);
-        let ew = settle_explicit(&wide, wide.initial_state(), &wq, &Injection::none(), &cfg);
+        let en = settle_reset(&narrow, pattern, &cfg);
+        let ew = settle_reset(&wide, &wq, &cfg);
         let shadow_n = |states: &[Bits]| {
             let mut v: Vec<Vec<bool>> = states
                 .iter()

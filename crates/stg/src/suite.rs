@@ -148,11 +148,20 @@ mod tests {
         // interleaving analysis is used rather than ternary simulation:
         // ternary is conservative on binate covers and may report Φ for
         // transitions that are in fact confluent.
-        use satpg_sim::{settle_explicit, ExplicitConfig, Injection};
+        use satpg_sim::{CapPolicy, Injection, Settler, SettlerConfig};
         for &name in NAMES {
             let stg = load(name).unwrap();
             let sg = StateGraph::build(&stg).unwrap();
             let ckt = complex_gate(&stg, &sg).unwrap();
+            let mut settler = Settler::new(
+                &ckt,
+                &Injection::none(),
+                &SettlerConfig {
+                    cap: CapPolicy::Fixed(1 << 16),
+                    por: false,
+                    ..SettlerConfig::for_circuit(&ckt)
+                },
+            );
             // Follow input transitions: apply each SG input edge as a
             // pattern; outputs must settle to the SG's code.
             let mut sg_state = sg.initial();
@@ -195,13 +204,7 @@ mod tests {
                         pattern |= 1 << pi;
                     }
                 }
-                let out = settle_explicit(
-                    &ckt,
-                    &ckt_state,
-                    pattern,
-                    &Injection::none(),
-                    &ExplicitConfig::for_circuit(&ckt),
-                );
+                let out = settler.settle(&ckt_state, pattern);
                 let settled = out
                     .confluent()
                     .unwrap_or_else(|| panic!("{name}: specified transition not confluent"))

@@ -20,11 +20,14 @@ fn analyze(ckt: &satpg::netlist::Circuit, pattern: u64, label: &str) {
             )
         }
     }
-    let cfg = ExplicitConfig {
+    // The exact k-bounded analysis: the naive walk, no ternary shortcut.
+    let cfg = SettlerConfig {
+        cap: CapPolicy::Fixed(1 << 16),
+        por: false,
         ternary_fast_path: false,
-        ..ExplicitConfig::for_circuit(ckt)
+        ..SettlerConfig::for_circuit(ckt)
     };
-    match settle_explicit(ckt, ckt.initial_state(), pattern, &Injection::none(), &cfg) {
+    match Settler::new(ckt, &Injection::none(), &cfg).settle(ckt.initial_state(), pattern) {
         Settle::Confluent(s) => println!("  exact: confluent to {s}"),
         Settle::NonConfluent(states) => {
             println!(

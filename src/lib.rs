@@ -49,8 +49,8 @@ pub mod prelude {
     pub use satpg_engine::{run_engine, EngineConfig, EngineReport, WorkerStats};
     pub use satpg_netlist::{pattern_count, Bits, Circuit, CircuitBuilder, GateKind, Pattern};
     pub use satpg_sim::{
-        settle_explicit, ternary_settle, CapPolicy, ExplicitConfig, Injection, Settle, SettleStats,
-        Settler, SettlerConfig, Site, TernaryOutcome,
+        ternary_settle, CapPolicy, Injection, Settle, SettleStats, Settler, SettlerConfig, Site,
+        TernaryOutcome,
     };
     pub use satpg_stg::{parse_g, synth, StateGraph};
 }

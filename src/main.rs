@@ -9,8 +9,7 @@
 //! satpg table <1|2>                  # regenerate a paper table
 //! satpg dot <circuit> [--style …]    # Graphviz export
 //! satpg gen <family|circuit> [--size K]       # print the circuit as .ckt
-//! satpg engine <circuit> [--workers N] [--no-broadcast] [--audit]
-//!                                    # fault-parallel ATPG
+//! satpg engine <circuit> [--workers N] [--audit]  # fault-parallel ATPG
 //! satpg serve  [--addr A] [--serve-workers N] [--queue-depth N] ...
 //!                                    # persistent service daemon
 //! satpg submit <circuit> [--addr A] ...       # submit a job to the daemon
@@ -25,14 +24,15 @@
 //! daemon's [`CircuitSpec`] and [`JobSpec`], then builds the circuit with
 //! [`resolve_circuit`] and the flow configuration with
 //! [`job_atpg_config`], so a local run and a submitted job compute the
-//! same campaign.
+//! same campaign.  A setting exists as a flag only where callers need
+//! different values; reference paths such as the naive interleaving
+//! walk are library configuration that tests set.
 
 use satpg::core::json::Json;
 use satpg::core::report::{format_table, TableRow};
 use satpg::core::tester::TestProgram;
 use satpg::core::{
-    build_cssg_sharded, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CapPolicy, CoreError,
-    CssgConfig, FaultModel,
+    build_cssg, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CoreError, CssgConfig, FaultModel,
 };
 use satpg::engine::{run_engine, EngineConfig};
 use satpg::netlist::{to_ckt, Circuit};
@@ -85,31 +85,24 @@ fn usage() -> ExitCode {
          commands:\n  \
            list\n  \
            synth <circuit> [--style si|2l|2lr]\n  \
-           cssg  <circuit> [--style si|2l|2lr] [--k N] [--cssg-shards N] [--no-por]\n          \
-                  [--settle-cap N]\n  \
+           cssg  <circuit> [--style si|2l|2lr] [--k N]\n  \
            atpg  <circuit> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
-                  [--pattern-budget N] [--program] [--json] [--cssg-shards N] [--no-por]\n          \
-                  [--settle-cap N]\n  \
+                  [--pattern-budget N] [--program] [--json]\n  \
            scan  <circuit> [--style si|2l|2lr]\n  \
            table <1|2>\n  \
            dot   <circuit> [--style si|2l|2lr]\n  \
            gen   <family|circuit> [--size K]  # print the circuit as .ckt\n  \
            engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
-                  [--collapse] [--no-random] [--no-broadcast] [--json]\n          \
+                  [--collapse] [--no-random] [--json]\n          \
                   [--audit]           # replay each test on a BDD of the CSSG\n          \
-                  [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n          \
-                  [--cssg-shards N]   # parallel CSSG build (0 = worker count)\n          \
-                  [--no-por]          # naive interleaving walks (no reduction)\n          \
-                  [--settle-cap N]    # fixed interleaving-set cap (default: scaled)\n  \
+                  [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n  \
            serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]\n          \
                   [--cache-size N] [--workers N]\n          \
                   [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
-                  [--max-shards N] [--fleet-chunk N] [--fleet-retries N]\n          \
-                  [--fleet-timeout-ms N] [--fleet-backoff-ms N]\n  \
+                  [--max-shards N] [--fleet-chunk N] [--fleet-timeout-ms N]\n  \
            fleet  <circuit> --peers A,B,.. [--style si|2l|2lr]\n          \
-                  [--fleet-chunk N] [--fleet-retries N] [--fleet-timeout-ms N]\n          \
-                  [--fleet-backoff-ms N] [--k N] [--output-model] [--collapse]\n          \
-                  [--no-random] [--json]   # one campaign across peer daemons\n  \
+                  [--fleet-chunk N] [--fleet-timeout-ms N] [--k N] [--output-model]\n          \
+                  [--collapse] [--no-random] [--json]   # one campaign across peer daemons\n  \
            submit <circuit> [--addr A] [--style si|2l|2lr]\n          \
                   [--workers N] [--k N] [--output-model] [--collapse]\n          \
                   [--no-random] [--json]\n  \
@@ -138,11 +131,7 @@ struct Opts {
     program: bool,
     workers: usize,
     size: Option<usize>,
-    no_broadcast: bool,
     audit: bool,
-    cssg_shards: usize,
-    no_por: bool,
-    settle_cap: Option<usize>,
     json: bool,
     addr: String,
     family: Option<String>,
@@ -153,9 +142,7 @@ struct Opts {
     peers: Vec<String>,
     max_shards: usize,
     fleet_chunk: usize,
-    fleet_retries: usize,
     fleet_timeout_ms: u64,
-    fleet_backoff_ms: u64,
 }
 
 fn parse_opts(args: &[String]) -> Option<Opts> {
@@ -170,11 +157,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         program: false,
         workers: 0,
         size: None,
-        no_broadcast: false,
         audit: false,
-        cssg_shards: 0,
-        no_por: false,
-        settle_cap: None,
         json: false,
         addr: DEFAULT_ADDR.into(),
         family: None,
@@ -185,9 +168,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         peers: Vec::new(),
         max_shards: 16,
         fleet_chunk: 0,
-        fleet_retries: 2,
         fleet_timeout_ms: 10_000,
-        fleet_backoff_ms: 50,
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
@@ -201,11 +182,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--program" => o.program = true,
             "--workers" => o.workers = it.next()?.parse().ok()?,
             "--size" => o.size = Some(it.next()?.parse().ok()?),
-            "--no-broadcast" => o.no_broadcast = true,
             "--audit" => o.audit = true,
-            "--cssg-shards" => o.cssg_shards = it.next()?.parse().ok()?,
-            "--no-por" => o.no_por = true,
-            "--settle-cap" => o.settle_cap = Some(it.next()?.parse().ok()?),
             "--json" => o.json = true,
             "--addr" => o.addr = it.next()?.clone(),
             "--family" => o.family = Some(it.next()?.clone()),
@@ -223,9 +200,7 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             }
             "--max-shards" => o.max_shards = it.next()?.parse().ok()?,
             "--fleet-chunk" => o.fleet_chunk = it.next()?.parse().ok()?,
-            "--fleet-retries" => o.fleet_retries = it.next()?.parse().ok()?,
             "--fleet-timeout-ms" => o.fleet_timeout_ms = it.next()?.parse().ok()?,
-            "--fleet-backoff-ms" => o.fleet_backoff_ms = it.next()?.parse().ok()?,
             s if (s == "-" || !s.starts_with('-')) && o.circuit.is_none() => {
                 o.circuit = Some(s.to_string())
             }
@@ -301,22 +276,6 @@ fn job_spec(o: &Opts) -> Result<JobSpec, String> {
         k: o.k,
         pattern_budget: o.pattern_budget,
     })
-}
-
-/// The flow configuration of a local run: the daemon's
-/// [`job_atpg_config`] with the CLI-only settle flags (`--no-por`,
-/// `--settle-cap`) applied to both settling layers.
-fn atpg_config(o: &Opts, spec: &JobSpec, ckt: &Circuit) -> AtpgConfig {
-    let mut cfg = job_atpg_config(spec, ckt);
-    if o.no_por {
-        cfg.cssg.por = false;
-        cfg.three_phase.por = false;
-    }
-    if let Some(n) = o.settle_cap {
-        cfg.cssg.settle_cap = CapPolicy::Fixed(n);
-        cfg.three_phase.settle_cap = CapPolicy::Fixed(n);
-    }
-    cfg
 }
 
 fn main() -> ExitCode {
@@ -444,8 +403,7 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
         "dot" => out!("{}", ckt.to_dot()),
         "gen" => out!("{}", to_ckt(&ckt)),
         "cssg" => {
-            let cfg = atpg_config(o, &spec, &ckt).cssg;
-            let c = build_cssg_sharded(&ckt, &cfg, o.cssg_shards.max(1))?;
+            let c = build_cssg(&ckt, &job_atpg_config(&spec, &ckt).cssg)?;
             outln!(
                 "CSSG(k={}): {} stable states, {} edges; pruned {} non-confluent, {} unstable; {} truncated at resource limits",
                 c.k(),
@@ -457,21 +415,19 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
             );
             let ss = c.settle_stats();
             outln!(
-                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches{}",
+                "settler: {} state expansions over {} analyses; POR reduced {} expansions, pruned {} branches",
                 ss.states_explored,
                 ss.settles,
                 ss.por_states,
                 ss.por_pruned,
-                if cfg.por { "" } else { " (POR off)" }
             );
         }
         "atpg" => {
-            let cfg = atpg_config(o, &spec, &ckt);
-            // The abstraction is built up front (optionally sharded —
-            // structurally identical either way) and reused for the
+            let cfg = job_atpg_config(&spec, &ckt);
+            // The abstraction is built up front and reused for the
             // tester program below.
             let t0 = std::time::Instant::now();
-            let cssg = build_cssg_sharded(&ckt, &cfg.cssg, o.cssg_shards.max(1))?;
+            let cssg = build_cssg(&ckt, &cfg.cssg)?;
             let us_cssg = t0.elapsed().as_micros();
             if cssg.num_edges() == 0 {
                 return Err(CoreError::NoValidVectors.into());
@@ -494,7 +450,7 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
             }
         }
         "scan" => {
-            let cssg = build_cssg_sharded(&ckt, &CssgConfig::default(), 1)?;
+            let cssg = build_cssg(&ckt, &CssgConfig::default())?;
             let report = run_atpg(&ckt, &AtpgConfig::paper())?;
             let analysis = satpg::core::scan_candidates(&ckt, &cssg, &report, &Default::default());
             outln!(
@@ -519,11 +475,9 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
         }
         "engine" => {
             let cfg = EngineConfig {
-                atpg: atpg_config(o, &spec, &ckt),
+                atpg: job_atpg_config(&spec, &ckt),
                 workers: o.workers,
-                broadcast: !o.no_broadcast,
                 symbolic_audit: o.audit,
-                cssg_shards: o.cssg_shards,
             };
             let result = run_engine(&ckt, &cfg);
             trace_finish(tracing, ckt.name());
@@ -581,9 +535,7 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
                 peers: o.peers.clone(),
                 max_shards: o.max_shards,
                 fleet_chunk: o.fleet_chunk,
-                fleet_retries: o.fleet_retries,
                 fleet_timeout_ms: o.fleet_timeout_ms,
-                fleet_backoff_ms: o.fleet_backoff_ms,
             };
             let server = Server::bind(cfg).map_err(|e| format!("bind {}: {e}", o.addr))?;
             // Scripts scrape this line for the ephemeral port.
@@ -632,9 +584,7 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
             let fc = FleetConfig {
                 peers: o.peers.clone(),
                 chunk: o.fleet_chunk,
-                max_retries: o.fleet_retries,
                 peer_timeout_ms: o.fleet_timeout_ms,
-                backoff_ms: o.fleet_backoff_ms,
             };
             let tracing = trace_setup(o);
             let result = run_fleet(&spec, &fc);

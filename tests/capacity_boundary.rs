@@ -54,8 +54,12 @@ fn boundary_widths_drive_the_full_flow() {
         // Settle: all requests high grants the root, through a pattern
         // wider than one word at 65 (and exactly at the wall at 64).
         let all = Pattern::from_fn(width, |_| true);
-        let scfg = ExplicitConfig::for_circuit(&ckt);
-        match settle_explicit(&ckt, ckt.initial_state(), &all, &Injection::none(), &scfg) {
+        let scfg = SettlerConfig {
+            cap: CapPolicy::Fixed(1 << 16),
+            por: false,
+            ..SettlerConfig::for_circuit(&ckt)
+        };
+        match Settler::new(&ckt, &Injection::none(), &scfg).settle(ckt.initial_state(), &all) {
             Settle::Confluent(s) => {
                 assert_eq!(ckt.output_values(&s), 1, "width {width}: grant");
                 assert_eq!(ckt.input_pattern(&s), all, "width {width}: readback");
@@ -183,7 +187,15 @@ fn u64_and_pattern_spellings_agree_across_the_suite() {
         // Cap the sweep per circuit; the boundary cases (0, all-ones)
         // are always included.
         let sample: Vec<u64> = (0..total.min(64)).chain([total - 1]).collect();
-        let cfg = ExplicitConfig::for_circuit(ckt);
+        let mut settler = Settler::new(
+            ckt,
+            &Injection::none(),
+            &SettlerConfig {
+                cap: CapPolicy::Fixed(1 << 16),
+                por: false,
+                ..SettlerConfig::for_circuit(ckt)
+            },
+        );
         for v in sample {
             let p = Pattern::from_u64(n, v);
             assert_eq!(
@@ -192,8 +204,8 @@ fn u64_and_pattern_spellings_agree_across_the_suite() {
                 "{name}: ternary({v:#x})"
             );
             assert_eq!(
-                settle_explicit(ckt, ckt.initial_state(), v, &Injection::none(), &cfg),
-                settle_explicit(ckt, ckt.initial_state(), &p, &Injection::none(), &cfg),
+                settler.settle(ckt.initial_state(), v),
+                settler.settle(ckt.initial_state(), &p),
                 "{name}: explicit({v:#x})"
             );
         }

@@ -397,10 +397,39 @@ fn bad_circuits_exit_1_with_a_diagnostic() {
 #[test]
 fn a_retired_flag_prints_the_usage() {
     // A retired flag fails like any unknown option, never as a no-op.
-    let out = satpg(&["engine", "converta", "--pp-random"], None);
-    let stderr = String::from_utf8_lossy(&out.stderr);
-    assert_eq!(out.status.code(), Some(1), "{stderr}");
-    assert!(stderr.starts_with("usage: satpg"), "{stderr}");
+    // Each runs on a command that used to accept it.
+    let cases: [&[&str]; 7] = [
+        &["engine", "converta", "--pp-random"],
+        &["engine", "converta", "--no-broadcast"],
+        &["engine", "converta", "--cssg-shards", "2"],
+        &["atpg", "converta", "--no-por"],
+        &["cssg", "converta", "--settle-cap", "64"],
+        &[
+            "fleet",
+            "converta",
+            "--peers",
+            "127.0.0.1:1",
+            "--fleet-retries",
+            "1",
+        ],
+        &[
+            "fleet",
+            "converta",
+            "--peers",
+            "127.0.0.1:1",
+            "--fleet-backoff-ms",
+            "10",
+        ],
+    ];
+    for args in cases {
+        let out = satpg(args, None);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert_eq!(out.status.code(), Some(1), "satpg {args:?}: {stderr}");
+        assert!(
+            stderr.starts_with("usage: satpg"),
+            "satpg {args:?}: {stderr}"
+        );
+    }
 }
 
 #[test]

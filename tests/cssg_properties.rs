@@ -52,17 +52,23 @@ fn cssg_edges_are_exactly_the_valid_vectors() {
     for name in ["converta", "hazard", "nak-pa", "vbe5b"] {
         let ckt = si_circuit(name);
         let cssg = build_cssg(&ckt, &CssgConfig::default()).unwrap();
-        let cfg = ExplicitConfig {
-            ternary_fast_path: false,
-            ..ExplicitConfig::for_circuit(&ckt)
-        };
+        let mut settler = Settler::new(
+            &ckt,
+            &Injection::none(),
+            &SettlerConfig {
+                cap: CapPolicy::Fixed(1 << 16),
+                por: false,
+                ternary_fast_path: false,
+                ..SettlerConfig::for_circuit(&ckt)
+            },
+        );
         for si in 0..cssg.num_states() {
             let state = &cssg.states()[si];
             for pattern in Pattern::all(ckt.num_inputs()) {
                 if pattern == ckt.input_pattern(state) {
                     continue;
                 }
-                let settle = settle_explicit(&ckt, state, &pattern, &Injection::none(), &cfg);
+                let settle = settler.settle(state, &pattern);
                 match cssg.successor(si, &pattern) {
                     Some(t) => {
                         let expect = settle.confluent().unwrap_or_else(|| {

@@ -1,15 +1,17 @@
 //! The fleet fault battery: a 3-peer campaign where one peer sits
 //! behind a [`FaultyPeer`] proxy that kills, drops, delays, truncates
 //! or garbles the connection at a deterministic protocol point.  Every
-//! scenario must (a) requeue the lost shard (nonzero retry counters in
-//! the report, the daemon `status` and the metrics registry) and
-//! (b) still produce a report byte-identical to serial `run_atpg` —
-//! peer loss moves work, never results (`crates/serve/DESIGN.md`).
+//! scenario must (a) lose exactly that peer, once, for the rest of the
+//! campaign, (b) requeue its lost shard (nonzero retry counters in the
+//! report, the daemon `status` and the metrics registry) and (c) still
+//! produce a report byte-identical to serial `run_atpg` — peer loss
+//! moves work, never results (`crates/serve/DESIGN.md`).  A peer that
+//! cannot be reached at all is lost at `enlist`, before any shard.
 
 use satpg::core::json::Json;
 use satpg::core::{run_atpg, AtpgConfig, ThreePhaseConfig};
 use satpg::serve::testing::{FaultyPeer, Mischief};
-use satpg::serve::{CircuitSpec, Client, JobSpec, ServeConfig, Server};
+use satpg::serve::{run_fleet, CircuitSpec, Client, FleetConfig, JobSpec, ServeConfig, Server};
 use satpg::stg::synth::complex_gate;
 use satpg::stg::{suite, StateGraph};
 use std::time::Duration;
@@ -84,9 +86,7 @@ fn run_scenario(mischief: Mischief, timeout_ms: u64) -> (Json, Json, Json) {
     let (coord, coord_handle) = start(ServeConfig {
         peers: vec![proxy.addr().to_string(), p1, p2],
         fleet_chunk: 2,
-        fleet_retries: 1,
         fleet_timeout_ms: timeout_ms,
-        fleet_backoff_ms: 10,
         ..ServeConfig::default()
     });
     let mut client = Client::connect(&coord).expect("connect coordinator");
@@ -101,11 +101,24 @@ fn run_scenario(mischief: Mischief, timeout_ms: u64) -> (Json, Json, Json) {
     (outcome.report, status, metrics)
 }
 
+/// The campaign's `fleet.<key>` counter from the final report event.
+fn fleet_stat(report: &Json, key: &str) -> Option<usize> {
+    report
+        .get("fleet")
+        .and_then(|f| f.get(key))
+        .and_then(Json::as_usize)
+}
+
 fn assert_survived(scenario: &str, report: &Json, status: &Json, metrics: &Json) {
     assert_eq!(
         serial_json(),
         daemon_report_json(report),
         "{scenario}: fleet report must be byte-identical to serial"
+    );
+    assert_eq!(
+        fleet_stat(report, "peer_deaths"),
+        Some(1),
+        "{scenario}: the proxied peer is lost once and stays lost: {report}"
     );
     let campaign_retries = report
         .get("fleet")
@@ -148,6 +161,32 @@ fn faithful_proxy_is_invisible() {
         .and_then(Json::as_usize)
         .unwrap_or(usize::MAX);
     assert_eq!(retries, 0, "a healthy fleet must not requeue: {report}");
+    assert_eq!(
+        fleet_stat(&report, "peer_deaths"),
+        Some(0),
+        "a healthy fleet loses no peer: {report}"
+    );
+}
+
+/// A peer nobody listens for fails its `enlist` and is lost before it
+/// holds any shard: the campaign finishes on the other two peers with
+/// nothing requeued and nothing left for the merge to recompute.
+#[test]
+fn unreachable_peer_is_lost_at_enlist() {
+    let (p1, _) = start(ServeConfig::default());
+    let (p2, _) = start(ServeConfig::default());
+    let fc = FleetConfig {
+        peers: vec!["127.0.0.1:1".to_string(), p1, p2],
+        chunk: 2,
+        ..FleetConfig::default()
+    };
+    let out = run_fleet(&spec(), &fc).expect("fleet campaign completes");
+    assert_eq!(serial_json(), out.report.to_json_value(false).render());
+    let s = &out.stats;
+    assert_eq!(s.peer_deaths, 1, "{s:?}");
+    assert_eq!(s.retries, 0, "{s:?}");
+    assert_eq!(s.unassigned_classes, 0, "{s:?}");
+    assert!(s.remote_verdicts > 0, "the live peers did the work: {s:?}");
 }
 
 /// The peer process dies mid-shard: one verdict of a two-class shard is

@@ -131,9 +131,7 @@ fn fleet_report_identical_to_serial_generated_families() {
         let engine_cfg = EngineConfig {
             atpg: acfg.clone(),
             workers: 2,
-            broadcast: true,
             symbolic_audit: false,
-            cssg_shards: 1,
         };
         let serial = run_engine(&ckt, &engine_cfg).expect("engine runs");
         let cssg = build_cssg_sharded(&ckt, &acfg.cssg, 1).expect("CSSG builds");

@@ -21,10 +21,15 @@
 //! Release tier (`#[ignore]`, run by the CI `cssg-shard` job with
 //! `--include-ignored`): the deep Muller pipelines where the naive walk
 //! takes seconds and POR earns its keep.
+//!
+//! The same identity holds for the whole flow: with POR off in both
+//! settling layers (CSSG construction and the three-phase search), the
+//! campaign's records, tests and totals equal the default campaign's.
 
-use satpg::core::{build_cssg, build_cssg_sharded, Cssg, CssgConfig};
+use satpg::core::{build_cssg, build_cssg_sharded, run_atpg, AtpgReport, Cssg, CssgConfig};
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::Circuit;
+use satpg::serve::{job_atpg_config, resolve_circuit, CircuitSpec, JobSpec};
 use satpg::stg::synth::complex_gate;
 use satpg::stg::{families, suite, StateGraph};
 
@@ -188,4 +193,56 @@ fn por_identity_on_deep_muller_pipelines() {
     }
     let ckt = arbiter_tree(7);
     assert_por_identity(&ckt, &CssgConfig::default(), "arbiter7");
+}
+
+/// The campaign `spec` describes, run with the CLI's flow configuration
+/// and again with POR off in both settling layers: the naive walk must
+/// complete (no truncated CSSG pair) and give the same records, tests
+/// and totals.
+fn assert_naive_flow_matches(spec: CircuitSpec, ctx: &str) {
+    let spec = JobSpec::new(spec);
+    let ckt = resolve_circuit(&spec.circuit).expect("circuit resolves");
+    let default = job_atpg_config(&spec, &ckt);
+    let mut naive = default.clone();
+    naive.cssg.por = false;
+    naive.three_phase.por = false;
+    let verdicts = |r: &AtpgReport| {
+        let json = r.to_json_value(false);
+        ["records", "tests", "totals"].map(|key| json.get(key).cloned())
+    };
+    match (run_atpg(&ckt, &default), run_atpg(&ckt, &naive)) {
+        (Ok(d), Ok(n)) => {
+            assert_eq!(n.cssg_truncated, 0, "{ctx}: the naive build must complete");
+            assert_eq!(
+                verdicts(&d),
+                verdicts(&n),
+                "{ctx}: naive vs default verdicts"
+            );
+        }
+        // A circuit with no valid vectors fails the same way on both.
+        (Err(_), Err(_)) => {}
+        (d, n) => panic!("{ctx}: default {d:?} vs naive {n:?}"),
+    }
+}
+
+#[test]
+fn naive_flow_matches_default_on_all_bundled_benchmarks() {
+    for &name in suite::NAMES {
+        for style in ["si", "2l"] {
+            let spec = CircuitSpec::Bench {
+                name: name.to_string(),
+                style: style.to_string(),
+            };
+            assert_naive_flow_matches(spec, &format!("{name} {style}"));
+        }
+    }
+}
+
+#[test]
+fn naive_flow_matches_default_on_muller_10() {
+    let spec = CircuitSpec::Family {
+        name: "muller".to_string(),
+        size: 10,
+    };
+    assert_naive_flow_matches(spec, "muller_pipe10");
 }

@@ -19,11 +19,9 @@ fn cfg(workers: usize) -> EngineConfig {
     EngineConfig {
         atpg: AtpgConfig::paper(),
         workers,
-        broadcast: true,
         // The audit re-derives verdicts symbolically; it is orthogonal
         // to the observability layer and would dominate the sweep.
         symbolic_audit: false,
-        cssg_shards: workers,
     }
 }
 
