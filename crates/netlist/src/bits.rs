@@ -45,6 +45,28 @@ impl Bits {
         b
     }
 
+    /// Creates a vector of `len` bits from its backing words, the inverse
+    /// of [`Bits::words`] (low bit of word 0 is bit 0).
+    ///
+    /// # Panics
+    ///
+    /// Panics if `words.len() != len.div_ceil(64)` or a bit at or past
+    /// `len` is set (the representation must stay canonical for the
+    /// derived `Eq`/`Hash`/`Ord`).
+    pub fn from_words(len: usize, words: &[u64]) -> Self {
+        assert_eq!(words.len(), len.div_ceil(64), "word count for {len} bits");
+        if let Some(&top) = words.last() {
+            assert!(
+                len.is_multiple_of(64) || top >> (len % 64) == 0,
+                "bits set past length {len}"
+            );
+        }
+        Bits {
+            len,
+            words: words.to_vec(),
+        }
+    }
+
     /// Parses a `0`/`1` string, most significant position first rejected:
     /// position 0 of the string is bit 0.
     ///
@@ -203,6 +225,22 @@ mod tests {
         for i in 0..130 {
             assert_eq!(b.get(i), i % 3 == 0, "bit {i}");
         }
+    }
+
+    #[test]
+    fn from_words_inverts_words() {
+        let mut b = Bits::zeros(130);
+        for i in [0, 63, 64, 129] {
+            b.set(i, true);
+        }
+        assert_eq!(Bits::from_words(130, b.words()), b);
+        assert_eq!(Bits::from_words(0, &[]), Bits::zeros(0));
+    }
+
+    #[test]
+    #[should_panic(expected = "past length")]
+    fn from_words_rejects_bits_past_len() {
+        Bits::from_words(3, &[0b1000]);
     }
 
     #[test]

@@ -16,13 +16,18 @@
 //!   and adaptive caps ([`CapPolicy`]).  With POR off
 //!   ([`SettlerConfig::por`]) it is the naive reference walk, also
 //!   usable as a nondeterministic oracle to validate emitted tests
-//!   against any gate delays.
+//!   against any gate delays.  It runs on a kernel compiled per
+//!   (circuit, injection) into word-mask gates; [`ternary_settle`],
+//!   [`eval_gate_ternary`], [`eval_gate_inj`] and [`is_excited_inj`]
+//!   are the scalar reference its tests compare against.
 //!
 //! Faults never modify a netlist: every engine accepts an [`Injection`]
 //! that forces gate input pins or gate outputs to constants, so the same
 //! [`satpg_netlist::Circuit`] serves the good machine and all faulty ones.
 
 mod inject;
+mod kernel;
+mod packed;
 mod parallel;
 mod settler;
 mod ternary;

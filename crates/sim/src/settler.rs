@@ -4,8 +4,15 @@
 //! [`Settler`] is the one implementation of the k-bounded settling
 //! semantics (§4.1).  It owns:
 //!
-//! * **frontier expansion with hashed dedup** — the per-depth state set
-//!   of every interleaving, stable states self-looping;
+//! * **a compiled kernel** — the circuit and its fault injection
+//!   compiled once into word-mask gates (`kernel.rs`), so the ternary
+//!   fast path, every excitation test and the POR ample check run on
+//!   packed `u64` state words;
+//! * **a packed frontier** — the per-depth state set of every
+//!   interleaving in a flat word arena with an open-addressing index
+//!   (`packed.rs`), each state carrying its excited-gate mask, which a
+//!   firing updates incrementally; stable states self-loop, and every
+//!   frontier is expanded in ascending `Bits` order;
 //! * **partial-order reduction** (POR) — a persistent-singleton rule:
 //!   when an excited gate provably commutes with everything that could
 //!   fire before it, only *its* interleaving is explored, collapsing the
@@ -20,9 +27,11 @@
 //! With POR off ([`SettlerConfig::por`]) the walker is the naive
 //! reference walk that the property tests compare the reduction against.
 
-use crate::inject::{is_excited_inj, Injection};
-use crate::ternary::{eval_gate_ternary, ternary_settle, TernaryOutcome, Trit, TritVec};
-use satpg_netlist::{Bits, Circuit, GateId, GateKind, IntoPattern};
+use crate::inject::Injection;
+use crate::kernel::{DualRail, Kernel};
+use crate::packed::PackedSet;
+use crate::ternary::TritVec;
+use satpg_netlist::{Bits, Circuit, GateId, IntoPattern, Pattern};
 use std::collections::BTreeSet;
 
 /// How the cap on the tracked interleaving set is chosen.
@@ -73,12 +82,17 @@ impl CapPolicy {
                 gates_per_doubling,
                 ceil,
             } => {
-                let doublings = (num_gates / gates_per_doubling.max(1)) as u32;
-                floor
-                    .checked_shl(doublings)
-                    .unwrap_or(usize::MAX)
-                    .min(ceil)
-                    .max(floor)
+                let doublings = num_gates / gates_per_doubling.max(1);
+                // Saturate: a shift that would push a set bit past the
+                // top is "unbounded", never a wrapped small number.
+                let scaled = if floor == 0 {
+                    0
+                } else if doublings < floor.leading_zeros() as usize {
+                    floor << doublings
+                } else {
+                    usize::MAX
+                };
+                scaled.min(ceil).max(floor)
             }
         }
     }
@@ -222,108 +236,60 @@ impl SettleStats {
     }
 }
 
-/// Result of one frontier step.
-enum Step {
-    /// The next frontier and whether any expanded state was unstable.
-    Next(BTreeSet<Bits>, bool),
-    /// The frontier blew the cap.
-    Truncated,
-}
-
-/// Result of the bounded (depth-`k`) phase.
+/// Result of the bounded (depth-`k`) phase; the frontier is left in
+/// `Settler::cur`.
 enum Bounded {
     /// Every interleaving stabilized: the frontier is the settled set.
-    Settled(BTreeSet<Bits>),
+    Settled,
     /// Depth `k` was reached with switching still in flight.
-    Unsettled(BTreeSet<Bits>),
+    Unsettled,
     /// A tracked set blew the cap.
     Truncated,
 }
 
 /// The unified settling engine.  One instance per (circuit, injection,
-/// config) triple; reuse it across calls to amortize the dependency
-/// precomputation and to accumulate [`SettleStats`].
+/// config) triple; reuse it across calls to amortize the compiled
+/// kernel and the frontier buffers and to accumulate [`SettleStats`].
 pub struct Settler<'c> {
     ckt: &'c Circuit,
-    inj: Injection,
     k: usize,
     cap: usize,
     por: bool,
     fast_path: bool,
-    /// Per gate: the signals its evaluation reads under the injection
-    /// (forced pins removed; the gate's own output added for state-holding
-    /// kinds).  The commutation support of the POR rule.
-    deps: Vec<Vec<usize>>,
-    /// Per signal: the gates whose evaluation reads it (inverse of
-    /// `deps`).
-    readers: Vec<Vec<GateId>>,
-    /// Scratch of the ample check, reused across calls: the frozen
-    /// fixpoint's ternary state, and its worklist of gates to evaluate
-    /// (which doubles as the undo log between candidates).
-    reach: TritVec,
-    work: Vec<GateId>,
+    kernel: Kernel,
+    /// Dual-rail scratch of the fast path and the ample check.
+    dual: DualRail,
+    /// The frontier being expanded and the one being built: each entry
+    /// a state and its excitation mask (bit `out(g)` set iff gate `g` is
+    /// excited).
+    cur: PackedSet,
+    next: PackedSet,
+    /// The oscillation closure's union (states only).
+    union: PackedSet,
+    /// Scratch state: a walk's start, or a successor being built.
+    succ: Vec<u64>,
     stats: SettleStats,
 }
 
 impl<'c> Settler<'c> {
     /// Builds a settler for `ckt` under `inj`.
     pub fn new(ckt: &'c Circuit, inj: &Injection, cfg: &SettlerConfig) -> Self {
-        let ng = ckt.num_gates();
-        // The dependency tables only feed the ample-singleton check, so
-        // naive-mode settlers skip building them.
-        let (deps, readers) = if cfg.por {
-            let mut deps: Vec<Vec<usize>> = Vec::with_capacity(ng);
-            for i in 0..ng {
-                let g = GateId(i as u32);
-                deps.push(Self::deps_of(ckt, g, inj));
-            }
-            let mut readers: Vec<Vec<GateId>> = vec![Vec::new(); ckt.num_state_bits()];
-            for (i, d) in deps.iter().enumerate() {
-                for &s in d {
-                    readers[s].push(GateId(i as u32));
-                }
-            }
-            (deps, readers)
-        } else {
-            (Vec::new(), Vec::new())
-        };
+        let kernel = Kernel::new(ckt, inj);
+        let w = kernel.words();
         Settler {
             ckt,
-            inj: inj.clone(),
             k: cfg.k,
-            cap: cfg.cap.resolve(ng),
+            cap: cfg.cap.resolve(ckt.num_gates()),
             por: cfg.por,
             fast_path: cfg.ternary_fast_path,
-            deps,
-            readers,
-            reach: TritVec(Vec::new()),
-            work: Vec::new(),
+            kernel,
+            dual: DualRail::new(w),
+            cur: PackedSet::new(w, 2 * w),
+            next: PackedSet::new(w, 2 * w),
+            union: PackedSet::new(w, w),
+            succ: vec![0; w],
             stats: SettleStats::default(),
         }
-    }
-
-    /// The signals gate `g`'s evaluation depends on, under the injection:
-    /// unforced input pins, plus the gate's own output when the function
-    /// reads it (C-elements hold state).  A forced output empties the
-    /// set (the evaluation is constant).
-    fn deps_of(ckt: &Circuit, g: GateId, inj: &Injection) -> Vec<usize> {
-        if inj.output_force(g).is_some() {
-            return Vec::new();
-        }
-        let gate = ckt.gate(g);
-        let mut d: Vec<usize> = gate
-            .inputs
-            .iter()
-            .enumerate()
-            .filter(|(p, _)| inj.pin_force(g, *p).is_none())
-            .map(|(_, s)| s.index())
-            .collect();
-        if matches!(gate.kind, GateKind::C) {
-            d.push(ckt.gate_output(g).index());
-        }
-        d.sort_unstable();
-        d.dedup();
-        d
     }
 
     /// Counters accumulated so far.
@@ -354,34 +320,38 @@ impl<'c> Settler<'c> {
         let pattern = pattern.into_pattern(self.ckt.num_inputs());
         self.stats.settles += 1;
         if self.fast_path {
-            if let TernaryOutcome::Definite(b) = ternary_settle(self.ckt, from, &pattern, &self.inj)
-            {
+            if let Some(b) = self.ternary(from, &pattern) {
                 return Settle::Confluent(b);
             }
         }
-        let start = self.ckt.with_inputs(from, &pattern);
-        let por = self.por;
         // Only the exhaustive analyses get spans: fast-path hits are
         // cheap ternary sims that would drown a trace in noise.
         let _span = satpg_trace::span!("settle", k = self.k, por = self.por as u8);
-        match self.bounded_walk(BTreeSet::from([start]), por) {
+        self.start([from], &pattern);
+        match self.bounded_walk(self.por) {
             Bounded::Truncated => {
                 self.stats.truncated += 1;
                 Settle::Truncated
             }
-            Bounded::Settled(frontier) | Bounded::Unsettled(frontier) => {
-                let (stable, unstable): (Vec<Bits>, Vec<Bits>) =
-                    frontier.into_iter().partition(|s| {
-                        (0..self.ckt.num_gates())
-                            .all(|i| !is_excited_inj(self.ckt, GateId(i as u32), s, &self.inj))
-                    });
+            Bounded::Settled | Bounded::Unsettled => {
+                let n = self.kernel.num_bits();
+                self.cur.sort();
+                let (mut stable, mut unstable) = (Vec::new(), Vec::new());
+                for &i in self.cur.sorted() {
+                    let (s, e) = self.cur.entry(i as usize);
+                    let side = if e.iter().all(|&w| w == 0) {
+                        &mut stable
+                    } else {
+                        &mut unstable
+                    };
+                    side.push(Bits::from_words(n, s));
+                }
                 if !unstable.is_empty() {
-                    let mut all = stable;
-                    all.extend(unstable);
-                    return Settle::Unstable(all);
+                    stable.extend(unstable);
+                    return Settle::Unstable(stable);
                 }
                 match stable.len() {
-                    1 => Settle::Confluent(stable.into_iter().next().expect("len checked")),
+                    1 => Settle::Confluent(stable.pop().expect("len checked")),
                     _ => Settle::NonConfluent(stable),
                 }
             }
@@ -406,18 +376,14 @@ impl<'c> Settler<'c> {
         // under injection: definite means every interleaving agrees).
         if self.fast_path && from.len() == 1 {
             let only = from.iter().next().expect("len checked");
-            if let TernaryOutcome::Definite(b) = ternary_settle(self.ckt, only, &pattern, &self.inj)
-            {
+            if let Some(b) = self.ternary(only, &pattern) {
                 return SetSettle::Set(BTreeSet::from([b]));
             }
         }
-        let start: BTreeSet<Bits> = from
-            .iter()
-            .map(|s| self.ckt.with_inputs(s, &pattern))
-            .collect();
         if self.por {
-            match self.bounded_walk(start.clone(), true) {
-                Bounded::Settled(set) => return SetSettle::Set(set),
+            self.start(from, &pattern);
+            match self.bounded_walk(true) {
+                Bounded::Settled => return SetSettle::Set(self.states(&self.cur)),
                 // The reduced frontier is a subset of the naive one at
                 // every depth, so a reduced truncation implies a naive
                 // truncation: no fallback can rescue it.
@@ -425,60 +391,88 @@ impl<'c> Settler<'c> {
                     self.stats.truncated += 1;
                     return SetSettle::Truncated;
                 }
-                Bounded::Unsettled(_) => self.stats.fallbacks += 1,
+                Bounded::Unsettled => self.stats.fallbacks += 1,
             }
         }
-        match self.bounded_walk(start, false) {
-            Bounded::Settled(set) => SetSettle::Set(set),
+        self.start(from, &pattern);
+        match self.bounded_walk(false) {
+            Bounded::Settled => SetSettle::Set(self.states(&self.cur)),
             Bounded::Truncated => {
                 self.stats.truncated += 1;
                 SetSettle::Truncated
             }
-            Bounded::Unsettled(frontier) => self.closure(frontier),
+            Bounded::Unsettled => self.closure(),
         }
     }
 
-    /// The depth-`k` frontier walk shared by both analyses.
-    fn bounded_walk(&mut self, start: BTreeSet<Bits>, por: bool) -> Bounded {
-        let mut frontier = start;
-        // Input application was step 1; k-1 gate steps remain.
-        for _ in 1..self.k.max(1) {
-            match self.step(&frontier, por) {
-                Step::Truncated => return Bounded::Truncated,
-                Step::Next(next, any_unstable) => {
-                    frontier = next;
-                    if !any_unstable {
-                        return Bounded::Settled(frontier);
-                    }
-                }
+    /// The ternary fast path on `from` with `pattern` applied: the
+    /// settled state when algorithms A and B leave no Φ.
+    fn ternary(&mut self, from: &Bits, pattern: &Pattern) -> Option<Bits> {
+        self.succ.copy_from_slice(from.words());
+        self.kernel.apply(&mut self.succ, pattern);
+        self.kernel.ternary_settle(&mut self.dual, &self.succ);
+        let n = self.kernel.num_bits();
+        self.dual.definite().map(|s| Bits::from_words(n, s))
+    }
+
+    /// Loads the walk's start frontier: every `from` state with
+    /// `pattern` applied, with its excitation mask.
+    fn start<'a>(&mut self, from: impl IntoIterator<Item = &'a Bits>, pattern: &Pattern) {
+        self.cur.clear();
+        for s in from {
+            self.succ.copy_from_slice(s.words());
+            self.kernel.apply(&mut self.succ, pattern);
+            if let Some(i) = self.cur.insert(&self.succ) {
+                self.kernel.excitation(&self.succ, self.cur.payload_mut(i));
             }
         }
-        Bounded::Unsettled(frontier)
+    }
+
+    /// The states of `set` (the frontier or the closure's union).
+    fn states(&self, set: &PackedSet) -> BTreeSet<Bits> {
+        let n = self.kernel.num_bits();
+        (0..set.len())
+            .map(|i| Bits::from_words(n, set.key(i)))
+            .collect()
+    }
+
+    /// The depth-`k` frontier walk shared by both analyses, from the
+    /// frontier in `cur`.
+    fn bounded_walk(&mut self, por: bool) -> Bounded {
+        // Input application was step 1; k-1 gate steps remain.
+        for _ in 1..self.k.max(1) {
+            match self.step(por) {
+                None => return Bounded::Truncated,
+                Some(false) => return Bounded::Settled,
+                Some(true) => {}
+            }
+        }
+        Bounded::Unsettled
     }
 
     /// Oscillation closure (naive only): union further frontiers until
     /// nothing new appears — once a step adds no states, no later step
     /// can (the step image of a subset of the union stays inside it).
-    fn closure(&mut self, mut frontier: BTreeSet<Bits>) -> SetSettle {
-        let mut union = frontier.clone();
+    fn closure(&mut self) -> SetSettle {
+        self.union.clear();
+        for i in 0..self.cur.len() {
+            self.union.insert(self.cur.key(i));
+        }
         for _ in 0..4 * self.k + 4 {
-            let (next, any_unstable) = match self.step(&frontier, false) {
-                Step::Truncated => {
-                    self.stats.truncated += 1;
-                    return SetSettle::Truncated;
-                }
-                Step::Next(n, u) => (n, u),
+            let Some(any_unstable) = self.step(false) else {
+                self.stats.truncated += 1;
+                return SetSettle::Truncated;
             };
-            let before = union.len();
-            for s in next.iter() {
-                if !self.capped_insert(&mut union, s.clone()) {
+            let before = self.union.len();
+            for i in 0..self.cur.len() {
+                self.union.insert(self.cur.key(i));
+                if self.union.len() > self.cap {
                     self.stats.truncated += 1;
                     return SetSettle::Truncated;
                 }
             }
-            frontier = next;
-            if !any_unstable || union.len() == before {
-                return SetSettle::Set(union);
+            if !any_unstable || self.union.len() == before {
+                return SetSettle::Set(self.states(&self.union));
             }
         }
         // Still growing: the closure is incomplete, so claiming any
@@ -487,175 +481,86 @@ impl<'c> Settler<'c> {
         SetSettle::Truncated
     }
 
-    /// The single checked-insert path every tracked set goes through:
-    /// a set may hold exactly `cap` states; the insert that would make
-    /// it `cap + 1` reports truncation.  Returns `false` on truncation.
-    fn capped_insert(&self, set: &mut BTreeSet<Bits>, s: Bits) -> bool {
-        set.insert(s);
-        set.len() <= self.cap
-    }
-
-    /// One synchronous frontier step: every stable state self-loops,
-    /// every unstable state is replaced by its one-step successors
-    /// (POR-reduced to the ample gate's successor where the rule fires).
-    fn step(&mut self, frontier: &BTreeSet<Bits>, por: bool) -> Step {
-        let mut next = BTreeSet::new();
-        let mut any_unstable = false;
-        for s in frontier {
-            let (succs, unstable, stats) = self.expand(s, por);
-            self.stats.states_explored += 1;
-            self.stats.por_states += stats.0;
-            self.stats.por_pruned += stats.1;
-            any_unstable |= unstable;
-            for t in succs {
-                if !self.capped_insert(&mut next, t) {
-                    return Step::Truncated;
-                }
-            }
-        }
-        Step::Next(next, any_unstable)
-    }
-
-    /// Expands one state: its successor list, whether it was unstable,
-    /// and `(por_states, por_pruned)` deltas.
-    fn expand(&mut self, s: &Bits, por: bool) -> (Vec<Bits>, bool, (u64, u64)) {
-        let ckt = self.ckt;
-        let excited = self.excited(s);
-        if excited.is_empty() {
-            return (vec![s.clone()], false, (0, 0));
-        }
-        let fire = |g: GateId| -> Bits {
-            let mut t = s.clone();
-            t.toggle(ckt.gate_output(g).index());
-            t
-        };
-        if por && excited.len() >= 2 {
-            if let Some(g) = self.ample(s, &excited) {
-                return (vec![fire(g)], true, (1, (excited.len() - 1) as u64));
-            }
-        }
-        (excited.into_iter().map(fire).collect(), true, (0, 0))
-    }
-
-    /// The gates excited in `s` under the injection, in id order.
-    fn excited(&self, s: &Bits) -> Vec<GateId> {
-        (0..self.ckt.num_gates())
-            .map(|i| GateId(i as u32))
-            .filter(|&g| is_excited_inj(self.ckt, g, s, &self.inj))
-            .collect()
-    }
-
-    /// Persistent-singleton selection: the first excited gate (in id
-    /// order, for determinism) whose firing provably commutes with every
-    /// transition that could precede it.
+    /// One synchronous frontier step, `cur` to `next` (then swapped):
+    /// every stable state self-loops, every unstable state is replaced by
+    /// its one-step successors (POR-reduced to the ample gate's successor
+    /// where the rule fires).  Returns whether any expanded state was
+    /// unstable, or `None` when `next` blew the cap.
     ///
-    /// Candidate `g` qualifies when a ternary reachability fixpoint from
-    /// `s` **with `g` frozen** (an over-approximation of every run that
-    /// does not fire `g`) shows that
-    ///
-    /// 1. no signal in `g`'s support can change — `g` stays excited with
-    ///    the same target value until it fires, and everything fireable
-    ///    before it leaves `g` alone; and
-    /// 2. no gate reading `g`'s output can fire — firing `g` first does
-    ///    not change what any of those runs do.
-    ///
-    /// Together these make `{g}` a persistent set in `s`: every maximal
-    /// interleaving permutes to one firing `g` first, preserving run
-    /// lengths and the reachable settled states exactly
-    /// (`crates/sim/DESIGN.md`).
-    fn ample(&mut self, s: &Bits, excited: &[GateId]) -> Option<GateId> {
-        self.load_reach(s);
-        excited.iter().copied().find(|&g| {
-            self.frozen_reach(excited, g);
-            let ok = self.commutes(g);
-            self.undo_reach(s);
-            ok
-        })
-    }
-
-    /// Conditions (1) and (2) of [`Settler::ample`] on the fixpoint in
-    /// `reach` with `g` frozen.
-    fn commutes(&self, g: GateId) -> bool {
-        let reach = &self.reach.0;
-        // (1) The support of g stays definite (lub only moves values
-        // to X, so definite means unchanged in every avoided run).
-        let support_fixed = self.deps[g.index()].iter().all(|&d| reach[d] != Trit::X);
-        // (2) Nothing that reads out(g) can fire before g does.
-        support_fixed
-            && self.readers[self.ckt.gate_output(g).index()]
-                .iter()
-                .all(|&h| h == g || reach[self.ckt.gate_output(h).index()] != Trit::X)
-    }
-
-    /// Algorithm A (monotone lub fixpoint) with `frozen`'s output pinned
-    /// at its current value, computed on `reach` (which holds the state
-    /// `s` on entry): the X positions over-approximate every signal that
-    /// can differ from `s` in any run that never fires `frozen`.
-    ///
-    /// Event-driven: only a gate excited in `s` can move first, and a
-    /// gate can only move after one of the signals it reads has, so the
-    /// worklist starts from `excited` and follows `readers`.  Each
-    /// signal moves at most once (definite to X), so the work is
-    /// proportional to the frozen cone rather than to sweeps over every
-    /// gate, and the result is the same least fixpoint a Gauss–Seidel
-    /// sweep reaches.
-    fn frozen_reach(&mut self, excited: &[GateId], frozen: GateId) {
+    /// A set may hold exactly `cap` states; the insert that would make it
+    /// `cap + 1` truncates.  The frontier is expanded in ascending `Bits`
+    /// order and each state's successors in gate order, so the point
+    /// where a step crosses the cap — and with it every counter of a
+    /// truncated analysis — is a function of the frontier alone.
+    fn step(&mut self, por: bool) -> Option<bool> {
         let Settler {
-            ckt,
-            inj,
-            readers,
-            reach,
-            work,
+            kernel,
+            dual,
+            cur,
+            next,
+            succ,
+            stats,
+            cap,
             ..
         } = self;
-        work.clear();
-        work.extend(excited.iter().copied().filter(|&h| h != frozen));
-        let mut next = 0;
-        while let Some(&h) = work.get(next) {
-            next += 1;
-            let out = ckt.gate_output(h).index();
-            if reach.0[out] == Trit::X || eval_gate_ternary(ckt, h, reach, inj) == reach.0[out] {
+        let cap = *cap;
+        cur.sort();
+        next.clear();
+        let mut any_unstable = false;
+        // Inserts `s` with gate `fired` fired (a stable state self-loops
+        // with `None`), its excitation updated from `e`; `false` once
+        // `next` exceeds the cap.
+        let mut push = |s: &[u64], e: &[u64], fired: Option<usize>| {
+            succ.copy_from_slice(s);
+            if let Some(g) = fired {
+                let (w, bit) = kernel.output(g);
+                succ[w] ^= bit;
+            }
+            if let Some(j) = next.insert(succ) {
+                let te = next.payload_mut(j);
+                te.copy_from_slice(e);
+                if let Some(g) = fired {
+                    kernel.refire(g, succ, te);
+                }
+            }
+            next.len() <= cap
+        };
+        for &i in cur.sorted() {
+            let (s, e) = cur.entry(i as usize);
+            stats.states_explored += 1;
+            let excited: u32 = e.iter().map(|w| w.count_ones()).sum();
+            if excited == 0 {
+                if !push(s, e, None) {
+                    return None;
+                }
                 continue;
             }
-            reach.0[out] = Trit::X;
-            work.extend(
-                readers[out]
-                    .iter()
-                    .copied()
-                    .filter(|&r| r != frozen && reach.0[ckt.gate_output(r).index()] != Trit::X),
-            );
+            any_unstable = true;
+            if por && excited >= 2 {
+                if let Some(g) = kernel.ample(dual, s, e) {
+                    stats.por_states += 1;
+                    stats.por_pruned += u64::from(excited - 1);
+                    if !push(s, e, Some(g)) {
+                        return None;
+                    }
+                    continue;
+                }
+            }
+            if !kernel.each_gate(e, |g| push(s, e, Some(g))) {
+                return None;
+            }
         }
+        std::mem::swap(cur, next);
+        Some(any_unstable)
     }
 
-    /// Loads the state `s` into the `reach` scratch, keeping its buffer.
-    fn load_reach(&mut self, s: &Bits) {
-        self.reach.0.clear();
-        self.reach.0.extend(s.iter().map(Trit::from_bool));
-    }
-
-    /// Restores `reach` to the state `s` after [`Settler::frozen_reach`]:
-    /// every position it moved is the output of a gate on the worklist.
-    fn undo_reach(&mut self, s: &Bits) {
-        for &h in &self.work {
-            let out = self.ckt.gate_output(h).index();
-            self.reach.0[out] = Trit::from_bool(s.get(out));
-        }
-    }
-
-    /// The fixpoint [`Settler::ample`] tests candidate `frozen` against
-    /// in state `s`: every signal that can differ from `s` in a run that
+    /// The fixpoint the ample check tests candidate `frozen` against in
+    /// state `s`: every signal that can differ from `s` in a run that
     /// never fires `frozen` is X.  Exposed so property tests can pin the
     /// event-driven computation against a sweep to the fixpoint.
-    ///
-    /// # Panics
-    ///
-    /// Panics on a settler built with POR off (no reader tables).
     pub fn frozen_fixpoint(&mut self, s: &Bits, frozen: GateId) -> TritVec {
-        assert!(self.por, "frozen_fixpoint needs a POR settler");
-        let excited = self.excited(s);
-        self.load_reach(s);
-        self.frozen_reach(&excited, frozen);
-        self.reach.clone()
+        self.kernel
+            .frozen_fixpoint(&mut self.dual, s.words(), frozen.index())
     }
 }
 
@@ -663,7 +568,8 @@ impl<'c> Settler<'c> {
 mod tests {
     use super::*;
     use crate::inject::Site;
-    use satpg_netlist::{library, Pattern};
+    use crate::ternary::{ternary_settle, TernaryOutcome};
+    use satpg_netlist::library;
 
     fn naive_cfg(ckt: &Circuit) -> SettlerConfig {
         SettlerConfig {
@@ -839,11 +745,42 @@ mod tests {
             .resolve(4),
             8 << 4
         );
+        // The three-phase set cap (`ThreePhaseConfig::scaled`).
+        let set = CapPolicy::Scaled {
+            floor: 4096,
+            gates_per_doubling: 4,
+            ceil: 1 << 20,
+        };
+        // Past 51 (set) or 48 (settle) doublings the floor's set bit
+        // would shift past bit 63: the cap saturates at the ceiling
+        // instead of wrapping back to the floor.
+        for (gates, settle, set_cap) in [
+            (206, 1 << 22, 1 << 20),
+            (208, 1 << 22, 1 << 20),
+            (254, 1 << 22, 1 << 20),
+            (258, 1 << 22, 1 << 20),
+            (391, 1 << 22, 1 << 20),
+            (392, 1 << 22, 1 << 20),
+            (511, 1 << 22, 1 << 20),
+            (512, 1 << 22, 1 << 20),
+        ] {
+            assert_eq!(s.resolve(gates), settle, "settle cap at {gates} gates");
+            assert_eq!(set.resolve(gates), set_cap, "set cap at {gates} gates");
+        }
+        // More gates never mean a smaller cap.
+        for policy in [s, set] {
+            for gates in 1..=1024 {
+                assert!(
+                    policy.resolve(gates) >= policy.resolve(gates - 1),
+                    "{policy:?} shrinks at {gates} gates"
+                );
+            }
+        }
     }
 
-    /// The consolidated checked-insert path: a set may hold exactly
-    /// `cap` states, and the insert making it `cap + 1` truncates —
-    /// pinning the boundary the old duplicated checks disagreed about.
+    /// The one cap rule: a set may hold exactly `cap` states, and the
+    /// insert making it `cap + 1` truncates — pinning the boundary the
+    /// old duplicated checks disagreed about.
     #[test]
     fn exact_cap_boundary() {
         let c = library::figure1a();
@@ -978,6 +915,170 @@ mod tests {
             por.stats(),
             naive.stats()
         );
+    }
+
+    /// Up to `limit` stable states reachable from reset by confluent
+    /// settles, in breadth-first order.
+    fn reachable_states(ckt: &Circuit, limit: usize) -> Vec<Bits> {
+        let mut settler = Settler::new(ckt, &Injection::none(), &SettlerConfig::for_circuit(ckt));
+        let mut seen = vec![ckt.initial_state().clone()];
+        let mut next = 0;
+        while next < seen.len() && seen.len() < limit {
+            let s = seen[next].clone();
+            next += 1;
+            for p in Pattern::all(ckt.num_inputs()) {
+                if let Settle::Confluent(t) = settler.settle(&s, &p) {
+                    if seen.len() < limit && !seen.contains(&t) {
+                        seen.push(t);
+                    }
+                }
+            }
+        }
+        seen
+    }
+
+    /// Folds a payload into a running checksum, in payload order.
+    fn fold_states<'a>(h: &mut u64, states: impl IntoIterator<Item = &'a Bits>) {
+        for s in states {
+            for &w in s.words() {
+                *h = (*h ^ w).wrapping_mul(0x0100_0000_01b3);
+            }
+            *h = (*h ^ 0xff).wrapping_mul(0x0100_0000_01b3);
+        }
+    }
+
+    /// Absolute counters of settles cut mid-step by a small fixed cap.
+    /// Where a walk crosses the cap inside a step, `states_explored`,
+    /// `por_*` and the truncation count depend on the order the frontier
+    /// is expanded in (ascending `Bits`, successors in gate order); the
+    /// payload checksums pin the order of `NonConfluent`/`Unstable`
+    /// payloads.  Caps of 3 and up truncate with at least `cap` states
+    /// already in the next frontier.  Every pattern is applied to each
+    /// of the first reachable stable states, through `settle` and
+    /// through `settle_set` (singleton and two-state from-sets).
+    #[test]
+    fn truncation_counters_pinned() {
+        type Row = (&'static str, bool, usize, [u32; 4], SettleStats, u64);
+        let stats = |s: [u64; 6]| SettleStats {
+            settles: s[0],
+            states_explored: s[1],
+            por_states: s[2],
+            por_pruned: s[3],
+            truncated: s[4],
+            fallbacks: s[5],
+        };
+        let mut got: Vec<Row> = Vec::new();
+        for (name, ckt) in [
+            ("muller8", satpg_netlist::families::muller_pipeline(8)),
+            ("arbiter4", satpg_netlist::families::arbiter_tree(4)),
+        ] {
+            let starts = reachable_states(&ckt, 6);
+            for por in [false, true] {
+                for cap in [2usize, 3, 5, 9, 17] {
+                    let cfg = SettlerConfig {
+                        cap: CapPolicy::Fixed(cap),
+                        por,
+                        ternary_fast_path: false,
+                        ..SettlerConfig::for_circuit(&ckt)
+                    };
+                    let mut st = Settler::new(&ckt, &Injection::none(), &cfg);
+                    let mut kinds = [0u32; 4];
+                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    for s in &starts {
+                        for p in Pattern::all(ckt.num_inputs()) {
+                            match st.settle(s, &p) {
+                                Settle::Confluent(b) => {
+                                    kinds[0] += 1;
+                                    fold_states(&mut h, [&b]);
+                                }
+                                Settle::NonConfluent(v) => {
+                                    kinds[1] += 1;
+                                    fold_states(&mut h, &v);
+                                }
+                                Settle::Unstable(v) => {
+                                    kinds[2] += 1;
+                                    fold_states(&mut h, &v);
+                                }
+                                Settle::Truncated => kinds[3] += 1,
+                            }
+                        }
+                    }
+                    got.push((name, por, cap, kinds, st.take_stats(), h));
+                    // Set walks: sets of 0, 1 and 2+ states, then truncations.
+                    let mut kinds = [0u32; 4];
+                    let mut h = 0xcbf2_9ce4_8422_2325u64;
+                    let froms = starts.iter().map(|s| BTreeSet::from([s.clone()])).chain(
+                        starts
+                            .windows(2)
+                            .map(|w| BTreeSet::from([w[0].clone(), w[1].clone()])),
+                    );
+                    for from in froms {
+                        for p in Pattern::all(ckt.num_inputs()) {
+                            match st.settle_set(&from, &p) {
+                                SetSettle::Set(set) => {
+                                    kinds[set.len().min(2)] += 1;
+                                    fold_states(&mut h, &set);
+                                }
+                                SetSettle::Truncated => kinds[3] += 1,
+                            }
+                        }
+                    }
+                    got.push((name, por, cap, kinds, st.take_stats(), h));
+                }
+            }
+        }
+        #[rustfmt::skip]
+        let want: Vec<Row> = vec![
+            ("muller8", false, 2, [12, 0, 0, 12], stats([24, 79, 0, 0, 12, 0]), 0xd204eb3f06a9851d),
+            ("muller8", false, 2, [0, 14, 2, 28], stats([44, 179, 0, 0, 28, 0]), 0xf7062ad0fe0a603e),
+            ("muller8", false, 3, [12, 0, 0, 12], stats([24, 121, 0, 0, 12, 0]), 0xd204eb3f06a9851d),
+            ("muller8", false, 3, [0, 14, 2, 28], stats([44, 260, 0, 0, 28, 0]), 0xf7062ad0fe0a603e),
+            ("muller8", false, 5, [12, 0, 0, 12], stats([24, 168, 0, 0, 12, 0]), 0xd204eb3f06a9851d),
+            ("muller8", false, 5, [0, 14, 2, 28], stats([44, 418, 0, 0, 28, 0]), 0xf7062ad0fe0a603e),
+            ("muller8", false, 9, [12, 0, 0, 12], stats([24, 255, 0, 0, 12, 0]), 0xd204eb3f06a9851d),
+            ("muller8", false, 9, [0, 14, 2, 28], stats([44, 658, 0, 0, 28, 0]), 0xf7062ad0fe0a603e),
+            ("muller8", false, 17, [14, 0, 0, 10], stats([24, 498, 0, 0, 10, 0]), 0x806f8397536e4662),
+            ("muller8", false, 17, [0, 16, 3, 25], stats([44, 1215, 0, 0, 25, 0]), 0x571989b2504d8631),
+            ("muller8", true, 2, [22, 2, 0, 0], stats([24, 238, 118, 148, 0, 0]), 0x4041d36de01dc292),
+            ("muller8", true, 2, [0, 30, 12, 2], stats([44, 806, 313, 393, 2, 0]), 0xb69e56f5b99b6574),
+            ("muller8", true, 3, [22, 2, 0, 0], stats([24, 238, 118, 148, 0, 0]), 0x4041d36de01dc292),
+            ("muller8", true, 3, [0, 30, 14, 0], stats([44, 822, 315, 395, 0, 0]), 0x88350443c7c7b320),
+            ("muller8", true, 5, [22, 2, 0, 0], stats([24, 238, 118, 148, 0, 0]), 0x4041d36de01dc292),
+            ("muller8", true, 5, [0, 30, 14, 0], stats([44, 822, 315, 395, 0, 0]), 0x88350443c7c7b320),
+            ("muller8", true, 9, [22, 2, 0, 0], stats([24, 238, 118, 148, 0, 0]), 0x4041d36de01dc292),
+            ("muller8", true, 9, [0, 30, 14, 0], stats([44, 822, 315, 395, 0, 0]), 0x88350443c7c7b320),
+            ("muller8", true, 17, [22, 2, 0, 0], stats([24, 238, 118, 148, 0, 0]), 0x4041d36de01dc292),
+            ("muller8", true, 17, [0, 30, 14, 0], stats([44, 822, 315, 395, 0, 0]), 0x88350443c7c7b320),
+            ("arbiter4", false, 2, [60, 5, 0, 31], stats([96, 272, 0, 0, 31, 0]), 0x4c4cb639aec1e2b7),
+            ("arbiter4", false, 2, [0, 67, 6, 103], stats([176, 419, 0, 0, 103, 0]), 0x25cd67321571eb8e),
+            ("arbiter4", false, 3, [72, 5, 0, 19], stats([96, 418, 0, 0, 19, 0]), 0x0f95bf84ba70e73b),
+            ("arbiter4", false, 3, [0, 98, 17, 61], stats([176, 753, 0, 0, 61, 0]), 0x6d04c214c044bf4c),
+            ("arbiter4", false, 5, [75, 15, 0, 6], stats([96, 595, 0, 0, 6, 0]), 0x7aa9c24e1f53824d),
+            ("arbiter4", false, 5, [0, 114, 42, 20], stats([176, 1401, 0, 0, 20, 0]), 0x0b6e5a369f0b02d6),
+            ("arbiter4", false, 9, [76, 19, 0, 1], stats([96, 761, 0, 0, 1, 0]), 0x22a5be2b0adc3537),
+            ("arbiter4", false, 9, [0, 116, 54, 6], stats([176, 1867, 0, 0, 6, 0]), 0xefe810a22afce1c2),
+            ("arbiter4", false, 17, [76, 20, 0, 0], stats([96, 802, 0, 0, 0, 0]), 0x90c1f281d748fd5f),
+            ("arbiter4", false, 17, [0, 117, 59, 0], stats([176, 2140, 0, 0, 0, 0]), 0xc014ba4d2cdbc450),
+            ("arbiter4", true, 2, [76, 19, 0, 1], stats([96, 429, 134, 198, 1, 0]), 0x22a5be2b0adc3537),
+            ("arbiter4", true, 2, [0, 117, 47, 12], stats([176, 1094, 348, 518, 12, 0]), 0x8991e55e4f1c71e7),
+            ("arbiter4", true, 3, [76, 19, 0, 1], stats([96, 429, 134, 198, 1, 0]), 0x22a5be2b0adc3537),
+            ("arbiter4", true, 3, [0, 117, 57, 2], stats([176, 1170, 352, 522, 2, 0]), 0x3002ee6efba7e640),
+            ("arbiter4", true, 5, [76, 20, 0, 0], stats([96, 455, 138, 204, 0, 0]), 0x90c1f281d748fd5f),
+            ("arbiter4", true, 5, [0, 117, 58, 1], stats([176, 1196, 356, 528, 1, 0]), 0xb3d224740f8e7588),
+            ("arbiter4", true, 9, [76, 20, 0, 0], stats([96, 455, 138, 204, 0, 0]), 0x90c1f281d748fd5f),
+            ("arbiter4", true, 9, [0, 117, 59, 0], stats([176, 1225, 360, 534, 0, 0]), 0xc014ba4d2cdbc450),
+            ("arbiter4", true, 17, [76, 20, 0, 0], stats([96, 455, 138, 204, 0, 0]), 0x90c1f281d748fd5f),
+            ("arbiter4", true, 17, [0, 117, 59, 0], stats([176, 1225, 360, 534, 0, 0]), 0xc014ba4d2cdbc450),
+        ];
+        if got != want {
+            for (name, por, cap, kinds, s, h) in &got {
+                println!(
+                    "(\"{name}\", {por}, {cap}, {kinds:?}, stats([{}, {}, {}, {}, {}, {}]), {h:#018x}),",
+                    s.settles, s.states_explored, s.por_states, s.por_pruned, s.truncated, s.fallbacks
+                );
+            }
+            panic!("truncation counters moved; the table above is the new value");
+        }
     }
 
     #[test]
