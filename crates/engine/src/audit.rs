@@ -195,4 +195,25 @@ mod tests {
         }
         assert!(aud.unique_len() > 0, "relation BDD is non-trivial");
     }
+
+    /// The relation's node count is deterministic: one node per distinct
+    /// row prefix.  Audited campaigns report a worker's peak, which adds
+    /// the nodes of its replays and so varies with how the tests split.
+    #[test]
+    fn relation_sizes_are_pinned() {
+        let dme = {
+            let stg = satpg_stg::families::dme_ring(3).unwrap();
+            let sg = satpg_stg::StateGraph::build(&stg).unwrap();
+            satpg_stg::synth::complex_gate(&stg, &sg).unwrap()
+        };
+        let cases = [
+            (dme, 27),
+            (satpg_netlist::families::muller_pipeline(6), 89),
+            (satpg_netlist::families::arbiter_tree(4), 491),
+        ];
+        for (ckt, nodes) in cases {
+            let aud = WalkAuditor::new(&cssg_of(&ckt));
+            assert_eq!(aud.unique_len(), nodes, "{}", ckt.name());
+        }
+    }
 }

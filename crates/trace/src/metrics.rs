@@ -8,7 +8,9 @@
 //! instrumentation site; the lookup itself takes a short-lived registry
 //! lock, so resolve handles outside hot loops.
 
+use crate::chrome::escape;
 use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -234,24 +236,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-fn escape_into(out: &mut String, s: &str) {
-    out.push('"');
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                out.push_str(&format!("\\u{:04x}", c as u32));
-            }
-            c => out.push(c),
-        }
-    }
-    out.push('"');
-}
-
 impl MetricsSnapshot {
     /// Renders the snapshot as one JSON object.  Byte-stable modulo the
     /// measured values: names sorted, fixed key order, fixed bucket
@@ -263,34 +247,32 @@ impl MetricsSnapshot {
             if i > 0 {
                 out.push(',');
             }
-            escape_into(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
+            let _ = write!(out, "\"{}\":{v}", escape(name));
         }
         out.push_str("},\"gauges\":{");
         for (i, (name, v)) in self.gauges.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            escape_into(&mut out, name);
-            out.push(':');
-            out.push_str(&v.to_string());
+            let _ = write!(out, "\"{}\":{v}", escape(name));
         }
         out.push_str("},\"histograms\":{");
         for (i, h) in self.histograms.iter().enumerate() {
             if i > 0 {
                 out.push(',');
             }
-            escape_into(&mut out, &h.name);
-            out.push_str(&format!(
-                ":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                h.count, h.sum
-            ));
+            let _ = write!(
+                out,
+                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
+                escape(&h.name),
+                h.count,
+                h.sum
+            );
             for (j, (b, n)) in h.buckets.iter().enumerate() {
                 if j > 0 {
                     out.push(',');
                 }
-                out.push_str(&format!("[{b},{n}]"));
+                let _ = write!(out, "[{b},{n}]");
             }
             out.push_str("]}");
         }
@@ -376,6 +358,7 @@ mod tests {
         let reg = MetricsRegistry::new();
         reg.counter("b.second").add(2);
         reg.counter("a.first").add(1);
+        reg.counter("c.\"quoted\"\tname").add(3);
         reg.gauge("z.gauge").set(-3);
         reg.histogram("h.one").record(8);
         let a = reg.snapshot();
@@ -384,7 +367,7 @@ mod tests {
         let s = a.to_json_string();
         assert_eq!(
             s,
-            "{\"counters\":{\"a.first\":1,\"b.second\":2},\
+            "{\"counters\":{\"a.first\":1,\"b.second\":2,\"c.\\\"quoted\\\"\\tname\":3},\
              \"gauges\":{\"z.gauge\":-3},\
              \"histograms\":{\"h.one\":{\"count\":1,\"sum\":8,\"buckets\":[[4,1]]}}}"
         );

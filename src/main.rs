@@ -5,7 +5,7 @@
 //! satpg synth <circuit> [--style si|2l|2lr]   # print the netlist
 //! satpg cssg <circuit> [--style …] [--k N]    # synchronous abstraction
 //! satpg atpg <circuit> [--style …] [--output-model] [--collapse] [--no-random]
-//! satpg scan <circuit> [--style …]   # scan-point candidates (extension)
+//! satpg scan <circuit> [atpg flags]  # scan points for faults atpg misses
 //! satpg table <1|2>                  # regenerate a paper table
 //! satpg dot <circuit> [--style …]    # Graphviz export
 //! satpg gen <family|circuit> [--size K]       # print the circuit as .ckt
@@ -32,7 +32,7 @@ use satpg::core::json::Json;
 use satpg::core::report::{format_table, TableRow};
 use satpg::core::tester::TestProgram;
 use satpg::core::{
-    build_cssg, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CoreError, CssgConfig, FaultModel,
+    build_cssg, run_atpg, run_atpg_on, AtpgConfig, AtpgReport, CoreError, FaultModel,
 };
 use satpg::engine::{run_engine, EngineConfig};
 use satpg::netlist::{to_ckt, Circuit};
@@ -88,7 +88,8 @@ fn usage() -> ExitCode {
            cssg  <circuit> [--style si|2l|2lr] [--k N]\n  \
            atpg  <circuit> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
                   [--pattern-budget N] [--program] [--json]\n  \
-           scan  <circuit> [--style si|2l|2lr]\n  \
+           scan  <circuit> [--style si|2l|2lr] [--k N] [--output-model] [--collapse] [--no-random]\n          \
+                  [--pattern-budget N]   # scan points for what atpg leaves undetected\n  \
            table <1|2>\n  \
            dot   <circuit> [--style si|2l|2lr]\n  \
            gen   <family|circuit> [--size K]  # print the circuit as .ckt\n  \
@@ -109,12 +110,10 @@ fn usage() -> ExitCode {
            status [--addr A] [--json]\n  \
            metrics [--addr A] [--json]   # process-wide metrics registry snapshot\n  \
            shutdown [--addr A]\n  \
-           bench-diff <old.json> <new.json> [--ignore-timing]\n                \
-                  # compare bench_report.json files; >20% regressions exit nonzero\n  \
            trace-check <trace.json>      # validate a Chrome trace-event file\n\
          <circuit> is a benchmark name (see `list`), a .g or .ckt file, `-` (that text\n\
          on stdin), or --family muller|dme|arbiter|seq [--size K] in its place\n\
-         engine/atpg/serve also accept --trace-out DIR to write Chrome trace-event\n\
+         engine/atpg/scan/serve also accept --trace-out DIR to write Chrome trace-event\n\
          files (load them at https://ui.perfetto.dev or chrome://tracing)"
     );
     ExitCode::FAILURE
@@ -306,25 +305,6 @@ fn main() -> ExitCode {
             }),
             _ => return usage(),
         },
-        "bench-diff" => {
-            let mut ignore_timing = false;
-            let mut files: Vec<&str> = Vec::new();
-            for a in &args[1..] {
-                match a.as_str() {
-                    "--ignore-timing" => ignore_timing = true,
-                    s if !s.starts_with('-') => files.push(s),
-                    _ => return usage(),
-                }
-            }
-            let [old_path, new_path] = files[..] else {
-                return usage();
-            };
-            match bench_diff(old_path, new_path, ignore_timing) {
-                Ok(0) => Ok(()),
-                Ok(n) => Err(format!("bench-diff: {n} regression(s) over 20%").into()),
-                Err(e) => Err(e.into()),
-            }
-        }
         "trace-check" => {
             let Some(path) = args.get(1) else {
                 return usage();
@@ -422,10 +402,10 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
                 ss.por_pruned,
             );
         }
-        "atpg" => {
+        "atpg" | "scan" => {
             let cfg = job_atpg_config(&spec, &ckt);
             // The abstraction is built up front and reused for the
-            // tester program below.
+            // tester program or the scan analysis below.
             let t0 = std::time::Instant::now();
             let cssg = build_cssg(&ckt, &cfg.cssg)?;
             let us_cssg = t0.elapsed().as_micros();
@@ -436,6 +416,29 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
             let result = run_atpg_on(&ckt, &cssg, &faults, &cfg, us_cssg);
             trace_finish(tracing, ckt.name());
             let r = result?;
+            if cmd == "scan" {
+                let analysis = satpg::core::scan_candidates(&ckt, &cssg, &r, &cfg.three_phase);
+                outln!(
+                    "{}: {}/{} undetected; scan candidates:",
+                    ckt.name(),
+                    r.total() - r.covered(),
+                    r.total()
+                );
+                for c in analysis.candidates.iter().take(8) {
+                    outln!(
+                        "  observe {:<12} exposes {:>3} faults",
+                        ckt.signal_name(c.signal),
+                        c.exposes.len()
+                    );
+                }
+                if !analysis.hopeless.is_empty() {
+                    outln!(
+                        "  {} faults exposed by no single point",
+                        analysis.hopeless.len()
+                    );
+                }
+                return Ok(());
+            }
             if o.json {
                 outln!("{}", r.to_json());
                 return Ok(());
@@ -447,30 +450,6 @@ fn local_command(cmd: &str, o: &Opts) -> CliResult {
                     prog.push_sequence(&ckt, &cssg, format!("test {i}"), t);
                 }
                 out!("{prog}");
-            }
-        }
-        "scan" => {
-            let cssg = build_cssg(&ckt, &CssgConfig::default())?;
-            let report = run_atpg(&ckt, &AtpgConfig::paper())?;
-            let analysis = satpg::core::scan_candidates(&ckt, &cssg, &report, &Default::default());
-            outln!(
-                "{}: {}/{} undetected; scan candidates:",
-                ckt.name(),
-                report.total() - report.covered(),
-                report.total()
-            );
-            for c in analysis.candidates.iter().take(8) {
-                outln!(
-                    "  observe {:<12} exposes {:>3} faults",
-                    ckt.signal_name(c.signal),
-                    c.exposes.len()
-                );
-            }
-            if !analysis.hopeless.is_empty() {
-                outln!(
-                    "  {} faults exposed by no single point",
-                    analysis.hopeless.len()
-                );
             }
         }
         "engine" => {
@@ -806,83 +785,6 @@ fn print_metrics(m: &Json) {
             outln!("{k} count {count} sum {sum} mean {mean}");
         }
     }
-}
-
-/// Wall-clock units; skipped under `--ignore-timing` so CI can diff the
-/// deterministic records of two runs on machines of different speed.
-fn is_timing_unit(unit: &str) -> bool {
-    matches!(unit, "ns" | "us" | "ms" | "s")
-}
-
-/// Loads a `bench_report.json` (an array of `{bench, params, value,
-/// unit}` records) into `(key, value)` pairs.
-fn load_bench_report(path: &str) -> Result<Vec<(String, String, f64)>, String> {
-    let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
-    let v = Json::parse(&text).map_err(|e| format!("{path}: {e}"))?;
-    let arr = v
-        .as_arr()
-        .ok_or_else(|| format!("{path}: expected a JSON array of records"))?;
-    let mut out = Vec::new();
-    for (i, rec) in arr.iter().enumerate() {
-        let bench = rec
-            .get("bench")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: record {i} has no string `bench`"))?;
-        let unit = rec
-            .get("unit")
-            .and_then(Json::as_str)
-            .ok_or_else(|| format!("{path}: record {i} has no string `unit`"))?;
-        let value = rec
-            .get("value")
-            .and_then(Json::as_f64)
-            .ok_or_else(|| format!("{path}: record {i} has no numeric `value`"))?;
-        let params = rec.get("params").map(Json::render).unwrap_or_default();
-        out.push((format!("{bench} {params}"), unit.to_string(), value));
-    }
-    Ok(out)
-}
-
-/// Compares two bench reports record by record and prints every
-/// regression over 20%; returns how many there were.  "Worse" means a
-/// larger value except for `pct` units (coverage/efficiency), where it
-/// means smaller.  Records present on only one side are reported but
-/// are not regressions (benchmark sets may grow).
-fn bench_diff(old_path: &str, new_path: &str, ignore_timing: bool) -> Result<usize, String> {
-    let old = load_bench_report(old_path)?;
-    let new = load_bench_report(new_path)?;
-    let mut regressions = 0usize;
-    for (key, unit, old_v) in &old {
-        if ignore_timing && is_timing_unit(unit) {
-            continue;
-        }
-        let Some((_, _, new_v)) = new.iter().find(|(k, u, _)| k == key && u == unit) else {
-            outln!("only in {old_path}: {key} ({unit})");
-            continue;
-        };
-        let worse = if unit == "pct" {
-            *new_v < old_v * 0.8
-        } else {
-            *new_v > old_v * 1.2
-        };
-        if worse {
-            regressions += 1;
-            outln!("REGRESSION {key}: {old_v} -> {new_v} {unit}");
-        }
-    }
-    for (key, unit, _) in &new {
-        if ignore_timing && is_timing_unit(unit) {
-            continue;
-        }
-        if !old.iter().any(|(k, u, _)| k == key && u == unit) {
-            outln!("only in {new_path}: {key} ({unit})");
-        }
-    }
-    outln!(
-        "bench-diff: {} record(s) compared, {} regression(s)",
-        old.len(),
-        regressions
-    );
-    Ok(regressions)
 }
 
 /// Validates a Chrome trace-event file: every non-metadata event is a

@@ -397,8 +397,10 @@ fn bad_circuits_exit_1_with_a_diagnostic() {
 #[test]
 fn a_retired_flag_prints_the_usage() {
     // A retired flag fails like any unknown option, never as a no-op.
-    // Each runs on a command that used to accept it.
-    let cases: [&[&str]; 7] = [
+    // Each runs on a command that used to accept it; a retired command
+    // fails like an unknown one.
+    let cases: [&[&str]; 8] = [
+        &["bench-diff", "old.json", "new.json"],
         &["engine", "converta", "--pp-random"],
         &["engine", "converta", "--no-broadcast"],
         &["engine", "converta", "--cssg-shards", "2"],
@@ -452,6 +454,21 @@ fn a_reader_that_closes_early_is_not_a_panic() {
         assert!(out.status.success(), "satpg {args:?}: {stderr}");
         assert!(!stderr.contains("panicked"), "satpg {args:?}: {stderr}");
     }
+}
+
+#[test]
+fn scan_analyses_the_campaign_its_flags_describe() {
+    // `scan` ranks the faults that `atpg` with the same flags leaves
+    // undetected, so both count the same fault list.
+    let circuit = ["vbe6a", "--style", "2lr", "--output-model"];
+    let atpg = Json::parse(&ok(&[&["atpg", "--json"][..], &circuit].concat(), None)).unwrap();
+    let totals = atpg.get("totals").unwrap();
+    let count = |key: &str| totals.get(key).and_then(Json::as_u128).unwrap();
+    let (faults, detected) = (count("faults"), count("detected"));
+    let scan = ok(&[&["scan"][..], &circuit].concat(), None);
+    let undetected = faults - detected;
+    let want = format!("vbe6a_2l: {undetected}/{faults} undetected; scan candidates:");
+    assert_eq!(scan.lines().next(), Some(want.as_str()));
 }
 
 #[test]

@@ -26,7 +26,9 @@
 //! settling layers (CSSG construction and the three-phase search), the
 //! campaign's records, tests and totals equal the default campaign's.
 
-use satpg::core::{build_cssg, build_cssg_sharded, run_atpg, AtpgReport, Cssg, CssgConfig};
+use satpg::core::{
+    build_cssg, build_cssg_sharded, run_atpg, AtpgReport, CapPolicy, Cssg, CssgConfig,
+};
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::Circuit;
 use satpg::serve::{job_atpg_config, resolve_circuit, CircuitSpec, JobSpec};
@@ -155,7 +157,10 @@ fn por_identity_under_exact_semantics() {
 }
 
 /// The reduction actually reduces on wave-heavy workloads (otherwise
-/// this suite would pass vacuously with the rule never firing).
+/// this suite would pass vacuously with the rule never firing).  The
+/// naive walk's work is pinned exactly, under a fixed 2^15 cap so the
+/// pin does not follow the default cap policy; the reduced build's
+/// 1,064 expansions are in the muller-10 report digest.
 #[test]
 fn por_actually_fires_on_muller() {
     let ckt = muller_pipeline(10);
@@ -169,10 +174,17 @@ fn por_actually_fires_on_muller() {
         &ckt,
         &CssgConfig {
             por: false,
+            settle_cap: CapPolicy::Fixed(1 << 15),
             ..CssgConfig::default()
         },
     )
     .unwrap();
+    assert_eq!(
+        naive.settle_stats().states_explored,
+        23_094,
+        "naive muller-10 settle work: {:?}",
+        naive.settle_stats()
+    );
     assert!(
         reduced.settle_stats().states_explored < naive.settle_stats().states_explored,
         "reduced {:?} vs naive {:?}",
