@@ -176,6 +176,12 @@ pub struct WorkerStats {
     /// Settling analyses that fell back to the naive walk (the reduced
     /// walk did not settle within `k`).
     pub settle_fallbacks: u64,
+    /// Walks cut at a verified frontier repeat (metrics only: not in
+    /// [`WorkerStats::to_json_value`]).
+    pub settle_cycle_cuts: u64,
+    /// Expansions those cuts credited without running them (metrics
+    /// only).
+    pub settle_fast_forwarded: u64,
     /// Wall-clock microseconds the worker was busy.
     pub us_busy: u128,
 }
@@ -617,6 +623,10 @@ fn flush_engine_metrics(
         m.counter("engine.settle_por_pruned")
             .add(w.settle_por_pruned);
         m.counter("engine.settle_fallbacks").add(w.settle_fallbacks);
+        m.counter("engine.settle_cycle_cuts")
+            .add(w.settle_cycle_cuts);
+        m.counter("engine.settle_fast_forwarded")
+            .add(w.settle_fast_forwarded);
         m.gauge("engine.bdd_peak_unique")
             .max(w.bdd_peak_unique.min(i64::MAX as usize) as i64);
         m.histogram("engine.worker.busy_us")
@@ -699,6 +709,8 @@ pub fn search_classes(
         stats.settle_states += settle.states_explored;
         stats.settle_por_pruned += settle.por_pruned;
         stats.settle_fallbacks += settle.fallbacks;
+        stats.settle_cycle_cuts += settle.cycle_cuts;
+        stats.settle_fast_forwarded += settle.fast_forwarded;
         stats.searched += 1;
         if let FaultStatus::Detected { sequence } = &verdict {
             stats.tests_found += 1;

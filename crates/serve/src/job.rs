@@ -22,12 +22,15 @@ fn synth(stg: &Stg, style: &str) -> Result<Circuit, String> {
 
 /// The generated families: `(name, default size, min size, max size)`.
 /// The one table behind `satpg gen`, the CLI's `--family` and the
-/// daemon's family specs.  The caps are resource guards, not
-/// representation limits: patterns and states are multi-word, so
-/// arbiter widths past 63 are legal — such jobs just need an explicit
+/// daemon's family specs.  muller-n has n primary outputs, and every
+/// analysis packs the outputs into one word
+/// (`CoreError::TooManyOutputs` past 64), so its cap of 64 is that
+/// representation limit, not a resource guard.  The other caps are
+/// resource guards: patterns and states are multi-word, so arbiter
+/// widths past 63 are legal — such jobs just need an explicit
 /// `pattern_budget`.
 const FAMILIES: [(&str, usize, usize, usize); 4] = [
-    ("muller", 4, 1, 128),
+    ("muller", 4, 1, 64),
     ("dme", 3, 2, 6),
     ("arbiter", 4, 2, 128),
     ("seq", 4, 1, 15),

@@ -911,7 +911,10 @@ mod tests {
     #[test]
     fn metrics_event_renders_the_snapshot() {
         let snap = satpg_trace::MetricsSnapshot {
-            counters: vec![("a.count".to_string(), 3)],
+            counters: vec![
+                ("a.count".to_string(), 3),
+                ("b.\"quoted\"\tname".to_string(), 4),
+            ],
             gauges: vec![("b.level".to_string(), -2)],
             histograms: vec![satpg_trace::HistogramSnapshot {
                 name: "c.us".to_string(),
@@ -929,6 +932,15 @@ mod tests {
                 .unwrap()
                 .as_usize(),
             Some(3)
+        );
+        // A name that needs escaping survives the round trip.
+        assert_eq!(
+            v.get("counters")
+                .unwrap()
+                .get("b.\"quoted\"\tname")
+                .unwrap()
+                .as_usize(),
+            Some(4)
         );
         assert_eq!(
             v.get("gauges").unwrap().get("b.level"),

@@ -141,6 +141,19 @@ impl PackedSet {
         });
     }
 
+    /// A hash of the set of keys: equal sets hash equal whatever their
+    /// insertion order.  Unequal sets may collide, so a match is only a
+    /// candidate for an exact comparison.
+    pub(crate) fn set_hash(&self) -> u64 {
+        // Each key's hash is mixed before the sum: a plain sum of
+        // multiplicative hashes is linear in one-word keys, so {1, 4}
+        // and {2, 3} would collide.
+        (0..self.len()).fold(0, |sum: u64, i| {
+            let h = hash(self.key(i));
+            sum.wrapping_add((h ^ (h >> 31)).wrapping_mul(0xbf58_476d_1ce4_e5b9))
+        })
+    }
+
     /// Entry indices in ascending key order (valid after [`PackedSet::sort`]
     /// until the next insert or clear).
     #[inline]
@@ -161,10 +174,25 @@ mod tests {
             let i = set.insert(k).expect("distinct");
             set.payload_mut(i)[0] = k[0] + 1;
         }
+        let sum = set.set_hash();
         for k in &keys {
             assert_eq!(set.insert(k), None);
         }
         assert_eq!(set.len(), 100);
+        let mut reversed = PackedSet::new(2, 3);
+        for k in keys.iter().rev() {
+            reversed.insert(k);
+        }
+        assert_eq!(reversed.set_hash(), sum, "insertion order is invisible");
+        reversed.insert(&[1000, 0]);
+        assert_ne!(reversed.set_hash(), sum);
+        let mut pairs = [PackedSet::new(1, 1), PackedSet::new(1, 1)];
+        for (set, keys) in pairs.iter_mut().zip([[1, 4], [2, 3]]) {
+            for k in keys {
+                set.insert(&[k]);
+            }
+        }
+        assert_ne!(pairs[0].set_hash(), pairs[1].set_hash(), "keys are mixed");
         set.sort();
         let sorted: Vec<&[u64]> = set.sorted().iter().map(|&i| set.key(i as usize)).collect();
         let mut want: Vec<&[u64]> = keys.iter().map(|k| &k[..]).collect();

@@ -207,6 +207,13 @@ pub struct SettleStats {
     /// within `k` (the oscillation-closure semantics needs the full
     /// frontier).
     pub fallbacks: u64,
+    /// Walks cut at a verified frontier repeat: from there the walk is
+    /// periodic and cannot settle, so whole periods are credited to the
+    /// counters instead of run.
+    pub cycle_cuts: u64,
+    /// Expansions those cuts credited to `states_explored` without
+    /// running them.
+    pub fast_forwarded: u64,
 }
 
 impl SettleStats {
@@ -218,6 +225,8 @@ impl SettleStats {
         self.por_pruned += o.por_pruned;
         self.truncated += o.truncated;
         self.fallbacks += o.fallbacks;
+        self.cycle_cuts += o.cycle_cuts;
+        self.fast_forwarded += o.fast_forwarded;
     }
 
     /// Adds these counters into the process-wide metrics registry
@@ -233,6 +242,8 @@ impl SettleStats {
         m.counter("settler.por_pruned").add(self.por_pruned);
         m.counter("settler.truncated").add(self.truncated);
         m.counter("settler.fallbacks").add(self.fallbacks);
+        m.counter("settler.cycle_cuts").add(self.cycle_cuts);
+        m.counter("settler.fast_forwarded").add(self.fast_forwarded);
     }
 }
 
@@ -268,6 +279,11 @@ pub struct Settler<'c> {
     union: PackedSet,
     /// Scratch state: a walk's start, or a successor being built.
     succ: Vec<u64>,
+    /// The walk's frontier hashes, one per step searched: a repeat
+    /// proposes a cycle.
+    hashes: Vec<u64>,
+    /// The sorted state words of a proposed cycle's frontier.
+    checkpoint: Vec<u64>,
     stats: SettleStats,
 }
 
@@ -288,6 +304,8 @@ impl<'c> Settler<'c> {
             next: PackedSet::new(w, 2 * w),
             union: PackedSet::new(w, w),
             succ: vec![0; w],
+            hashes: Vec::new(),
+            checkpoint: Vec::new(),
             stats: SettleStats::default(),
         }
     }
@@ -438,16 +456,105 @@ impl<'c> Settler<'c> {
 
     /// The depth-`k` frontier walk shared by both analyses, from the
     /// frontier in `cur`.
+    ///
+    /// A step is a function of the frontier set alone, so a frontier
+    /// that repeats one `p` steps earlier makes the rest of the walk
+    /// periodic: it can no longer settle, and each further period
+    /// repeats the same counters.  Equal frontier hashes only propose
+    /// such a repeat; the frontier is checkpointed and the cut is taken
+    /// only when the frontier `p` steps later equals it word for word.
+    /// Then whole periods are credited to the counters and the remaining
+    /// steps run for real, leaving the exact depth-`k` frontier (see
+    /// "Cycle fast-forward" in `crates/sim/DESIGN.md`).
+    ///
+    /// The search starts at depth `gates`: a walk in which no gate fires
+    /// twice has settled by then, so most walks that settle end before
+    /// it and pay one comparison a step for it.
     fn bounded_walk(&mut self, por: bool) -> Bounded {
         // Input application was step 1; k-1 gate steps remain.
-        for _ in 1..self.k.max(1) {
+        let steps = self.k.max(1) - 1;
+        let from = self.ckt.num_gates();
+        self.hashes.clear();
+        // One bit per frontier hash seen, indexed by its top six bits:
+        // a hash whose bit is clear is new, so most steps of a walk
+        // that settles skip the scan of `hashes`.
+        let mut seen_bits = 0u64;
+        // A proposed cycle: the checkpoint's step, the period to confirm
+        // and the counters at the checkpoint.
+        let mut candidate: Option<(usize, usize, SettleStats)> = None;
+        let mut watching = true;
+        let mut t = 0;
+        while t < steps {
+            if watching && t >= from {
+                if let Some((c, p, at)) = candidate {
+                    if t == c + p {
+                        candidate = None;
+                        if self.at_checkpoint() {
+                            let laps = (steps - t) / p;
+                            self.credit(&at, laps as u64);
+                            t += laps * p;
+                            watching = false;
+                            continue;
+                        }
+                    }
+                }
+                let h = self.cur.set_hash();
+                let bit = 1u64 << (h >> 58);
+                let seen = if seen_bits & bit == 0 {
+                    None
+                } else {
+                    self.hashes.iter().rposition(|&x| x == h).map(|i| from + i)
+                };
+                seen_bits |= bit;
+                self.hashes.push(h);
+                if let Some(j) = seen {
+                    // Confirming takes one more period; propose only a
+                    // cycle that leaves at least one period to credit.
+                    if candidate.is_none() && t + 2 * (t - j) <= steps {
+                        self.cur.sort();
+                        self.checkpoint.clear();
+                        for &i in self.cur.sorted() {
+                            self.checkpoint.extend_from_slice(self.cur.key(i as usize));
+                        }
+                        candidate = Some((t, t - j, self.stats));
+                    }
+                }
+            }
             match self.step(por) {
                 None => return Bounded::Truncated,
                 Some(false) => return Bounded::Settled,
                 Some(true) => {}
             }
+            t += 1;
         }
         Bounded::Unsettled
+    }
+
+    /// Whether the frontier equals the checkpoint.
+    fn at_checkpoint(&mut self) -> bool {
+        let w = self.kernel.words();
+        if self.cur.len() * w != self.checkpoint.len() {
+            return false;
+        }
+        self.cur.sort();
+        self.cur
+            .sorted()
+            .iter()
+            .zip(self.checkpoint.chunks_exact(w))
+            .all(|(&i, ck)| self.cur.key(i as usize) == ck)
+    }
+
+    /// Credits `laps` more copies of the period run since the counters
+    /// read `at`.  Every per-step counter is a sum over the frontier's
+    /// members, so each lap adds exactly what the period added.
+    fn credit(&mut self, at: &SettleStats, laps: u64) {
+        let s = &mut self.stats;
+        let expanded = (s.states_explored - at.states_explored) * laps;
+        s.states_explored += expanded;
+        s.por_states += (s.por_states - at.por_states) * laps;
+        s.por_pruned += (s.por_pruned - at.por_pruned) * laps;
+        s.fast_forwarded += expanded;
+        s.cycle_cuts += 1;
     }
 
     /// Oscillation closure (naive only): union further frontiers until
@@ -959,6 +1066,7 @@ mod tests {
     #[test]
     fn truncation_counters_pinned() {
         type Row = (&'static str, bool, usize, [u32; 4], SettleStats, u64);
+        // muller-8 and arbiter-4 never oscillate: no walk is cut.
         let stats = |s: [u64; 6]| SettleStats {
             settles: s[0],
             states_explored: s[1],
@@ -966,6 +1074,8 @@ mod tests {
             por_pruned: s[3],
             truncated: s[4],
             fallbacks: s[5],
+            cycle_cuts: 0,
+            fast_forwarded: 0,
         };
         let mut got: Vec<Row> = Vec::new();
         for (name, ckt) in [
@@ -1078,6 +1188,139 @@ mod tests {
                 );
             }
             panic!("truncation counters moved; the table above is the new value");
+        }
+    }
+
+    /// The six work counters, in declaration order.
+    fn counters(s: &SettleStats) -> [u64; 6] {
+        [
+            s.settles,
+            s.states_explored,
+            s.por_states,
+            s.por_pruned,
+            s.truncated,
+            s.fallbacks,
+        ]
+    }
+
+    /// Absolute verdicts and work of every walk regime, oscillating
+    /// walks included: each library circuit, POR off and on, `k` in
+    /// {1, 2, 3, 5, 16, 100, 1000}, every pattern (twice over) from
+    /// reset through `settle` and `settle_set`, and through a set walk
+    /// chained from each settled set, with the fast path off.  figure1b
+    /// oscillates, so its walks run to depth `k` and its set walks close
+    /// over the oscillation; the chain drives the SR latch through its
+    /// `S = R = 1` to `00` race.  The digest folds each verdict's kind
+    /// and its payload or set in order; the counters are summed over
+    /// every `k`.  Recorded before the settler cut oscillating walks
+    /// short.
+    #[test]
+    fn oscillating_walks_pinned() {
+        let mut got: Vec<(String, bool, [u64; 6], u64)> = Vec::new();
+        for ckt in library::all() {
+            for por in [false, true] {
+                let mut sum = SettleStats::default();
+                let mut h = 0xcbf2_9ce4_8422_2325u64;
+                let tag = |h: &mut u64, t: u64| *h = (*h ^ t).wrapping_mul(0x0100_0000_01b3);
+                for k in [1usize, 2, 3, 5, 16, 100, 1000] {
+                    let cfg = SettlerConfig {
+                        k,
+                        por,
+                        ternary_fast_path: false,
+                        ..SettlerConfig::for_circuit(&ckt)
+                    };
+                    let mut st = Settler::new(&ckt, &Injection::none(), &cfg);
+                    let reset = BTreeSet::from([ckt.initial_state().clone()]);
+                    let mut chain = reset.clone();
+                    for p in Pattern::all(ckt.num_inputs()).chain(Pattern::all(ckt.num_inputs())) {
+                        match st.settle(ckt.initial_state(), &p) {
+                            Settle::Confluent(b) => {
+                                tag(&mut h, 1);
+                                fold_states(&mut h, [&b]);
+                            }
+                            Settle::NonConfluent(v) => {
+                                tag(&mut h, 2);
+                                fold_states(&mut h, &v);
+                            }
+                            Settle::Unstable(v) => {
+                                tag(&mut h, 3);
+                                fold_states(&mut h, &v);
+                            }
+                            Settle::Truncated => tag(&mut h, 4),
+                        }
+                        match st.settle_set(&reset, &p) {
+                            SetSettle::Set(set) => {
+                                tag(&mut h, 5);
+                                fold_states(&mut h, &set);
+                            }
+                            SetSettle::Truncated => tag(&mut h, 6),
+                        }
+                        // Chained: the previous settled set is the next
+                        // from-set.
+                        match st.settle_set(&chain, &p) {
+                            SetSettle::Set(set) => {
+                                tag(&mut h, 7);
+                                fold_states(&mut h, &set);
+                                if !set.is_empty() {
+                                    chain = set;
+                                }
+                            }
+                            SetSettle::Truncated => tag(&mut h, 8),
+                        }
+                    }
+                    sum.absorb(&st.take_stats());
+                }
+                got.push((ckt.name().to_string(), por, counters(&sum), h));
+            }
+        }
+        #[rustfmt::skip]
+        let want: Vec<(&str, bool, [u64; 6], u64)> = vec![
+            ("figure1a", false, [168, 3277, 0, 0, 0, 0], 0x5a111d2bcce1acae),
+            ("figure1a", true, [168, 4203, 509, 770, 0, 51], 0x972afb166e98276a),
+            ("figure1b", false, [168, 96257, 0, 0, 0, 0], 0x0fcc994ba8f2d51e),
+            ("figure1b", true, [168, 140275, 3711, 3857, 0, 84], 0x51f63f5bbc2a4c32),
+            ("celement", false, [168, 554, 0, 0, 0, 0], 0x4431d14d37011a69),
+            ("celement", true, [168, 589, 49, 49, 0, 37], 0x5eaacd64cf68e0dd),
+            ("sr_latch", false, [168, 914, 0, 0, 0, 0], 0x495ecce0020f52bd),
+            ("sr_latch", true, [168, 1031, 104, 115, 0, 44], 0x6e1bfdbbccc18bcd),
+            ("muller_pipe2", false, [168, 2372, 0, 0, 0, 0], 0xe78490563d53627d),
+            ("muller_pipe2", true, [168, 2792, 377, 513, 0, 52], 0xe883f44d20a71fe1),
+        ];
+        let same = got.len() == want.len()
+            && got
+                .iter()
+                .zip(&want)
+                .all(|(g, w)| (g.0.as_str(), g.1, g.2, g.3) == *w);
+        if !same {
+            for (name, por, c, h) in &got {
+                println!("(\"{name}\", {por}, {c:?}, {h:#018x}),");
+            }
+            panic!("oscillating-walk pins moved; the table above is the new value");
+        }
+    }
+
+    /// Once `a` rises, figure1b's loop `c↓ d↓ c↑ d↑` has period 4.  Its
+    /// four gates put the search's start at depth 4: the first repeat
+    /// (depth 8) is confirmed one period later, at depth 12, then 246
+    /// periods (984 expansions) are credited and the last three steps
+    /// run for real.  A walk too short to credit a whole period after
+    /// confirming one is not cut.
+    #[test]
+    fn oscillation_is_cut_at_a_confirmed_repeat() {
+        let c = library::figure1b();
+        for cfg in [naive_cfg(&c), por_cfg(&c)] {
+            for (k, want) in [(1000, (999, 1, 984)), (17, (16, 1, 4)), (16, (15, 0, 0))] {
+                let mut st = Settler::new(&c, &Injection::none(), &SettlerConfig { k, ..cfg });
+                let r = st.settle(c.initial_state(), 0b01);
+                assert!(matches!(r, Settle::Unstable(_)), "k {k}: {r:?}");
+                let s = st.take_stats();
+                assert_eq!(
+                    (s.states_explored, s.cycle_cuts, s.fast_forwarded),
+                    want,
+                    "k {k}, por {}",
+                    cfg.por
+                );
+            }
         }
     }
 

@@ -16,9 +16,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-/// `s` escaped for use inside a JSON string literal.  The metrics
-/// snapshot renders its names with it too.
-pub(crate) fn escape(s: &str) -> String {
+/// `s` escaped for use inside a JSON string literal.
+fn escape(s: &str) -> String {
     let mut out = String::with_capacity(s.len() + 2);
     for c in s.chars() {
         match c {

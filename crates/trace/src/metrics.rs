@@ -8,9 +8,7 @@
 //! instrumentation site; the lookup itself takes a short-lived registry
 //! lock, so resolve handles outside hot loops.
 
-use crate::chrome::escape;
 use std::collections::BTreeMap;
-use std::fmt::Write as _;
 use std::sync::atomic::{AtomicI64, AtomicU64, Ordering};
 use std::sync::{Arc, Mutex, OnceLock};
 
@@ -236,51 +234,6 @@ pub struct MetricsSnapshot {
     pub histograms: Vec<HistogramSnapshot>,
 }
 
-impl MetricsSnapshot {
-    /// Renders the snapshot as one JSON object.  Byte-stable modulo the
-    /// measured values: names sorted, fixed key order, fixed bucket
-    /// boundaries — two runs recording the same values render the same
-    /// bytes.
-    pub fn to_json_string(&self) -> String {
-        let mut out = String::from("{\"counters\":{");
-        for (i, (name, v)) in self.counters.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", escape(name));
-        }
-        out.push_str("},\"gauges\":{");
-        for (i, (name, v)) in self.gauges.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(out, "\"{}\":{v}", escape(name));
-        }
-        out.push_str("},\"histograms\":{");
-        for (i, h) in self.histograms.iter().enumerate() {
-            if i > 0 {
-                out.push(',');
-            }
-            let _ = write!(
-                out,
-                "\"{}\":{{\"count\":{},\"sum\":{},\"buckets\":[",
-                escape(&h.name),
-                h.count,
-                h.sum
-            );
-            for (j, (b, n)) in h.buckets.iter().enumerate() {
-                if j > 0 {
-                    out.push(',');
-                }
-                let _ = write!(out, "[{b},{n}]");
-            }
-            out.push_str("]}");
-        }
-        out.push_str("}}");
-        out
-    }
-}
-
 /// The process-wide registry.
 pub fn metrics() -> &'static MetricsRegistry {
     static REGISTRY: OnceLock<MetricsRegistry> = OnceLock::new();
@@ -354,25 +307,29 @@ mod tests {
     }
 
     #[test]
-    fn snapshot_renders_sorted_and_stable() {
+    fn snapshot_is_sorted_and_stable() {
         let reg = MetricsRegistry::new();
         reg.counter("b.second").add(2);
         reg.counter("a.first").add(1);
-        reg.counter("c.\"quoted\"\tname").add(3);
+        reg.counter("c.third").add(3);
         reg.gauge("z.gauge").set(-3);
         reg.histogram("h.one").record(8);
         let a = reg.snapshot();
         let b = reg.snapshot();
         assert_eq!(a, b);
-        let s = a.to_json_string();
         assert_eq!(
-            s,
-            "{\"counters\":{\"a.first\":1,\"b.second\":2,\"c.\\\"quoted\\\"\\tname\":3},\
-             \"gauges\":{\"z.gauge\":-3},\
-             \"histograms\":{\"h.one\":{\"count\":1,\"sum\":8,\"buckets\":[[4,1]]}}}"
+            a.counters,
+            [("a.first", 1), ("b.second", 2), ("c.third", 3)].map(|(k, v)| (k.to_string(), v))
         );
-        let first = s.find("a.first").unwrap();
-        let second = s.find("b.second").unwrap();
-        assert!(first < second, "names sorted");
+        assert_eq!(a.gauges, [("z.gauge".to_string(), -3)]);
+        assert_eq!(
+            a.histograms,
+            [HistogramSnapshot {
+                name: "h.one".to_string(),
+                count: 1,
+                sum: 8,
+                buckets: vec![(4, 1)],
+            }]
+        );
     }
 }

@@ -392,6 +392,9 @@ fn bad_circuits_exit_1_with_a_diagnostic() {
     for cmd in ["cssg", "atpg", "scan", "engine"] {
         assert_diagnosed(&[cmd, "--family", "arbiter", "--size", "64"], None);
     }
+    // muller-65 would have 65 primary outputs, past the one-word limit
+    // of every analysis: not even `gen` builds it.
+    assert_diagnosed(&["gen", "--family", "muller", "--size", "65"], None);
 }
 
 #[test]

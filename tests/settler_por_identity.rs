@@ -27,11 +27,14 @@
 //! campaign's records, tests and totals equal the default campaign's.
 
 use satpg::core::{
-    build_cssg, build_cssg_sharded, run_atpg, AtpgReport, CapPolicy, Cssg, CssgConfig,
+    build_cssg, build_cssg_sharded, input_stuck_faults, output_stuck_faults, run_atpg,
+    three_phase_traced, AtpgConfig, AtpgReport, CapPolicy, Cssg, CssgConfig, FaultStatus,
 };
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::Circuit;
+use satpg::serve::cache::fnv64;
 use satpg::serve::{job_atpg_config, resolve_circuit, CircuitSpec, JobSpec};
+use satpg::sim::SettleStats;
 use satpg::stg::synth::complex_gate;
 use satpg::stg::{families, suite, StateGraph};
 
@@ -257,4 +260,116 @@ fn naive_flow_matches_default_on_muller_10() {
         size: 10,
     };
     assert_naive_flow_matches(spec, "muller_pipe10");
+}
+
+/// The three-phase search on every input and output stuck-at fault of
+/// `ckt` under `cfg`: the settle counters summed into `sum`, each
+/// verdict (with a detected test's patterns) appended to `verdicts` in
+/// fault order.  A CSSG build that fails appends its error instead.
+fn three_phase_work(ckt: &Circuit, cfg: &AtpgConfig, sum: &mut SettleStats, verdicts: &mut String) {
+    let cssg = match build_cssg(ckt, &cfg.cssg) {
+        Ok(cssg) => cssg,
+        Err(e) => return verdicts.push_str(&format!("error: {e};")),
+    };
+    for fault in input_stuck_faults(ckt)
+        .into_iter()
+        .chain(output_stuck_faults(ckt))
+    {
+        let (status, stats) = three_phase_traced(ckt, &cssg, &fault, &cfg.three_phase);
+        sum.absorb(&stats);
+        match status {
+            FaultStatus::Detected { sequence } => {
+                let p: Vec<String> = sequence.patterns.iter().map(|p| p.to_string()).collect();
+                verdicts.push_str(&format!("D{};", p.join(",")));
+            }
+            FaultStatus::Untestable(_) => verdicts.push_str("U;"),
+            FaultStatus::Aborted => verdicts.push_str("A;"),
+        }
+    }
+}
+
+/// The six work counters, in declaration order.
+fn counters(s: &SettleStats) -> [u64; 6] {
+    [
+        s.settles,
+        s.states_explored,
+        s.por_states,
+        s.por_pruned,
+        s.truncated,
+        s.fallbacks,
+    ]
+}
+
+/// Absolute settle work and verdicts of the three-phase product BFS,
+/// whose faulty machines are where walks end unsettled at depth `k`
+/// (44 of them per paper-suite pass, all in the mp-forward-pkt si/2l
+/// input stuck-at campaigns).  The corpus is the 23 benchmarks in
+/// every style plus muller-6, dme-3 and arbiter-4, each under
+/// `AtpgConfig::paper()` and `AtpgConfig::scaled`.  Recorded before the
+/// settler cut oscillating walks short, so it pins that the cut
+/// changes no verdict and no counter.
+#[test]
+fn three_phase_settle_work_pinned() {
+    let mut specs: Vec<CircuitSpec> = Vec::new();
+    for &name in suite::NAMES {
+        for style in ["si", "2l", "2lr"] {
+            specs.push(CircuitSpec::Bench {
+                name: name.to_string(),
+                style: style.to_string(),
+            });
+        }
+    }
+    for (name, size) in [("muller", 6), ("dme", 3), ("arbiter", 4)] {
+        specs.push(CircuitSpec::Family {
+            name: name.to_string(),
+            size,
+        });
+    }
+    let mut sum = SettleStats::default();
+    let mut verdicts = String::new();
+    for spec in &specs {
+        let ckt = resolve_circuit(spec).expect("circuit resolves");
+        three_phase_work(&ckt, &AtpgConfig::paper(), &mut sum, &mut verdicts);
+        three_phase_work(&ckt, &AtpgConfig::scaled(&ckt), &mut sum, &mut verdicts);
+    }
+    assert_eq!(
+        (counters(&sum), fnv64(verdicts.as_bytes())),
+        ([8_424, 44_122, 3_122, 3_408, 0, 70], 0x14d1_06df_2c62_ee91),
+        "three-phase settle work: (settles, states_explored, por_states, por_pruned, \
+         truncated, fallbacks) and verdict digest"
+    );
+}
+
+/// The same pin on mp-forward-pkt 2l at `k` = 200 and 2,000 under
+/// `AtpgConfig::paper()`, where each uncut oscillating walk would run
+/// the whole test cycle.
+#[test]
+fn three_phase_settle_work_pinned_at_large_k() {
+    let ckt = resolve_circuit(&CircuitSpec::Bench {
+        name: "mp-forward-pkt".to_string(),
+        style: "2l".to_string(),
+    })
+    .expect("circuit resolves");
+    let mut got = Vec::new();
+    for k in [200, 2_000] {
+        let mut cfg = AtpgConfig::paper();
+        cfg.cssg.k = Some(k);
+        let mut sum = SettleStats::default();
+        let mut verdicts = String::new();
+        three_phase_work(&ckt, &cfg, &mut sum, &mut verdicts);
+        got.push((k, counters(&sum), fnv64(verdicts.as_bytes())));
+    }
+    let want = vec![
+        (
+            200,
+            [56, 74_532, 4_067, 4_100, 0, 13],
+            0x4b73_c6ff_f240_4d38,
+        ),
+        (
+            2_000,
+            [56, 742_332, 40_067, 40_100, 0, 13],
+            0x4b73_c6ff_f240_4d38,
+        ),
+    ];
+    assert_eq!(got, want, "(k, counters, verdict digest)");
 }
