@@ -251,40 +251,6 @@ impl Cssg {
         Some(out)
     }
 
-    /// The shortest pattern sequence from `from` to any state in `goals`,
-    /// by breadth-first search (the *state justification* primitive).
-    pub fn justify(&self, from: usize, goals: &[bool]) -> Option<Vec<Pattern>> {
-        if goals[from] {
-            return Some(Vec::new());
-        }
-        let mut prev: Vec<Option<(usize, Pattern)>> = vec![None; self.states.len()];
-        let mut seen = vec![false; self.states.len()];
-        seen[from] = true;
-        let mut queue = std::collections::VecDeque::from([from]);
-        while let Some(s) = queue.pop_front() {
-            for (p, t) in &self.edges[s] {
-                let t = *t;
-                if !seen[t] {
-                    seen[t] = true;
-                    prev[t] = Some((s, p.clone()));
-                    if goals[t] {
-                        // Reconstruct.
-                        let mut path = Vec::new();
-                        let mut cur = t;
-                        while let Some((ps, pp)) = &prev[cur] {
-                            path.push(pp.clone());
-                            cur = *ps;
-                        }
-                        path.reverse();
-                        return Some(path);
-                    }
-                    queue.push_back(t);
-                }
-            }
-        }
-        None
-    }
-
     /// Primary-output values of state `i` under `circuit`.
     pub fn outputs(&self, circuit: &Circuit, i: usize) -> u64 {
         circuit.output_values(&self.states[i])
@@ -332,18 +298,5 @@ mod tests {
         assert_eq!(g.replay(&seq), Some(vec![1, 2, 0]));
         let bad = TestSequence::from_u64(2, &[2]);
         assert_eq!(g.replay(&bad), None);
-    }
-
-    #[test]
-    fn justify_finds_shortest_path() {
-        let g = tiny();
-        let mut goals = vec![false; 3];
-        goals[2] = true;
-        assert_eq!(g.justify(0, &goals).unwrap(), vec![1u64, 0]);
-        goals[2] = false;
-        goals[0] = true;
-        assert_eq!(g.justify(0, &goals), Some(Vec::new()));
-        let unreachable = vec![false; 3];
-        assert_eq!(g.justify(0, &unreachable), None);
     }
 }

@@ -52,6 +52,6 @@ pub mod shard;
 
 pub use run::{
     merge_partial, prepare_campaign, reports_identical, run_engine, run_engine_on,
-    run_engine_on_streaming, run_engine_streaming, search_classes, Campaign, EngineConfig,
-    EngineEvent, EngineReport, EngineSink, NullSink, PartialMerge, WorkerStats,
+    run_engine_on_streaming, search_classes, Campaign, EngineConfig, EngineEvent, EngineReport,
+    EngineSink, NullSink, PartialMerge, WorkerStats,
 };

@@ -34,9 +34,6 @@ pub enum EngineEvent {
         /// Successor branches the partial-order reduction pruned
         /// (0 with POR off — the explored-vs-saved ledger).
         por_pruned: u64,
-        /// Construction threads used (1 for a serial build; also 1 on a
-        /// cache hit, where nothing was built).
-        shards: usize,
         /// Microseconds spent constructing (0 on a cache hit).
         us: u128,
     },
@@ -396,42 +393,28 @@ pub fn merge_partial(
     }
 }
 
-/// Runs the fault-parallel campaign on `ckt`.
+/// Runs the fault-parallel campaign on `ckt`: builds the CSSG with one
+/// shard per worker ([`EngineConfig::build_shards`]), then runs
+/// [`run_engine_on`].
 ///
 /// # Errors
 ///
 /// Same conditions as [`satpg_core::run_atpg`]: CSSG construction
 /// failures or an abstraction with no valid vectors.
 pub fn run_engine(ckt: &Circuit, cfg: &EngineConfig) -> Result<EngineReport, CoreError> {
-    run_engine_streaming(ckt, cfg, &NullSink)
-}
-
-/// [`run_engine`] with incremental telemetry delivered to `sink`.
-///
-/// # Errors
-///
-/// Same conditions as [`run_engine`].
-pub fn run_engine_streaming(
-    ckt: &Circuit,
-    cfg: &EngineConfig,
-    sink: &dyn EngineSink,
-) -> Result<EngineReport, CoreError> {
-    let shards = cfg.build_shards();
     let _span = satpg_trace::span!(
         "engine.run",
         circuit = ckt.name(),
         workers = cfg.requested_workers()
     );
     let t0 = Instant::now();
-    let cssg = build_cssg_sharded(ckt, &cfg.atpg.cssg, shards)?;
+    let cssg = build_cssg_sharded(ckt, &cfg.atpg.cssg, cfg.build_shards())?;
     let us_cssg = t0.elapsed().as_micros();
     if cssg.num_edges() == 0 {
         return Err(CoreError::NoValidVectors);
     }
     let faults = faults_for(ckt, cfg.atpg.fault_model);
-    Ok(run_engine_built(
-        ckt, &cssg, &faults, cfg, us_cssg, shards, sink,
-    ))
+    Ok(run_engine_on(ckt, &cssg, &faults, cfg, us_cssg))
 }
 
 /// Runs the campaign against an explicit fault list and prebuilt CSSG
@@ -457,28 +440,12 @@ pub fn run_engine_on_streaming(
     us_cssg: u128,
     sink: &dyn EngineSink,
 ) -> EngineReport {
-    run_engine_built(ckt, cssg, faults, cfg, us_cssg, 1, sink)
-}
-
-/// The campaign body: `cssg_shards` records how many threads built the
-/// supplied abstraction (1 when prebuilt or cache-served) for the
-/// [`EngineEvent::CssgReady`] telemetry.
-fn run_engine_built(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &EngineConfig,
-    us_cssg: u128,
-    cssg_shards: usize,
-    sink: &dyn EngineSink,
-) -> EngineReport {
     sink.event(EngineEvent::CssgReady {
         states: cssg.num_states(),
         edges: cssg.num_edges(),
         truncated: cssg.pruned_truncated(),
         settle_states: cssg.settle_stats().states_explored,
         por_pruned: cssg.settle_stats().por_pruned,
-        shards: cssg_shards,
         us: us_cssg,
     });
     // --- Stage 1: random TPG (serial; it is cheap, deterministic and
@@ -871,8 +838,10 @@ mod tests {
             workers: 2,
             ..EngineConfig::paper()
         };
+        let cssg = satpg_core::build_cssg(&ckt, &cfg.atpg.cssg).unwrap();
+        let faults = faults_for(&ckt, cfg.atpg.fault_model);
         let sink = Collect(Mutex::new(Vec::new()));
-        let out = run_engine_streaming(&ckt, &cfg, &sink).unwrap();
+        let out = run_engine_on_streaming(&ckt, &cssg, &faults, &cfg, 0, &sink);
         let events = sink.0.into_inner().unwrap();
 
         // Stage transitions appear exactly once, in order.
@@ -888,15 +857,9 @@ mod tests {
             .collect();
         assert_eq!(stage_order, ["cssg", "random", "parallel", "merge"]);
         match events.first() {
-            Some(EngineEvent::CssgReady {
-                states,
-                edges,
-                shards,
-                ..
-            }) => {
+            Some(EngineEvent::CssgReady { states, edges, .. }) => {
                 assert_eq!(*states, out.report.cssg_states);
                 assert_eq!(*edges, out.report.cssg_edges);
-                assert_eq!(*shards, 2, "build fan-out follows the workers");
             }
             other => panic!("expected CssgReady first, got {other:?}"),
         }

@@ -345,7 +345,6 @@ impl EngineSink for ChannelSink<'_> {
                 truncated,
                 settle_states,
                 por_pruned,
-                shards: _,
                 us,
             } => self.send(event::stage(
                 j,
@@ -358,8 +357,7 @@ impl EngineSink for ChannelSink<'_> {
                     ("settle_states".to_string(), Json::int(settle_states)),
                     ("por_pruned".to_string(), Json::int(por_pruned)),
                     // The daemon builds (or cache-serves) the CSSG
-                    // itself, so the engine-side count is always 1;
-                    // report the daemon's actual build fan-out instead.
+                    // itself: report its build fan-out.
                     ("shards".to_string(), Json::int(self.cssg_shards)),
                     ("us".to_string(), Json::int(us)),
                 ],

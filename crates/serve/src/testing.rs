@@ -11,13 +11,50 @@
 //!
 //! This lives in the library (not a test helper file) so the integration
 //! suite, the proptest harness and the CI fault battery all share one
-//! proxy implementation.
+//! proxy implementation, one daemon starter ([`start_daemon`]) and one
+//! timing-free rendering of a daemon's report ([`timing_free_report`]).
 
+use crate::{ServeConfig, Server};
+use satpg_core::json::Json;
 use std::io::{BufRead, BufReader, Read, Write};
 use std::net::{Shutdown, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
+use std::thread::JoinHandle;
 use std::time::Duration;
+
+/// Starts an in-process daemon on its configured address and returns
+/// the address it listens on, plus the thread running its accept loop
+/// (it returns once a client sends `shutdown`).
+///
+/// # Panics
+///
+/// When the daemon cannot bind.
+pub fn start_daemon(cfg: ServeConfig) -> (String, JoinHandle<std::io::Result<()>>) {
+    let server = Server::bind(cfg).expect("daemon binds");
+    let addr = server.local_addr();
+    (addr, std::thread::spawn(move || server.run()))
+}
+
+/// The `report` object of a daemon's final report event with its
+/// wall-clock `timing_us` member dropped, rendered on one line: the
+/// form that equals serial `run_atpg(..).to_json_value(false)` byte for
+/// byte.
+///
+/// # Panics
+///
+/// When the event carries no `report` object.
+pub fn timing_free_report(report_event: &Json) -> String {
+    let Some(Json::Obj(members)) = report_event.get("report") else {
+        panic!("a report event carries a report object: {report_event}")
+    };
+    let timing_free = members
+        .iter()
+        .filter(|(k, _)| k != "timing_us")
+        .cloned()
+        .collect();
+    Json::Obj(timing_free).render()
+}
 
 /// What the proxy does to the daemon→client reply stream.  Reply lines
 /// are counted from 1 per connection.

@@ -3,16 +3,10 @@
 //! backpressure and malformed input.
 
 use satpg_core::json::Json;
-use satpg_core::{run_atpg, AtpgConfig, ThreePhaseConfig};
-use satpg_serve::{CircuitSpec, Client, ClientError, JobSpec, ServeConfig, Server};
+use satpg_core::run_atpg;
+use satpg_serve::testing::{start_daemon, timing_free_report};
+use satpg_serve::{job_atpg_config, CircuitSpec, Client, ClientError, JobSpec, ServeConfig};
 use std::thread;
-
-fn start(cfg: ServeConfig) -> (String, thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = thread::spawn(move || server.run());
-    (addr, handle)
-}
 
 fn bench_spec(name: &str) -> JobSpec {
     JobSpec {
@@ -27,38 +21,17 @@ fn bench_spec(name: &str) -> JobSpec {
 /// The serial reference for a bench submission with daemon defaults,
 /// serialized without timing.
 fn serial_json(name: &str) -> String {
-    let ckt = satpg_serve::resolve_circuit(&CircuitSpec::Bench {
-        name: name.to_string(),
-        style: "si".to_string(),
-    })
-    .expect("suite synthesizes");
-    let cfg = AtpgConfig {
-        three_phase: ThreePhaseConfig::scaled(&ckt),
-        ..AtpgConfig::paper()
-    };
-    run_atpg(&ckt, &cfg)
+    let spec = bench_spec(name);
+    let ckt = satpg_serve::resolve_circuit(&spec.circuit).expect("suite synthesizes");
+    run_atpg(&ckt, &job_atpg_config(&spec, &ckt))
         .expect("serial flow runs")
         .to_json_value(false)
         .render()
 }
 
-/// Timing-free rendering of the `report` object inside a report event.
-fn daemon_report_json(report_event: &Json) -> String {
-    let report = report_event.get("report").expect("report body");
-    let Json::Obj(members) = report else {
-        panic!("report must be an object")
-    };
-    let stripped: Vec<(String, Json)> = members
-        .iter()
-        .filter(|(k, _)| k != "timing_us")
-        .cloned()
-        .collect();
-    Json::Obj(stripped).render()
-}
-
 #[test]
 fn concurrent_clients_get_serial_identical_reports() {
-    let (addr, handle) = start(ServeConfig {
+    let (addr, handle) = start_daemon(ServeConfig {
         pool_workers: 3,
         ..ServeConfig::default()
     });
@@ -77,11 +50,11 @@ fn concurrent_clients_get_serial_identical_reports() {
                     let first = client.submit(bench_spec(name)).expect("submit 1");
                     let second = client.submit(bench_spec(name)).expect("submit 2");
                     assert_eq!(
-                        daemon_report_json(&first.report),
-                        daemon_report_json(&second.report),
+                        timing_free_report(&first.report),
+                        timing_free_report(&second.report),
                         "{name}: resubmission changed the verdicts"
                     );
-                    (name.to_string(), daemon_report_json(&second.report))
+                    (name.to_string(), timing_free_report(&second.report))
                 })
             })
             .collect();
@@ -112,7 +85,7 @@ fn concurrent_clients_get_serial_identical_reports() {
 
 #[test]
 fn duplicate_submission_hits_the_cssg_cache() {
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
 
     let first = client.submit(bench_spec("converta")).expect("submit");
@@ -155,8 +128,8 @@ fn duplicate_submission_hits_the_cssg_cache() {
         .expect("inline submit");
     assert_eq!(cssg_stage(&inline.events), "hit");
     assert_eq!(
-        daemon_report_json(&inline.report),
-        daemon_report_json(&second.report)
+        timing_free_report(&inline.report),
+        timing_free_report(&second.report)
     );
 
     let status = client.status().expect("status");
@@ -182,7 +155,7 @@ fn duplicate_submission_hits_the_cssg_cache() {
 /// deterministic even though the interleaving is not.
 #[test]
 fn concurrent_misses_single_flight_the_cssg_build() {
-    let (addr, handle) = start(ServeConfig {
+    let (addr, handle) = start_daemon(ServeConfig {
         pool_workers: 2,
         ..ServeConfig::default()
     });
@@ -202,7 +175,7 @@ fn concurrent_misses_single_flight_the_cssg_build() {
                 s.spawn(move || {
                     let mut client = Client::connect(&addr).expect("connect");
                     let out = client.submit(spec()).expect("submit");
-                    daemon_report_json(&out.report)
+                    timing_free_report(&out.report)
                 })
             })
             .collect();
@@ -235,7 +208,7 @@ fn concurrent_misses_single_flight_the_cssg_build() {
 
 #[test]
 fn zero_depth_queue_rejects_with_backpressure() {
-    let (addr, handle) = start(ServeConfig {
+    let (addr, handle) = start_daemon(ServeConfig {
         queue_depth: 0,
         ..ServeConfig::default()
     });
@@ -258,7 +231,7 @@ fn zero_depth_queue_rejects_with_backpressure() {
 
 #[test]
 fn malformed_submissions_fail_with_line_numbers_not_panics() {
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
     // Truncated .g text: the daemon answers with the parser's located
     // error and stays alive.
@@ -289,7 +262,7 @@ fn malformed_submissions_fail_with_line_numbers_not_panics() {
     ));
     // The daemon is still healthy after four failed jobs.
     let out = client.submit(bench_spec("dff")).expect("daemon survived");
-    assert_eq!(daemon_report_json(&out.report), serial_json("dff"));
+    assert_eq!(timing_free_report(&out.report), serial_json("dff"));
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
 }
@@ -301,7 +274,7 @@ fn malformed_submissions_fail_with_line_numbers_not_panics() {
 /// patterns.
 #[test]
 fn sixty_four_input_jobs_need_a_budget_and_then_run() {
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut client = Client::connect(&addr).expect("connect");
     let arbiter64 = || {
         JobSpec::new(CircuitSpec::Family {
@@ -337,7 +310,7 @@ fn sixty_four_input_jobs_need_a_budget_and_then_run() {
 #[test]
 fn raw_garbage_lines_get_rejected_events() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     for bad in ["not json", "{\"cmd\":\"frob\"}", "[1,2,3]"] {
@@ -361,7 +334,7 @@ fn raw_garbage_lines_get_rejected_events() {
 #[test]
 fn correlation_ids_echo_on_every_reply() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut reply = |req: &str| -> Json {
@@ -416,7 +389,7 @@ fn correlation_ids_echo_on_every_reply() {
 #[test]
 fn unknown_job_fields_are_rejected_then_the_connection_serves() {
     use std::io::{BufRead, BufReader, Write};
-    let (addr, handle) = start(ServeConfig::default());
+    let (addr, handle) = start_daemon(ServeConfig::default());
     let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
     let mut reader = BufReader::new(stream.try_clone().unwrap());
     let mut reply = |req: &str| -> Json {
@@ -446,7 +419,7 @@ fn unknown_job_fields_are_rejected_then_the_connection_serves() {
         reader.read_line(&mut line).unwrap();
         v = Json::parse(line.trim()).expect("event is protocol JSON");
     }
-    assert_eq!(daemon_report_json(&v), serial_json("dff"));
+    assert_eq!(timing_free_report(&v), serial_json("dff"));
     drop((reader, stream));
     let mut client = Client::connect(&addr).expect("connect");
     client.shutdown().expect("shutdown");
@@ -457,14 +430,14 @@ fn unknown_job_fields_are_rejected_then_the_connection_serves() {
 #[test]
 fn unix_socket_transport_works() {
     let path = format!("/tmp/satpg-serve-test-{}.sock", std::process::id());
-    let (addr, handle) = start(ServeConfig {
+    let (addr, handle) = start_daemon(ServeConfig {
         addr: format!("unix:{path}"),
         ..ServeConfig::default()
     });
     assert_eq!(addr, format!("unix:{path}"));
     let mut client = Client::connect(&addr).expect("connect over unix socket");
     let out = client.submit(bench_spec("dff")).expect("submit");
-    assert_eq!(daemon_report_json(&out.report), serial_json("dff"));
+    assert_eq!(timing_free_report(&out.report), serial_json("dff"));
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
     assert!(!std::path::Path::new(&path).exists(), "socket file cleaned");

@@ -13,9 +13,11 @@
 //!   panicking or truncating silently;
 //! * with an explicit budget the full flow (parse → settle → CSSG →
 //!   ATPG → report JSON) runs at every width, skipped patterns are
-//!   *counted* in the report, and the JSON render is byte-stable;
+//!   *counted* in the CSSG and the report, and each width's report is
+//!   pinned by a golden digest (the ATPG half is `#[ignore]`d: seconds
+//!   in a debug build; CI runs it in release under overflow checks);
 //! * a `muller_pipeline(32)` (> 64 state bits, 2 inputs) builds an
-//!   untruncated CSSG and completes ATPG with a byte-stable report;
+//!   untruncated CSSG and completes ATPG with a pinned report;
 //! * the `u64` fast-path and [`Pattern`] spellings of the simulation
 //!   entry points are interchangeable across the whole benchmark suite
 //!   and the generated families.
@@ -24,6 +26,7 @@ use satpg::core::{faults_for, run_atpg_on, CoreError};
 use satpg::netlist::families::{arbiter_tree, muller_pipeline};
 use satpg::netlist::{parse_ckt, to_ckt};
 use satpg::prelude::*;
+use satpg::serve::cache::fnv64;
 use satpg::stg::{suite, synth, StateGraph};
 
 /// A scaled ATPG configuration with an explicit per-state pattern
@@ -36,9 +39,8 @@ fn budgeted_cfg(ckt: &Circuit, budget: u64) -> AtpgConfig {
     cfg
 }
 
-/// Widths 62–65 drive the complete flow: text round-trip, multi-word
-/// settling, budgeted CSSG, ATPG, byte-stable JSON with an explicit
-/// skipped-pattern ledger.
+/// Widths 62–65 drive the flow up to the budgeted CSSG: text
+/// round-trip, multi-word settling and the skipped-pattern ledger.
 #[test]
 fn boundary_widths_drive_the_full_flow() {
     for width in [62usize, 63, 64, 65] {
@@ -67,35 +69,45 @@ fn boundary_widths_drive_the_full_flow() {
             other => panic!("width {width}: all-requests settle was {other:?}"),
         }
 
-        // CSSG + ATPG under an explicit budget.  The skipped patterns
-        // must be *counted* — the report carries the shortfall rather
-        // than pretending the enumeration was exhaustive.
+        // CSSG under an explicit budget.  The skipped patterns must be
+        // *counted* — the graph carries the shortfall rather than
+        // pretending the enumeration was exhaustive.
         let cfg = budgeted_cfg(&ckt, 8);
         let cssg = build_cssg(&ckt, &cfg.cssg).unwrap_or_else(|e| panic!("width {width}: {e}"));
         assert!(
             cssg.patterns_skipped() > 0,
             "width {width}: a 2^{width} enumeration under budget 8 must record skips"
         );
-        let faults = faults_for(&ckt, cfg.fault_model);
-        let r1 = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
-        let r2 = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
-        assert_eq!(r1.cssg_patterns_skipped, cssg.patterns_skipped());
-
-        // Byte-stable JSON: re-running and re-rendering both reproduce
-        // the exact bytes, and the skip ledger is present.
-        let j1 = r1.to_json_value(false).render();
-        assert_eq!(
-            j1,
-            r2.to_json_value(false).render(),
-            "width {width}: rerun must reproduce the report"
-        );
-        assert_eq!(
-            j1,
-            r1.to_json_value(false).render(),
-            "width {width}: re-render must be byte-stable"
-        );
-        assert!(j1.contains("\"patterns_skipped\""), "width {width}");
     }
+}
+
+/// The budgeted ATPG half of [`boundary_widths_drive_the_full_flow`]:
+/// each width's timing-free report under budget 8 carries the CSSG's
+/// skip ledger and hashes to its golden digest.  369 of arbiter-62's
+/// 370 faults end untestable, which takes seconds a width in a debug
+/// build.
+#[test]
+#[ignore = "release tier: CI runs it with --release under overflow checks"]
+fn boundary_width_reports_are_pinned() {
+    let mut got = Vec::new();
+    for width in [62usize, 63, 64, 65] {
+        let ckt = arbiter_tree(width);
+        let cfg = budgeted_cfg(&ckt, 8);
+        let cssg = build_cssg(&ckt, &cfg.cssg).unwrap_or_else(|e| panic!("width {width}: {e}"));
+        let faults = faults_for(&ckt, cfg.fault_model);
+        let report = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
+        assert_eq!(report.cssg_patterns_skipped, cssg.patterns_skipped());
+        let json = report.to_json_value(false).render();
+        assert!(json.contains("\"patterns_skipped\""), "width {width}");
+        got.push((width, fnv64(json.as_bytes())));
+    }
+    let want = [
+        (62, 0xe1f7_8beb_ec1c_0419),
+        (63, 0x593e_db77_0bfb_1ce7),
+        (64, 0x70ec_a752_5262_79b9),
+        (65, 0xeead_3050_ad75_9932),
+    ];
+    assert_eq!(got, want, "(width, report digest)");
 }
 
 /// Past 63 inputs, exhaustive enumeration refuses with a diagnostic
@@ -140,7 +152,7 @@ fn sixty_three_inputs_is_still_admitted() {
 
 /// `muller_pipeline(32)` has 2 inputs but 68 state bits — past the old
 /// 64-signal wall for *states*.  The CSSG builds untruncated, ATPG
-/// completes, and the report is byte-stable.
+/// completes, and the report hashes to its golden digest.
 #[test]
 fn muller_32_crosses_the_state_wall() {
     let ckt = muller_pipeline(32);
@@ -154,14 +166,17 @@ fn muller_32_crosses_the_state_wall() {
     assert_eq!(cssg.pruned_truncated(), 0, "untruncated at depth 32");
     assert_eq!(cssg.patterns_skipped(), 0, "2 inputs: exhaustive");
     let faults = faults_for(&ckt, cfg.fault_model);
-    let r1 = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
-    let r2 = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
+    let report = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
     assert_eq!(
-        r1.to_json_value(false).render(),
-        r2.to_json_value(false).render(),
-        "depth-32 report must be byte-stable"
+        report.covered() + report.untestable() + report.aborted(),
+        report.total()
     );
-    assert_eq!(r1.covered() + r1.untestable() + r1.aborted(), r1.total());
+    let json = report.to_json_value(false).render();
+    assert_eq!(
+        fnv64(json.as_bytes()),
+        0x65ff_8c67_d662_a6f4,
+        "depth-32 report digest"
+    );
 }
 
 /// The `u64` fast path and the [`Pattern`] spelling of every simulation

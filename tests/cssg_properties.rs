@@ -86,25 +86,6 @@ fn cssg_edges_are_exactly_the_valid_vectors() {
     }
 }
 
-/// Justification sequences reach their goals on the good machine.
-#[test]
-fn justification_reaches_goals() {
-    let ckt = si_circuit("chu150");
-    let cssg = build_cssg(&ckt, &CssgConfig::default()).unwrap();
-    for goal in 0..cssg.num_states() {
-        let mut goals = vec![false; cssg.num_states()];
-        goals[goal] = true;
-        let seq = cssg
-            .justify(cssg.initial(), &goals)
-            .expect("all CSSG states reachable from reset");
-        let walked = cssg
-            .replay(&TestSequence { patterns: seq })
-            .expect("valid walk");
-        let last = walked.last().copied().unwrap_or(cssg.initial());
-        assert_eq!(last, goal);
-    }
-}
-
 /// Random TPG sequences and three-phase sequences both replay on the good
 /// machine (they are valid tester programs by construction).
 #[test]

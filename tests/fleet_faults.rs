@@ -9,81 +9,47 @@
 //! cannot be reached at all is lost at `enlist`, before any shard.
 
 use satpg::core::json::Json;
-use satpg::core::{run_atpg, AtpgConfig, ThreePhaseConfig};
-use satpg::serve::testing::{FaultyPeer, Mischief};
-use satpg::serve::{run_fleet, CircuitSpec, Client, FleetConfig, JobSpec, ServeConfig, Server};
-use satpg::stg::synth::complex_gate;
-use satpg::stg::{suite, StateGraph};
+use satpg::core::run_atpg;
+use satpg::serve::testing::{start_daemon, timing_free_report, FaultyPeer, Mischief};
+use satpg::serve::{
+    job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client, FleetConfig, JobSpec,
+    ServeConfig,
+};
 use std::time::Duration;
 
-/// The benchmark under test.  Random TPG is disabled so every fault
-/// class reaches the distributed phase — the proxy is then guaranteed
-/// in-flight shard traffic to strike.
-const BENCH: &str = "converta";
-
-fn start(cfg: ServeConfig) -> (String, std::thread::JoinHandle<std::io::Result<()>>) {
-    let server = Server::bind(cfg).expect("bind");
-    let addr = server.local_addr();
-    let handle = std::thread::spawn(move || server.run());
-    (addr, handle)
-}
-
+/// The campaign under test: converta (`si`) with the random stage off,
+/// so every fault class reaches the distributed phase — the proxy is
+/// then guaranteed in-flight shard traffic to strike.
 fn spec() -> JobSpec {
     JobSpec {
-        circuit: CircuitSpec::Bench {
-            name: BENCH.to_string(),
-            style: "si".to_string(),
-        },
         workers: 2,
-        output_model: false,
-        collapse: false,
         no_random: true,
-        k: None,
-        pattern_budget: None,
+        ..JobSpec::new(CircuitSpec::Bench {
+            name: "converta".to_string(),
+            style: "si".to_string(),
+        })
     }
 }
 
-/// The serial baseline under the exact config the daemon derives from
-/// [`spec`]: paper defaults, no random stage, scaled three-phase.
+/// The serial baseline under the config the daemon derives from
+/// [`spec`].
 fn serial_json() -> String {
-    let stg = suite::load(BENCH).unwrap();
-    let sg = StateGraph::build(&stg).unwrap();
-    let ckt = complex_gate(&stg, &sg).unwrap();
-    let cfg = AtpgConfig {
-        random: None,
-        three_phase: ThreePhaseConfig::scaled(&ckt),
-        ..AtpgConfig::paper()
-    };
-    run_atpg(&ckt, &cfg)
+    let ckt = resolve_circuit(&spec().circuit).expect("converta synthesizes");
+    run_atpg(&ckt, &job_atpg_config(&spec(), &ckt))
         .expect("serial ATPG runs")
         .to_json_value(false)
         .render()
-}
-
-/// The `report` sub-object of the daemon's final event, with the wall
-/// clock timing stripped — the byte-comparable form.
-fn daemon_report_json(report_event: &Json) -> String {
-    let report = report_event.get("report").expect("report body");
-    let Json::Obj(pairs) = report else {
-        panic!("report must be an object, got {report}")
-    };
-    let filtered: Vec<(String, Json)> = pairs
-        .iter()
-        .filter(|(k, _)| k != "timing_us")
-        .cloned()
-        .collect();
-    Json::Obj(filtered).render()
 }
 
 /// Runs one coordinated 3-peer campaign with `mischief` injected in
 /// front of the first peer; returns the final report event, the
 /// coordinator's status snapshot and its metrics snapshot.
 fn run_scenario(mischief: Mischief, timeout_ms: u64) -> (Json, Json, Json) {
-    let (p0, _) = start(ServeConfig::default());
-    let (p1, _) = start(ServeConfig::default());
-    let (p2, _) = start(ServeConfig::default());
+    let (p0, _) = start_daemon(ServeConfig::default());
+    let (p1, _) = start_daemon(ServeConfig::default());
+    let (p2, _) = start_daemon(ServeConfig::default());
     let proxy = FaultyPeer::spawn(&p0, mischief).expect("proxy spawns");
-    let (coord, coord_handle) = start(ServeConfig {
+    let (coord, coord_handle) = start_daemon(ServeConfig {
         peers: vec![proxy.addr().to_string(), p1, p2],
         fleet_chunk: 2,
         fleet_timeout_ms: timeout_ms,
@@ -112,7 +78,7 @@ fn fleet_stat(report: &Json, key: &str) -> Option<usize> {
 fn assert_survived(scenario: &str, report: &Json, status: &Json, metrics: &Json) {
     assert_eq!(
         serial_json(),
-        daemon_report_json(report),
+        timing_free_report(report),
         "{scenario}: fleet report must be byte-identical to serial"
     );
     assert_eq!(
@@ -154,7 +120,7 @@ fn assert_survived(scenario: &str, report: &Json, status: &Json, metrics: &Json)
 #[test]
 fn faithful_proxy_is_invisible() {
     let (report, _, _) = run_scenario(Mischief::Faithful, 10_000);
-    assert_eq!(serial_json(), daemon_report_json(&report));
+    assert_eq!(serial_json(), timing_free_report(&report));
     let retries = report
         .get("fleet")
         .and_then(|f| f.get("retries"))
@@ -173,8 +139,8 @@ fn faithful_proxy_is_invisible() {
 /// nothing requeued and nothing left for the merge to recompute.
 #[test]
 fn unreachable_peer_is_lost_at_enlist() {
-    let (p1, _) = start(ServeConfig::default());
-    let (p2, _) = start(ServeConfig::default());
+    let (p1, _) = start_daemon(ServeConfig::default());
+    let (p2, _) = start_daemon(ServeConfig::default());
     let fc = FleetConfig {
         peers: vec!["127.0.0.1:1".to_string(), p1, p2],
         chunk: 2,

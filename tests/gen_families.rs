@@ -8,7 +8,7 @@
 //! sizes that fit a debug-mode test run, including the upper bounds of
 //! the family table for the STG-synthesized families (dme-6 and seq-15,
 //! the largest sizes `satpg gen` and the daemon accept); the
-//! `#[ignore]`d release tier (run by the CI GC-stress job with
+//! `#[ignore]`d release tier (run by the CI `bdd-oracle` job with
 //! `--include-ignored`) pins arbiter-7 and the previously-aborting
 //! Muller sizes 15 and 16.
 

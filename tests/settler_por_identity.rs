@@ -1,162 +1,59 @@
 //! POR soundness property suite: the partial-order-reduced settling
 //! walk must be **observationally identical** to the naive exhaustive
-//! walk wherever the naive walk completes.
-//!
-//! Concretely, for every circuit in the bundled 23-benchmark suite and
-//! the generated muller/arbiter/dme/sequencer families, a CSSG built
-//! with `por: true` must be bit-identical to one built with
-//! `por: false` — same state numbering, same edge lists, same
-//! pruning/truncation counters — serially and for every shard count.
-//! The only permitted difference is the work ledger
-//! ([`Cssg::settle_stats`]): the reduced build explores fewer states.
-//!
-//! This is the empirical half of the persistent-singleton soundness
-//! argument in `crates/sim/DESIGN.md`; the reduction itself re-verifies
-//! its premise at every expanded state, and this suite checks the
-//! conclusion end to end.
-//!
-//! Quick tier: all 23 benchmarks (default config) plus small generated
-//! families, serial and shards 1..=4, and exact-semantics (no ternary
-//! fast path) configurations that force the walker onto every pattern.
-//! Release tier (`#[ignore]`, run by the CI `cssg-shard` job with
-//! `--include-ignored`): the deep Muller pipelines where the naive walk
-//! takes seconds and POR earns its keep.
-//!
-//! The same identity holds for the whole flow: with POR off in both
-//! settling layers (CSSG construction and the three-phase search), the
-//! campaign's records, tests and totals equal the default campaign's.
+//! walk wherever the naive walk completes — the empirical half of the
+//! soundness argument in `crates/sim/DESIGN.md`.  A CSSG built with POR
+//! on equals one built with it off (state numbering, edge lists,
+//! pruning counters), serially and for every shard count: the identity
+//! matrix's structure rows (`matrix/mod.rs`) pin one digest across all
+//! of them; only the settle-work ledger differs.  With POR off in both
+//! settling layers, the whole flow's records, tests and totals equal
+//! the default's (the matrix's `naive` column).
 
-use satpg::core::{
-    build_cssg, build_cssg_sharded, input_stuck_faults, output_stuck_faults, run_atpg,
-    three_phase_traced, AtpgConfig, AtpgReport, CapPolicy, Cssg, CssgConfig, FaultStatus,
+mod matrix;
+
+use matrix::{
+    is_bench_label, job, naive_cells, quick_rows, structure_cells, SLOW_NAIVE, STRUCTURE,
 };
-use satpg::netlist::families::{arbiter_tree, muller_pipeline};
+use satpg::core::{
+    build_cssg, input_stuck_faults, output_stuck_faults, three_phase_traced, AtpgConfig, CapPolicy,
+    CssgConfig, FaultStatus,
+};
 use satpg::netlist::Circuit;
 use satpg::serve::cache::fnv64;
-use satpg::serve::{job_atpg_config, resolve_circuit, CircuitSpec, JobSpec};
+use satpg::serve::resolve_circuit;
 use satpg::sim::SettleStats;
-use satpg::stg::synth::complex_gate;
-use satpg::stg::{families, suite, StateGraph};
+use satpg::stg::suite;
 
-fn si_circuit(name: &str) -> Circuit {
-    let stg = suite::load(name).unwrap();
-    let sg = StateGraph::build(&stg).unwrap();
-    complex_gate(&stg, &sg).unwrap()
-}
-
-fn stg_family(kind: &str, size: usize) -> Circuit {
-    let stg = match kind {
-        "dme" => families::dme_ring(size).unwrap(),
-        "seq" => families::sequencer(size).unwrap(),
-        other => panic!("unknown family {other}"),
-    };
-    let sg = StateGraph::build(&stg).unwrap();
-    complex_gate(&stg, &sg).unwrap()
-}
-
-/// Bit identity of everything except the work ledger.
-fn assert_identical(naive: &Cssg, reduced: &Cssg, ctx: &str) {
-    assert_eq!(naive.k(), reduced.k(), "{ctx}: k");
-    assert_eq!(naive.num_inputs(), reduced.num_inputs(), "{ctx}: inputs");
-    assert_eq!(naive.states(), reduced.states(), "{ctx}: state numbering");
-    for s in 0..naive.num_states() {
-        assert_eq!(
-            naive.edges(s),
-            reduced.edges(s),
-            "{ctx}: edge list of state {s}"
-        );
-    }
-    assert_eq!(
-        naive.pruned_nonconfluent(),
-        reduced.pruned_nonconfluent(),
-        "{ctx}: pruned_nonconfluent"
-    );
-    assert_eq!(
-        naive.pruned_unstable(),
-        reduced.pruned_unstable(),
-        "{ctx}: pruned_unstable"
-    );
-    assert_eq!(
-        naive.pruned_truncated(),
-        reduced.pruned_truncated(),
-        "{ctx}: pruned_truncated"
-    );
-}
-
-/// The headline property for one circuit and one base config: the naive
-/// build must complete (no truncation — the identity claim is scoped to
-/// that), and then the POR build must match it bit for bit, serially
-/// and for every shard count 1..=4.
-fn assert_por_identity(ckt: &Circuit, base: &CssgConfig, ctx: &str) {
-    let naive_cfg = CssgConfig {
-        por: false,
-        ..*base
-    };
-    let por_cfg = CssgConfig { por: true, ..*base };
-    let naive = build_cssg(ckt, &naive_cfg).unwrap();
-    assert_eq!(
-        naive.pruned_truncated(),
-        0,
-        "{ctx}: the naive walk must complete for the identity claim to apply \
-         (raise the cap in this test)"
-    );
-    let reduced = build_cssg(ckt, &por_cfg).unwrap();
-    assert_identical(&naive, &reduced, ctx);
-    for shards in 1..=4 {
-        let sharded = build_cssg_sharded(ckt, &por_cfg, shards).unwrap();
-        assert_identical(&naive, &sharded, &format!("{ctx} @ {shards} POR shards"));
-    }
-}
-
+/// The 23 bundled benchmarks (`si`) under the default configuration.
 #[test]
 fn por_identity_on_all_bundled_benchmarks() {
-    for &name in suite::NAMES {
-        let ckt = si_circuit(name);
-        assert_por_identity(&ckt, &CssgConfig::default(), name);
-    }
+    structure_cells(STRUCTURE, |circuit, config| {
+        config == "default" && is_bench_label(circuit)
+    });
 }
 
+/// muller-8/11, arbiter-4, dme-3 and seq-6 under the default
+/// configuration, and the flow with POR off on the family report rows
+/// (muller-10 has its own test below).
 #[test]
 fn por_identity_on_generated_families() {
-    let circuits = [
-        muller_pipeline(8),
-        muller_pipeline(11),
-        arbiter_tree(4),
-        arbiter_tree(6),
-        stg_family("dme", 3),
-        stg_family("seq", 6),
-    ];
-    for ckt in &circuits {
-        assert_por_identity(ckt, &CssgConfig::default(), ckt.name());
-    }
+    structure_cells(STRUCTURE, |circuit, config| {
+        config == "default" && !is_bench_label(circuit)
+    });
+    let slow = [&SLOW_NAIVE[..], &["muller-10"]].concat();
+    naive_cells(&quick_rows(|r| r.is_family() && !r.is_one_of(&slow)));
 }
 
 /// The exact k-bounded semantics (no ternary fast path) sends *every*
 /// (state, pattern) pair through the walker, so the reduction is
 /// exercised on confluent waves too — the cases the fast path normally
-/// absorbs.
+/// absorbs.  A small k moves the depth boundary into live settles: run
+/// lengths must still be preserved exactly by the reduction.
 #[test]
 fn por_identity_under_exact_semantics() {
-    let exact = CssgConfig {
-        ternary_fast_path: false,
-        ..CssgConfig::default()
-    };
-    for ckt in [
-        muller_pipeline(6),
-        arbiter_tree(4),
-        si_circuit("converta"),
-        si_circuit("dff"),
-        si_circuit("mmu"),
-    ] {
-        assert_por_identity(&ckt, &exact, &format!("{} exact", ckt.name()));
-        // A small k moves the depth boundary into live settles: run
-        // lengths must still be preserved exactly by the reduction.
-        let short = CssgConfig {
-            k: Some(5),
-            ..exact
-        };
-        assert_por_identity(&ckt, &short, &format!("{} exact k=5", ckt.name()));
-    }
+    structure_cells(STRUCTURE, |_, config| {
+        ["exact", "exact k=5"].contains(&config)
+    });
 }
 
 /// The reduction actually reduces on wave-heavy workloads (otherwise
@@ -166,22 +63,19 @@ fn por_identity_under_exact_semantics() {
 /// 1,064 expansions are in the muller-10 report digest.
 #[test]
 fn por_actually_fires_on_muller() {
-    let ckt = muller_pipeline(10);
+    let ckt = resolve_circuit(&job("muller-10").circuit).expect("muller-10 resolves");
     let reduced = build_cssg(&ckt, &CssgConfig::default()).unwrap();
     assert!(
         reduced.settle_stats().por_pruned > 0,
         "expected POR to prune on a 10-stage pipeline: {:?}",
         reduced.settle_stats()
     );
-    let naive = build_cssg(
-        &ckt,
-        &CssgConfig {
-            por: false,
-            settle_cap: CapPolicy::Fixed(1 << 15),
-            ..CssgConfig::default()
-        },
-    )
-    .unwrap();
+    let naive = CssgConfig {
+        por: false,
+        settle_cap: CapPolicy::Fixed(1 << 15),
+        ..CssgConfig::default()
+    };
+    let naive = build_cssg(&ckt, &naive).unwrap();
     assert_eq!(
         naive.settle_stats().states_explored,
         23_094,
@@ -196,70 +90,22 @@ fn por_actually_fires_on_muller() {
     );
 }
 
-/// Release tier: the sizes where the naive walk is seconds of wall
-/// clock and the old fixed 2^15 cap used to truncate.  muller-14/16
-/// keep the naive side affordable; the POR side is instant.
-#[test]
-#[ignore = "release-mode tier: the naive reference walks are seconds of wall clock"]
-fn por_identity_on_deep_muller_pipelines() {
-    for size in [14usize, 16] {
-        let ckt = muller_pipeline(size);
-        assert_por_identity(&ckt, &CssgConfig::default(), &format!("muller_pipe{size}"));
-    }
-    let ckt = arbiter_tree(7);
-    assert_por_identity(&ckt, &CssgConfig::default(), "arbiter7");
-}
-
-/// The campaign `spec` describes, run with the CLI's flow configuration
-/// and again with POR off in both settling layers: the naive walk must
-/// complete (no truncated CSSG pair) and give the same records, tests
-/// and totals.
-fn assert_naive_flow_matches(spec: CircuitSpec, ctx: &str) {
-    let spec = JobSpec::new(spec);
-    let ckt = resolve_circuit(&spec.circuit).expect("circuit resolves");
-    let default = job_atpg_config(&spec, &ckt);
-    let mut naive = default.clone();
-    naive.cssg.por = false;
-    naive.three_phase.por = false;
-    let verdicts = |r: &AtpgReport| {
-        let json = r.to_json_value(false);
-        ["records", "tests", "totals"].map(|key| json.get(key).cloned())
-    };
-    match (run_atpg(&ckt, &default), run_atpg(&ckt, &naive)) {
-        (Ok(d), Ok(n)) => {
-            assert_eq!(n.cssg_truncated, 0, "{ctx}: the naive build must complete");
-            assert_eq!(
-                verdicts(&d),
-                verdicts(&n),
-                "{ctx}: naive vs default verdicts"
-            );
-        }
-        // A circuit with no valid vectors fails the same way on both.
-        (Err(_), Err(_)) => {}
-        (d, n) => panic!("{ctx}: default {d:?} vs naive {n:?}"),
-    }
-}
-
+/// The bundled benchmarks' naive cells: every style, random stage on
+/// and off, and the output-model and collapse rows.
 #[test]
 fn naive_flow_matches_default_on_all_bundled_benchmarks() {
-    for &name in suite::NAMES {
-        for style in ["si", "2l"] {
-            let spec = CircuitSpec::Bench {
-                name: name.to_string(),
-                style: style.to_string(),
-            };
-            assert_naive_flow_matches(spec, &format!("{name} {style}"));
-        }
-    }
+    naive_cells(&quick_rows(|r| !r.is_family()));
 }
 
 #[test]
 fn naive_flow_matches_default_on_muller_10() {
-    let spec = CircuitSpec::Family {
-        name: "muller".to_string(),
-        size: 10,
-    };
-    assert_naive_flow_matches(spec, "muller_pipe10");
+    let muller_10 = quick_rows(|r| r.is_one_of(&["muller-10"]));
+    assert_eq!(
+        muller_10.len(),
+        2,
+        "muller-10 with the random stage on and off"
+    );
+    naive_cells(&muller_10);
 }
 
 /// The three-phase search on every input and output stuck-at fault of
@@ -310,25 +156,15 @@ fn counters(s: &SettleStats) -> [u64; 6] {
 /// changes no verdict and no counter.
 #[test]
 fn three_phase_settle_work_pinned() {
-    let mut specs: Vec<CircuitSpec> = Vec::new();
-    for &name in suite::NAMES {
-        for style in ["si", "2l", "2lr"] {
-            specs.push(CircuitSpec::Bench {
-                name: name.to_string(),
-                style: style.to_string(),
-            });
-        }
-    }
-    for (name, size) in [("muller", 6), ("dme", 3), ("arbiter", 4)] {
-        specs.push(CircuitSpec::Family {
-            name: name.to_string(),
-            size,
-        });
-    }
+    let styles = ["si", "2l", "2lr"];
+    let benches = suite::NAMES
+        .iter()
+        .flat_map(|n| styles.map(|s| format!("{n} {s}")));
+    let families = ["muller-6", "dme-3", "arbiter-4"].map(String::from);
     let mut sum = SettleStats::default();
     let mut verdicts = String::new();
-    for spec in &specs {
-        let ckt = resolve_circuit(spec).expect("circuit resolves");
+    for label in benches.chain(families) {
+        let ckt = resolve_circuit(&job(&label).circuit).expect("circuit resolves");
         three_phase_work(&ckt, &AtpgConfig::paper(), &mut sum, &mut verdicts);
         three_phase_work(&ckt, &AtpgConfig::scaled(&ckt), &mut sum, &mut verdicts);
     }
@@ -345,11 +181,7 @@ fn three_phase_settle_work_pinned() {
 /// the whole test cycle.
 #[test]
 fn three_phase_settle_work_pinned_at_large_k() {
-    let ckt = resolve_circuit(&CircuitSpec::Bench {
-        name: "mp-forward-pkt".to_string(),
-        style: "2l".to_string(),
-    })
-    .expect("circuit resolves");
+    let ckt = resolve_circuit(&job("mp-forward-pkt 2l").circuit).expect("circuit resolves");
     let mut got = Vec::new();
     for k in [200, 2_000] {
         let mut cfg = AtpgConfig::paper();
