@@ -74,6 +74,8 @@ pub struct Cssg {
     /// saved.  Diagnostics only — excluded from bit-identity comparisons
     /// between differently-configured builds.
     settle_stats: SettleStats,
+    /// Threads the construction ran on.
+    build_threads: usize,
 }
 
 impl Cssg {
@@ -89,6 +91,7 @@ impl Cssg {
             pruned_truncated: 0,
             patterns_skipped: 0,
             settle_stats: SettleStats::default(),
+            build_threads: 1,
         }
     }
 
@@ -117,18 +120,6 @@ impl Cssg {
         }
     }
 
-    pub(crate) fn note_nonconfluent(&mut self) {
-        self.pruned_nonconfluent += 1;
-    }
-
-    pub(crate) fn note_unstable(&mut self) {
-        self.pruned_unstable += 1;
-    }
-
-    pub(crate) fn note_truncated(&mut self) {
-        self.pruned_truncated += 1;
-    }
-
     pub(crate) fn note_unstable_n(&mut self, n: usize) {
         self.pruned_unstable += n;
     }
@@ -147,6 +138,10 @@ impl Cssg {
 
     pub(crate) fn note_settle_stats(&mut self, stats: &SettleStats) {
         self.settle_stats.absorb(stats);
+    }
+
+    pub(crate) fn note_build_threads(&mut self, threads: usize) {
+        self.build_threads = threads;
     }
 
     /// The transition bound `k` used during construction.
@@ -237,6 +232,13 @@ impl Cssg {
     /// yet different work counters — that difference is the point.
     pub fn settle_stats(&self) -> &SettleStats {
         &self.settle_stats
+    }
+
+    /// Threads the construction ran on: 1, or the whole budget of
+    /// [`crate::build_cssg_sharded`] when helpers joined.  Not part of
+    /// the graph.
+    pub fn build_threads(&self) -> usize {
+        self.build_threads
     }
 
     /// Replays a test sequence on the good machine, returning the state

@@ -1,20 +1,22 @@
 //! Explicit CSSG construction: enumerate stable states and validate every
 //! input pattern with the k-bounded settling analysis.
 //!
-//! Two entry points share one semantics: [`build_cssg`] explores the
-//! reachable stable states serially, [`build_cssg_sharded`] splits the
-//! reachability frontier across worker threads (each running its own
-//! [`Settler`]) and then merges deterministically — the result is
-//! **bit-identical** to the serial build for any shard count (see
-//! `crates/core/DESIGN.md`).
+//! One loop builds the graph: a depth-first walk from the reset state
+//! that settles each state's candidate patterns in ascending order and
+//! interns successors as it meets them.  [`build_cssg`] runs it on one
+//! thread; [`build_cssg_sharded`] gives it a thread budget, and past a
+//! fixed amount of settling work helper threads (each with its own
+//! [`Settler`]) precompute verdicts the loop consumes in serial order,
+//! so the result is **bit-identical** to the serial build for any
+//! budget (see `crates/core/DESIGN.md`).
 
 use crate::cssg::Cssg;
 use crate::error::CoreError;
 use crate::Result;
 use satpg_netlist::{pattern_count, Bits, Circuit, Pattern};
 use satpg_sim::{CapPolicy, Injection, Settle, SettleStats, Settler, SettlerConfig};
-use std::collections::{HashMap, VecDeque};
-use std::sync::{Condvar, Mutex};
+use std::collections::HashMap;
+use std::sync::{Arc, Condvar, Mutex, MutexGuard};
 
 /// Configuration for [`build_cssg`].
 #[derive(Clone, Copy, Debug)]
@@ -74,30 +76,18 @@ impl CssgConfig {
     }
 }
 
-/// The shared precondition prologue of both builders: a divergence here
-/// would let one entry point accept circuits the other rejects.
-fn validate(ckt: &Circuit, cfg: &CssgConfig) -> Result<()> {
-    if ckt.num_inputs() > 63 && cfg.pattern_budget.is_none() {
-        return Err(CoreError::PatternBudgetRequired(ckt.num_inputs()));
-    }
-    if ckt.outputs().len() > 64 {
-        return Err(CoreError::TooManyOutputs(ckt.outputs().len()));
-    }
-    if !ckt.is_stable(ckt.initial_state()) {
-        return Err(CoreError::NoStableReset);
-    }
-    Ok(())
+/// Candidate patterns per state: every pattern but the state's own.
+/// Saturating: past 63 inputs the count does not fit a word.
+fn all_candidates(num_inputs: usize) -> u64 {
+    pattern_count(num_inputs).map_or(u64::MAX, |t| t - 1)
 }
 
-/// How many candidate patterns the budget leaves untried per state —
-/// a pure function of (inputs, budget), so the serial and sharded
-/// builders account identically.  Saturating: past 63 inputs the true
-/// candidate count does not fit a word.
-fn skipped_per_state(num_inputs: usize, budget: Option<u64>) -> u64 {
-    let Some(budget) = budget else { return 0 };
-    let candidates = pattern_count(num_inputs).map(|t| t - 1).unwrap_or(u64::MAX);
-    candidates.saturating_sub(budget)
-}
+/// Settling work (analyses plus expansions, [`SettleStats`]) a build
+/// does alone before helpers join it.  Every bundled benchmark builds
+/// within 62 units and every seq and dme build within 60, so they never
+/// pay thread start-up; muller-4 (272 units) and arbiter-3 (498) are
+/// the smallest generated circuits that get helpers.
+const HELPERS_AFTER: u64 = 256;
 
 /// Builds the CSSG of `ckt` from its reset state by forward exploration:
 /// every input pattern is tried in every discovered stable state, and
@@ -114,63 +104,182 @@ fn skipped_per_state(num_inputs: usize, budget: Option<u64>) -> u64 {
 /// a pattern budget, or [`CoreError::CssgOverflow`] when the state
 /// budget is exceeded.
 pub fn build_cssg(ckt: &Circuit, cfg: &CssgConfig) -> Result<Cssg> {
-    validate(ckt, cfg)?;
+    build(ckt, cfg, 1, HELPERS_AFTER)
+}
+
+/// [`build_cssg`] on at most `shards` threads: once the loop has done
+/// [`HELPERS_AFTER`] units of settling work alone, `shards − 1` helpers
+/// precompute verdicts it consumes in serial order.  The result is
+/// bit-identical to [`build_cssg`]'s for every shard count, and whether
+/// helpers join ([`Cssg::build_threads`]) depends only on the circuit
+/// and the configuration.
+///
+/// # Errors
+///
+/// Exactly the conditions of [`build_cssg`].
+pub fn build_cssg_sharded(ckt: &Circuit, cfg: &CssgConfig, shards: usize) -> Result<Cssg> {
+    build(ckt, cfg, shards, HELPERS_AFTER)
+}
+
+/// The one build loop: a depth-first walk from the reset state that
+/// settles every candidate pattern of a state in ascending order and
+/// interns new successors as it meets them.  With `threads > 1`, helpers
+/// join once the loop's own work reaches `helpers_after`.
+fn build(ckt: &Circuit, cfg: &CssgConfig, threads: usize, helpers_after: u64) -> Result<Cssg> {
+    if ckt.num_inputs() > 63 && cfg.pattern_budget.is_none() {
+        return Err(CoreError::PatternBudgetRequired(ckt.num_inputs()));
+    }
+    if ckt.outputs().len() > 64 {
+        return Err(CoreError::TooManyOutputs(ckt.outputs().len()));
+    }
+    if !ckt.is_stable(ckt.initial_state()) {
+        return Err(CoreError::NoStableReset);
+    }
     let scfg = cfg.settler(ckt);
-    let _span = satpg_trace::span!(
+    let mut span = satpg_trace::span!(
         "cssg.build",
         circuit = ckt.name(),
         gates = ckt.num_gates(),
         k = scfg.k
     );
-    let mut settler = Settler::new(ckt, &Injection::none(), &scfg);
-    let mut cssg = Cssg::new(ckt.num_inputs(), scfg.k);
-    let root = cssg.intern(ckt.initial_state().clone());
-    let mut work = vec![root];
-    let budget = cfg.pattern_budget.unwrap_or(u64::MAX);
-    while let Some(si) = work.pop() {
-        let state = cssg.states()[si].clone();
-        let current = ckt.input_pattern(&state);
-        let mut tried = 0u64;
-        for pattern in Pattern::all(ckt.num_inputs()) {
-            if tried >= budget {
-                break;
-            }
-            if pattern == current {
+    let mut walk = Walk::new(ckt, cfg, &scfg);
+    let join_at = if threads > 1 { helpers_after } else { u64::MAX };
+    if !walk.run(None, join_at)? {
+        let claims = &Claims::new(&walk);
+        let (scfg, parent) = (&scfg, span.id());
+        let helped = std::thread::scope(|scope| {
+            let helpers: Vec<_> = (1..threads)
+                .map(|h| scope.spawn(move || claims.help(ckt, scfg, h, parent)))
+                .collect();
+            let walked = walk.run(Some(claims), u64::MAX);
+            claims.close();
+            let stats: Vec<SettleStats> = helpers
+                .into_iter()
+                .map(|h| h.join().expect("CSSG helper panicked"))
+                .collect();
+            walked.map(|_| stats)
+        })?;
+        for stats in &helped {
+            walk.cssg.note_settle_stats(stats);
+        }
+        walk.cssg.note_build_threads(threads);
+    }
+    span.record("threads", walk.cssg.build_threads());
+    Ok(walk.finish())
+}
+
+/// Candidate `i` of a state whose own pattern is `own`: the `i`-th
+/// pattern in ascending order, skipping `own` (the paper's `R_I`
+/// requires an input change).
+fn candidate(own: &Pattern, i: u64) -> Pattern {
+    let mut p = Pattern::from_u64(own.len(), i);
+    if p >= *own {
+        p.increment();
+    }
+    p
+}
+
+/// The build loop's state between candidates.
+struct Walk<'a> {
+    ckt: &'a Circuit,
+    cfg: &'a CssgConfig,
+    settler: Settler<'a>,
+    cssg: Cssg,
+    /// Candidates per state: all `2^inputs − 1`, or the pattern budget.
+    candidates: u64,
+    /// Interned states not walked yet.  New states are pushed in intern
+    /// order, so the stack ascends and the next pop is the newest.
+    work: Vec<usize>,
+    /// The state being walked, its own pattern and its next candidate.
+    current: Option<(usize, Pattern, u64)>,
+}
+
+impl<'a> Walk<'a> {
+    fn new(ckt: &'a Circuit, cfg: &'a CssgConfig, scfg: &SettlerConfig) -> Self {
+        let mut cssg = Cssg::new(ckt.num_inputs(), scfg.k);
+        let root = cssg.intern(ckt.initial_state().clone());
+        Walk {
+            ckt,
+            cfg,
+            settler: Settler::new(ckt, &Injection::none(), scfg),
+            cssg,
+            candidates: all_candidates(ckt.num_inputs())
+                .min(cfg.pattern_budget.unwrap_or(u64::MAX)),
+            work: vec![root],
+            current: None,
+        }
+    }
+
+    /// Walks until every state is done (`Ok(true)`) or, without
+    /// `claims`, until the loop's own settling work reaches `join_at`
+    /// (`Ok(false)`, paused before the next candidate).  With `claims`,
+    /// each verdict comes from the loop's own settle or from the helper
+    /// that claimed the candidate.
+    fn run(&mut self, claims: Option<&Claims>, join_at: u64) -> Result<bool> {
+        loop {
+            let Some((si, own, at)) = self.current.as_mut().filter(|c| c.2 < self.candidates)
+            else {
+                let Some(si) = self.work.pop() else {
+                    return Ok(true);
+                };
+                let own = self.ckt.input_pattern(&self.cssg.states()[si]);
+                self.current = Some((si, own, 0));
                 continue;
-            }
-            tried += 1;
-            match settler.settle(&state, &pattern) {
-                Settle::Confluent(next) => {
-                    let known = cssg.state_index(&next).is_some();
-                    let ni = cssg.intern(next);
-                    if cssg.num_states() > cfg.max_states {
-                        return Err(CoreError::CssgOverflow(cfg.max_states));
+            };
+            let (si, i, pattern) = (*si, *at, candidate(own, *at));
+            let verdict = match claims {
+                None => {
+                    let done = self.settler.stats();
+                    if done.settles + done.states_explored >= join_at {
+                        return Ok(false);
                     }
-                    cssg.add_edge(si, pattern, ni);
-                    if !known {
-                        work.push(ni);
-                    }
+                    None
                 }
-                Settle::NonConfluent(_) => cssg.note_nonconfluent(),
-                Settle::Unstable(_) => cssg.note_unstable(),
+                Some(claims) => claims.take(si, i, &mut self.settler),
+            };
+            *at += 1;
+            let verdict =
+                verdict.unwrap_or_else(|| self.settler.settle(&self.cssg.states()[si], &pattern));
+            match verdict {
+                Settle::Confluent(next) => {
+                    let fresh = self.cssg.num_states();
+                    let ni = self.cssg.intern(next);
+                    if ni == fresh {
+                        if self.cssg.num_states() > self.cfg.max_states {
+                            return Err(CoreError::CssgOverflow(self.cfg.max_states));
+                        }
+                        self.work.push(ni);
+                        if let Some(claims) = claims {
+                            claims.open(self.ckt, &self.cssg.states()[ni]);
+                        }
+                    }
+                    self.cssg.add_edge(si, pattern, ni);
+                }
+                Settle::NonConfluent(_) => self.cssg.note_nonconfluent_n(1),
+                Settle::Unstable(_) => self.cssg.note_unstable_n(1),
                 // The interleaving set blew its cap: the pair is dropped
                 // without a verdict — a truncation, not a proof.
-                Settle::Truncated => cssg.note_truncated(),
+                Settle::Truncated => self.cssg.note_truncated_n(1),
             }
         }
     }
-    cssg.note_settle_stats(settler.stats());
-    let skip = skipped_per_state(ckt.num_inputs(), cfg.pattern_budget);
-    cssg.note_patterns_skipped(skip.saturating_mul(cssg.num_states() as u64));
-    cssg.sort_edges();
-    note_build_metrics(&cssg, settler.stats());
-    Ok(cssg)
+
+    fn finish(mut self) -> Cssg {
+        self.cssg.note_settle_stats(self.settler.stats());
+        // The candidates a pattern budget leaves untried, per state.
+        let skip = all_candidates(self.ckt.num_inputs()) - self.candidates;
+        let states = self.cssg.num_states() as u64;
+        self.cssg.note_patterns_skipped(skip.saturating_mul(states));
+        self.cssg.sort_edges();
+        note_build_metrics(&self.cssg);
+        self.cssg
+    }
 }
 
 /// Feeds one completed build's telemetry into the process metrics
 /// registry (`cssg.*`, `settler.*`).  Write-only: nothing here is ever
 /// read back into a build.
-fn note_build_metrics(cssg: &Cssg, settle: &SettleStats) {
+fn note_build_metrics(cssg: &Cssg) {
     let m = satpg_trace::metrics();
     m.counter("cssg.builds").inc();
     m.counter("cssg.patterns_skipped")
@@ -179,341 +288,196 @@ fn note_build_metrics(cssg: &Cssg, settle: &SettleStats) {
         .set(cssg.patterns_skipped().min(i64::MAX as u64) as i64);
     m.histogram("cssg.states").record(cssg.num_states() as u64);
     m.histogram("cssg.edges").record(cssg.num_edges() as u64);
-    settle.flush_metrics();
+    m.histogram("cssg.build_threads")
+        .record(cssg.build_threads() as u64);
+    cssg.settle_stats().flush_metrics();
 }
 
-/// Shared exploration state of the sharded builder: the global intern
-/// table plus the work queue of `(state, pattern)` pairs still awaiting
-/// their settling analysis.  The pair — not the state — is the work
-/// unit, so even a chain-shaped CSSG (e.g. a deep Muller pipeline,
-/// whose frontier rarely holds more than a couple of states) exposes
-/// `patterns − 1` units of parallelism per discovered state.  Workers
-/// hold the lock only to pop work and intern successors; every settling
-/// analysis runs outside it.
-struct Explore {
-    index: HashMap<Bits, u32>,
-    states: Vec<Bits>,
-    /// Per queued state: a lazy pattern cursor.  Patterns are dealt one
-    /// at a time — a wide-input circuit has `2^inputs` of them per
-    /// state, so materializing the pairs (as the first cut of this code
-    /// did) would hold the lock for an exponential push burst where the
-    /// serial builder loops in O(1) memory.
-    queue: VecDeque<Cursor>,
-    /// Workers currently mid-analysis (their successors are not queued
-    /// yet, so an empty queue alone does not mean done).
-    active: usize,
-    /// Set on state-budget overflow; everyone drains and exits.
-    overflow: bool,
+/// What the loop shares with its helpers once they join: one row of
+/// candidates per interned state.  The loop claims a row from the bottom
+/// in serial order; helpers claim from the top and land their verdicts,
+/// which the loop takes when it gets there.  Every candidate is claimed
+/// exactly once, so every pair is settled exactly once, and only the
+/// loop interns.
+struct Claims {
+    table: Mutex<Table>,
+    /// Signalled when a helper lands a verdict, a row opens or the build
+    /// ends.
+    changed: Condvar,
 }
 
-/// A state's pattern cursor: deals candidates in ascending order, the
-/// exact enumeration the serial builder walks.
-struct Cursor {
-    id: u32,
-    /// Next pattern to hand out; `None` once the enumeration wrapped.
-    next: Option<Pattern>,
-    /// The state's own pattern — skipped without consuming budget (the
-    /// paper's `R_I` requires an input change).
+struct Table {
+    rows: Vec<Row>,
+    /// Rows that may still hold unclaimed candidates, ascending: the
+    /// loop's row and its work stack, so the top is the newest state.
+    open: Vec<usize>,
+    candidates: u64,
+    /// Helper verdicts the loop has not taken yet, by (row, candidate).
+    landed: HashMap<(usize, u64), Settle>,
+    /// Threads waiting on `changed`: a notify is a system call even with
+    /// nobody waiting.
+    waiting: usize,
+    closed: bool,
+}
+
+/// A state, its own pattern and its unclaimed candidates `lo..hi`.
+struct Row {
+    state: Arc<Bits>,
     own: Pattern,
-    /// Candidates dealt so far, against the per-state pattern budget.
-    dealt: u64,
+    lo: u64,
+    hi: u64,
 }
 
-impl Explore {
-    /// Interns `state`, queueing a fresh pattern cursor for a newly
-    /// discovered one.  Returns the id, or `None` on state-budget
-    /// overflow.
-    fn intern(&mut self, ckt: &Circuit, state: Bits, max_states: usize) -> Option<u32> {
-        if let Some(&i) = self.index.get(&state) {
-            return Some(i);
-        }
-        let i = self.states.len() as u32;
-        let current = ckt.input_pattern(&state);
-        self.index.insert(state.clone(), i);
-        self.states.push(state);
-        if self.states.len() > max_states {
-            self.overflow = true;
-            return None;
-        }
-        self.queue.push_back(Cursor {
-            id: i,
-            next: Some(Pattern::zeros(ckt.num_inputs())),
-            own: current,
-            dealt: 0,
-        });
-        Some(i)
-    }
-
-    /// Deals the next `(state, pattern)` pair, skipping each state's
-    /// own pattern and retiring cursors that are exhausted or out of
-    /// budget.
-    fn next_pair(&mut self, budget: u64) -> Option<(u32, Pattern)> {
-        loop {
-            let cur = self.queue.front_mut()?;
-            if cur.dealt >= budget {
-                self.queue.pop_front();
-                continue;
-            }
-            let Some(pattern) = cur.next.take() else {
-                self.queue.pop_front();
-                continue;
-            };
-            let mut succ = pattern.clone();
-            if succ.increment() {
-                cur.next = Some(succ);
-            }
-            if pattern == cur.own {
-                continue;
-            }
-            cur.dealt += 1;
-            return Some((cur.id, pattern));
-        }
-    }
+fn row(ckt: &Circuit, state: &Bits, lo: u64, hi: u64) -> Row {
+    let (state, own) = (Arc::new(state.clone()), ckt.input_pattern(state));
+    Row { state, own, lo, hi }
 }
 
-/// One worker's private discoveries, merged after the join.
-#[derive(Default)]
-struct ShardResult {
-    /// `(from, pattern, to)` over exploration-order state ids.
-    edges: Vec<(u32, Pattern, u32)>,
-    nonconfluent: usize,
-    unstable: usize,
-    truncated: usize,
-    /// The worker's private settling-engine counters.  Each (state,
-    /// pattern) pair is analysed by exactly one worker and each analysis
-    /// is deterministic, so the sum over workers equals the serial
-    /// builder's counters for every shard count.
-    settle: SettleStats,
-}
+type Guard<'t> = MutexGuard<'t, Table>;
 
-/// [`build_cssg`] with the frontier split across `shards` worker
-/// threads.
-///
-/// The exploration interns states in a nondeterministic (scheduling
-/// dependent) order, so the merge renumbers them by replaying the serial
-/// builder's traversal over the completed edge relation: depth-first
-/// from the reset state, successors pushed in ascending pattern order.
-/// Serial numbering is a pure function of the graph, so the renumbered
-/// result — states, edge lists, and the summed pruning/truncation
-/// counters — is bit-identical to [`build_cssg`]'s for every shard
-/// count (`shards <= 1` simply dispatches to the serial builder, which
-/// skips the locking and the merge).
-///
-/// # Errors
-///
-/// Exactly the conditions of [`build_cssg`].
-pub fn build_cssg_sharded(ckt: &Circuit, cfg: &CssgConfig, shards: usize) -> Result<Cssg> {
-    if shards <= 1 {
-        return build_cssg(ckt, cfg);
-    }
-    validate(ckt, cfg)?;
-    let scfg = cfg.settler(ckt);
-    let build_span = satpg_trace::span!(
-        "cssg.build",
-        circuit = ckt.name(),
-        gates = ckt.num_gates(),
-        k = scfg.k,
-        shards = shards
-    );
-    let build_span_id = build_span.id();
-    let mut explore = Explore {
-        index: HashMap::new(),
-        states: Vec::new(),
-        queue: VecDeque::new(),
-        active: 0,
-        overflow: false,
-    };
-    explore.intern(ckt, ckt.initial_state().clone(), cfg.max_states);
-    let shared = Mutex::new(explore);
-    let work_cv = Condvar::new();
-
-    let scfg_ref = &scfg;
-    let shared_ref = &shared;
-    let cv_ref = &work_cv;
-    let results: Vec<ShardResult> = std::thread::scope(|scope| {
-        let handles: Vec<_> = (0..shards)
-            .map(|shard| {
-                scope.spawn(move || {
-                    shard_loop(ckt, scfg_ref, cfg, shared_ref, cv_ref, shard, build_span_id)
-                })
+impl Claims {
+    /// The table of a walk paused before its current candidate: walked
+    /// rows are claimed out, the current row is open from that candidate
+    /// up, and the rows on the work stack are whole.
+    fn new(walk: &Walk) -> Self {
+        let c = walk.candidates;
+        let (current, next) =
+            (walk.current.as_ref().map(|c| (c.0, c.2))).expect("paused at a candidate");
+        let mut open = walk.work.clone();
+        open.push(current);
+        open.sort_unstable();
+        let rows = (walk.cssg.states().iter().enumerate())
+            .map(|(si, state)| match si {
+                _ if si == current => row(walk.ckt, state, next, c),
+                _ if open.binary_search(&si).is_ok() => row(walk.ckt, state, 0, c),
+                _ => row(walk.ckt, state, c, c),
             })
             .collect();
-        handles
-            .into_iter()
-            .map(|h| h.join().expect("CSSG shard worker panicked"))
-            .collect()
-    });
-
-    let explore = shared.into_inner().expect("exploration lock");
-    if explore.overflow {
-        return Err(CoreError::CssgOverflow(cfg.max_states));
-    }
-    let _merge_span = satpg_trace::span!("cssg.merge", states = explore.states.len());
-    merge_shards(ckt, &scfg, cfg, explore, &results)
-}
-
-/// One shard's loop: pop a `(state, pattern)` pair, run its k-bounded
-/// settling analysis privately, publish the verdict under the lock.
-fn shard_loop(
-    ckt: &Circuit,
-    scfg: &SettlerConfig,
-    cfg: &CssgConfig,
-    shared: &Mutex<Explore>,
-    work_cv: &Condvar,
-    shard: usize,
-    parent_span: u64,
-) -> ShardResult {
-    // The shard's span parents under the build span on the spawning
-    // thread; recording stays in this thread's private buffer, so
-    // shards never synchronize through the tracer.
-    let _span = satpg_trace::Span::enter_with_parent(
-        "cssg.shard",
-        parent_span,
-        vec![("shard", satpg_trace::ArgValue::from(shard))],
-    );
-    // Each shard runs its own settling engine: the interleaving-set
-    // tracking (and the POR bookkeeping) is thread-private, so the
-    // expensive analyses never contend on the exploration lock.
-    let mut settler = Settler::new(ckt, &Injection::none(), scfg);
-    let budget = cfg.pattern_budget.unwrap_or(u64::MAX);
-    let mut local = ShardResult::default();
-    // A worker usually deals consecutive patterns of the same state (a
-    // cursor drains front-of-queue), so cache the last state and clone
-    // under the lock only when the id changes.
-    let mut cached: Option<(u32, Bits)> = None;
-    loop {
-        // Pop the next pair (or conclude the exploration is complete:
-        // queue empty and nobody mid-analysis).
-        let (si, pattern) = {
-            let mut ex = shared.lock().expect("exploration lock");
-            loop {
-                if ex.overflow {
-                    local.settle = settler.take_stats();
-                    return local;
-                }
-                if let Some((si, pattern)) = ex.next_pair(budget) {
-                    ex.active += 1;
-                    if cached.as_ref().map(|c| c.0) != Some(si) {
-                        cached = Some((si, ex.states[si as usize].clone()));
-                    }
-                    break (si, pattern);
-                }
-                if ex.active == 0 {
-                    work_cv.notify_all();
-                    local.settle = settler.take_stats();
-                    return local;
-                }
-                ex = work_cv.wait(ex).expect("exploration lock");
-            }
+        let table = Table {
+            rows,
+            open,
+            candidates: c,
+            landed: HashMap::new(),
+            waiting: 0,
+            closed: false,
         };
-        let state = &cached.as_ref().expect("state cached at pop").1;
-
-        // The expensive part — the settling analysis, with this thread's
-        // private interleaving-set tracking — runs unlocked.
-        let verdict = settler.settle(state, &pattern);
-
-        let mut ex = shared.lock().expect("exploration lock");
-        match verdict {
-            Settle::Confluent(next) => match ex.intern(ckt, next, cfg.max_states) {
-                Some(ni) => {
-                    local.edges.push((si, pattern, ni));
-                    // A new state enqueues a burst of pairs; wake every
-                    // idle shard, not just one.
-                    work_cv.notify_all();
-                }
-                None => {
-                    work_cv.notify_all();
-                    local.settle = settler.take_stats();
-                    return local;
-                }
-            },
-            Settle::NonConfluent(_) => local.nonconfluent += 1,
-            Settle::Unstable(_) => local.unstable += 1,
-            // The interleaving set blew its cap: the pair is dropped
-            // without a verdict — a truncation, not a proof.
-            Settle::Truncated => local.truncated += 1,
-        }
-        ex.active -= 1;
-        if ex.active == 0 {
-            // Wake everyone: either the exploration is done (waiters see
-            // an empty queue — possibly after retiring a cursor this
-            // worker exhausted — and exit) or a cursor remains and they
-            // resume dealing from it.
-            work_cv.notify_all();
+        Claims {
+            table: Mutex::new(table),
+            changed: Condvar::new(),
         }
     }
-}
 
-/// Deterministic merge: collect per-state edge lists, replay the serial
-/// traversal to renumber, and assemble the final [`Cssg`].
-fn merge_shards(
-    ckt: &Circuit,
-    scfg: &SettlerConfig,
-    cfg: &CssgConfig,
-    explore: Explore,
-    results: &[ShardResult],
-) -> Result<Cssg> {
-    let n = explore.states.len();
-    let mut edges_of: Vec<Vec<(Pattern, u32)>> = vec![Vec::new(); n];
-    for r in results {
-        for (from, pattern, to) in &r.edges {
-            edges_of[*from as usize].push((pattern.clone(), *to));
+    fn lock(&self) -> Guard<'_> {
+        self.table.lock().expect("claim table lock")
+    }
+
+    fn wait<'t>(&self, mut t: Guard<'t>) -> Guard<'t> {
+        t.waiting += 1;
+        let mut t = self.changed.wait(t).expect("claim table lock");
+        t.waiting -= 1;
+        t
+    }
+
+    fn notify(&self, t: &Table) {
+        if t.waiting > 0 {
+            self.changed.notify_all();
         }
     }
-    // Each state is analysed by exactly one worker, which pushes its
-    // edges in ascending pattern order — but sort anyway so the replay
-    // below never depends on that invariant.
-    for e in &mut edges_of {
-        e.sort_unstable();
+
+    /// Opens the row of a newly interned state.
+    fn open(&self, ckt: &Circuit, state: &Bits) {
+        let mut t = self.lock();
+        let (id, c) = (t.rows.len(), t.candidates);
+        t.rows.push(row(ckt, state, 0, c));
+        t.open.push(id);
+        self.notify(&t);
     }
 
-    // Replay the serial builder's numbering: depth-first stack, new
-    // successors interned in ascending pattern order.
-    let unassigned = u32::MAX;
-    let mut new_of = vec![unassigned; n];
-    let mut order: Vec<u32> = Vec::with_capacity(n);
-    new_of[0] = 0;
-    order.push(0);
-    let mut stack = vec![0u32];
-    while let Some(o) = stack.pop() {
-        for (_, t) in &edges_of[o as usize] {
-            let t = *t;
-            if new_of[t as usize] == unassigned {
-                new_of[t as usize] = order.len() as u32;
-                order.push(t);
-                stack.push(t);
+    /// The loop's claim on candidate `i` of row `si`: `None` when the
+    /// loop settles it itself, else the verdict a helper landed.  While
+    /// that verdict is in flight the loop settles another row's top
+    /// candidate rather than sleep.
+    fn take(&self, si: usize, i: u64, settler: &mut Settler) -> Option<Settle> {
+        let mut t = self.lock();
+        let row = &mut t.rows[si];
+        if i < row.hi {
+            row.lo = i + 1;
+            return None;
+        }
+        loop {
+            if let Some(verdict) = t.landed.remove(&(si, i)) {
+                return Some(verdict);
             }
+            t = self.settle_one(t, settler).unwrap_or_else(|t| self.wait(t));
         }
     }
-    debug_assert_eq!(order.len(), n, "every explored state is reachable");
 
-    let mut cssg = Cssg::new(ckt.num_inputs(), scfg.k);
-    for &old in &order {
-        cssg.intern(explore.states[old as usize].clone());
-    }
-    for (old, edges) in edges_of.iter().enumerate() {
-        let from = new_of[old] as usize;
-        for (pattern, to) in edges {
-            cssg.add_edge(from, pattern, new_of[*to as usize] as usize);
+    /// One helper: settles claimed candidates until the build ends.  Its
+    /// span parents under the build span on the spawning thread.
+    fn help(&self, ckt: &Circuit, scfg: &SettlerConfig, helper: usize, parent: u64) -> SettleStats {
+        let _span = satpg_trace::Span::enter_with_parent(
+            "cssg.shard",
+            parent,
+            vec![("helper", satpg_trace::ArgValue::from(helper))],
+        );
+        let mut settler = Settler::new(ckt, &Injection::none(), scfg);
+        let mut t = self.lock();
+        while !t.closed {
+            t = match self.settle_one(t, &mut settler) {
+                Ok(t) => {
+                    self.notify(&t);
+                    t
+                }
+                Err(t) => self.wait(t),
+            };
         }
+        settler.take_stats()
     }
-    for r in results {
-        cssg.note_nonconfluent_n(r.nonconfluent);
-        cssg.note_unstable_n(r.unstable);
-        cssg.note_truncated_n(r.truncated);
-        cssg.note_settle_stats(&r.settle);
+
+    /// Claims the top candidate of the newest open row, settles it
+    /// outside the lock and lands the verdict; `Err` when no row has an
+    /// unclaimed candidate.
+    fn settle_one<'t>(
+        &'t self,
+        mut t: Guard<'t>,
+        settler: &mut Settler,
+    ) -> std::result::Result<Guard<'t>, Guard<'t>> {
+        let si = loop {
+            let Some(&top) = t.open.last() else {
+                return Err(t);
+            };
+            if t.rows[top].lo < t.rows[top].hi {
+                break top;
+            }
+            t.open.pop();
+        };
+        let row = &mut t.rows[si];
+        row.hi -= 1;
+        let (i, state, pattern) = (row.hi, row.state.clone(), candidate(&row.own, row.hi));
+        drop(t);
+        // The loop needs a verdict's kind and a confluent state only:
+        // free the other payloads on the thread that allocated them.
+        let verdict = match settler.settle(&state, &pattern) {
+            Settle::NonConfluent(_) => Settle::NonConfluent(Vec::new()),
+            Settle::Unstable(_) => Settle::Unstable(Vec::new()),
+            verdict => verdict,
+        };
+        let mut t = self.lock();
+        t.landed.insert((si, i), verdict);
+        Ok(t)
     }
-    let skip = skipped_per_state(ckt.num_inputs(), cfg.pattern_budget);
-    cssg.note_patterns_skipped(skip.saturating_mul(cssg.num_states() as u64));
-    cssg.sort_edges();
-    note_build_metrics(&cssg, cssg.settle_stats());
-    Ok(cssg)
+
+    /// Ends the build: idle helpers wake and return.
+    fn close(&self) {
+        self.lock().closed = true;
+        self.changed.notify_all();
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use satpg_netlist::library;
+    use satpg_netlist::{families, library};
 
     #[test]
     fn c_element_cssg_is_complete() {
@@ -605,46 +569,47 @@ mod tests {
     }
 
     /// Field-by-field bit identity of two CSSGs (states in order, edge
-    /// lists in order, every counter).
+    /// lists in order, every counter).  Work counters too: every pair is
+    /// analysed exactly once by a deterministic engine, so even the POR
+    /// ledger matches.
     fn assert_identical(a: &Cssg, b: &Cssg, ctx: &str) {
-        assert_eq!(a.k(), b.k(), "{ctx}: k");
-        assert_eq!(a.num_inputs(), b.num_inputs(), "{ctx}: inputs");
+        let counts = |g: &Cssg| {
+            [
+                g.pruned_nonconfluent(),
+                g.pruned_unstable(),
+                g.pruned_truncated(),
+            ]
+        };
+        assert_eq!(counts(a), counts(b), "{ctx}: pruning counters");
+        assert_eq!((a.k(), a.num_inputs()), (b.k(), b.num_inputs()), "{ctx}");
+        assert_eq!(a.patterns_skipped(), b.patterns_skipped(), "{ctx}: skips");
+        assert_eq!(a.settle_stats(), b.settle_stats(), "{ctx}: settle stats");
         assert_eq!(a.states(), b.states(), "{ctx}: state vector");
         for s in 0..a.num_states() {
             assert_eq!(a.edges(s), b.edges(s), "{ctx}: edges of state {s}");
         }
-        assert_eq!(
-            a.pruned_nonconfluent(),
-            b.pruned_nonconfluent(),
-            "{ctx}: non-confluent"
-        );
-        assert_eq!(a.pruned_unstable(), b.pruned_unstable(), "{ctx}: unstable");
-        assert_eq!(
-            a.pruned_truncated(),
-            b.pruned_truncated(),
-            "{ctx}: truncated"
-        );
-        assert_eq!(
-            a.patterns_skipped(),
-            b.patterns_skipped(),
-            "{ctx}: patterns skipped"
-        );
-        // Work counters too: every pair is analysed exactly once by a
-        // deterministic engine, so even the POR ledger matches.
-        assert_eq!(a.settle_stats(), b.settle_stats(), "{ctx}: settle stats");
+    }
+
+    /// The build loop with helpers joining after `helpers_after` units
+    /// of work, against the serial build.
+    fn assert_helped_build_identical(ckt: &Circuit, cfg: &CssgConfig, helpers_after: u64) {
+        let serial = build_cssg(ckt, cfg).unwrap();
+        assert_eq!(serial.build_threads(), 1);
+        for threads in 2..=4 {
+            let helped = build(ckt, cfg, threads, helpers_after).unwrap();
+            let ctx = format!("{} @ {threads} threads after {helpers_after}", ckt.name());
+            assert_eq!(helped.build_threads(), threads, "{ctx}: helpers joined");
+            assert_identical(&serial, &helped, &ctx);
+        }
     }
 
     #[test]
     fn sharded_build_is_bit_identical_on_library() {
         for ckt in library::all() {
-            let serial = build_cssg(&ckt, &CssgConfig::default()).unwrap();
+            assert_helped_build_identical(&ckt, &CssgConfig::default(), 0);
             for shards in 1..=4 {
                 let sharded = build_cssg_sharded(&ckt, &CssgConfig::default(), shards).unwrap();
-                assert_identical(
-                    &serial,
-                    &sharded,
-                    &format!("{} @ {shards} shards", ckt.name()),
-                );
+                assert_eq!(sharded.build_threads(), 1, "below the threshold");
             }
         }
     }
@@ -657,10 +622,20 @@ mod tests {
             ternary_fast_path: false,
             ..CssgConfig::default()
         };
-        let ckt = library::muller_pipeline2();
-        let serial = build_cssg(&ckt, &cfg).unwrap();
-        let sharded = build_cssg_sharded(&ckt, &cfg, 3).unwrap();
-        assert_identical(&serial, &sharded, "muller_pipeline2 exact");
+        for ckt in library::all() {
+            assert_helped_build_identical(&ckt, &cfg, 0);
+        }
+        // Helpers joining mid-row and mid-walk, and a row of a pattern
+        // budget past 64 inputs.
+        let arbiter = families::arbiter_tree(3);
+        for after in [1, 64] {
+            assert_helped_build_identical(&arbiter, &cfg, after);
+        }
+        let wide = CssgConfig {
+            pattern_budget: Some(8),
+            ..cfg
+        };
+        assert_helped_build_identical(&families::arbiter_tree(65), &wide, 0);
     }
 
     #[test]
@@ -674,13 +649,13 @@ mod tests {
             build_cssg(&ckt, &cfg),
             Err(CoreError::CssgOverflow(2))
         ));
-        for shards in [1, 4] {
+        for threads in [1, 4] {
             assert!(
                 matches!(
-                    build_cssg_sharded(&ckt, &cfg, shards),
+                    build(&ckt, &cfg, threads, 0),
                     Err(CoreError::CssgOverflow(2))
                 ),
-                "{shards} shards"
+                "{threads} threads"
             );
         }
     }

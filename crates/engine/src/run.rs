@@ -34,6 +34,8 @@ pub enum EngineEvent {
         /// Successor branches the partial-order reduction pruned
         /// (0 with POR off — the explored-vs-saved ledger).
         por_pruned: u64,
+        /// Threads the construction ran on ([`Cssg::build_threads`]).
+        threads: usize,
         /// Microseconds spent constructing (0 on a cache hit).
         us: u128,
     },
@@ -133,9 +135,10 @@ impl EngineConfig {
         }
     }
 
-    /// Threads the CSSG build phase uses
+    /// The most threads the CSSG build may use
     /// ([`satpg_core::build_cssg_sharded`]): the campaign's worker
-    /// count, so a parallel job also builds its abstraction in parallel.
+    /// count.  A build that does little settling work stays on one
+    /// thread; past the build loop's threshold helpers fill the budget.
     /// Any count yields a CSSG bit-identical to the serial build.
     pub fn build_shards(&self) -> usize {
         self.requested_workers()
@@ -393,8 +396,8 @@ pub fn merge_partial(
     }
 }
 
-/// Runs the fault-parallel campaign on `ckt`: builds the CSSG with one
-/// shard per worker ([`EngineConfig::build_shards`]), then runs
+/// Runs the fault-parallel campaign on `ckt`: builds the CSSG on up to
+/// one thread per worker ([`EngineConfig::build_shards`]), then runs
 /// [`run_engine_on`].
 ///
 /// # Errors
@@ -446,6 +449,7 @@ pub fn run_engine_on_streaming(
         truncated: cssg.pruned_truncated(),
         settle_states: cssg.settle_stats().states_explored,
         por_pruned: cssg.settle_stats().por_pruned,
+        threads: cssg.build_threads(),
         us: us_cssg,
     });
     // --- Stage 1: random TPG (serial; it is cheap, deterministic and
@@ -708,8 +712,9 @@ pub fn search_classes(
 /// The screening rule: drops from worker `w`'s deque every class `cb`
 /// that a test found at class `ca` detects, for `cb > ca` only.  Those
 /// are the classes the serial flow would also resolve by fault
-/// simulation, so the merge never has to re-search them.  Returns how
-/// many classes were dropped.
+/// simulation, so the merge never has to re-search them.  A test whose
+/// patterns are not as wide as the circuit's inputs (only a relay can
+/// carry one) screens nothing.  Returns how many classes were dropped.
 fn screen_backlog(
     ckt: &Circuit,
     cssg: &Cssg,
@@ -720,7 +725,8 @@ fn screen_backlog(
 ) -> usize {
     let _span = (!fresh.is_empty()).then(|| satpg_trace::span!("fsim.screen", tests = fresh.len()));
     let mut dropped = 0;
-    for (ca, test) in fresh {
+    let fits = |test: &TestSequence| test.patterns.iter().all(|p| p.len() == ckt.num_inputs());
+    for (ca, test) in fresh.iter().filter(|(_, test)| fits(test)) {
         dropped += queues.drop_pending(w, |backlog| {
             let candidates: Vec<usize> = backlog.iter().copied().filter(|&cb| cb > *ca).collect();
             let cand_faults: Vec<Fault> = candidates

@@ -40,7 +40,7 @@ use std::collections::{HashMap, VecDeque};
 use std::io::{self, BufReader};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, AtomicUsize, Ordering};
-use std::sync::{mpsc, Arc, Condvar, Mutex, RwLock};
+use std::sync::{mpsc, Arc, Condvar, Mutex, PoisonError, RwLock};
 use std::time::{Duration, Instant};
 
 /// Daemon configuration.
@@ -313,7 +313,6 @@ fn pool_loop(state: &Arc<State>) {
 struct ChannelSink<'a> {
     job: u64,
     cssg_cache: &'static str,
-    cssg_shards: usize,
     tx: Mutex<mpsc::Sender<Json>>,
     /// The daemon-wide dropped-event ledger ([`State::events_dropped`]).
     events_dropped: &'a AtomicUsize,
@@ -345,6 +344,7 @@ impl EngineSink for ChannelSink<'_> {
                 truncated,
                 settle_states,
                 por_pruned,
+                threads,
                 us,
             } => self.send(event::stage(
                 j,
@@ -356,9 +356,7 @@ impl EngineSink for ChannelSink<'_> {
                     ("truncated".to_string(), Json::int(truncated)),
                     ("settle_states".to_string(), Json::int(settle_states)),
                     ("por_pruned".to_string(), Json::int(por_pruned)),
-                    // The daemon builds (or cache-serves) the CSSG
-                    // itself: report its build fan-out.
-                    ("shards".to_string(), Json::int(self.cssg_shards)),
+                    ("threads".to_string(), Json::int(threads)),
                     ("us".to_string(), Json::int(us)),
                 ],
             )),
@@ -474,7 +472,7 @@ fn cached_circuit(
 
 /// CSSG lookup: keyed by canonical netlist text + transition bound + a
 /// settle-policy signature (POR flag, cap policy, fast path), the same
-/// key for sharded and serial builds (identical structure) but distinct
+/// key for every thread budget (identical structure) but distinct
 /// keys for POR and naive walks — their graphs agree only where the
 /// naive walk completes, so they must not alias.  Concurrent misses on
 /// one key single-flight through `cssg_flight`: the first requester
@@ -484,7 +482,7 @@ fn cached_cssg(
     ckt: &Circuit,
     ccfg: &CssgConfig,
     skey: CssgKey,
-    shards: usize,
+    threads: usize,
 ) -> Result<(Arc<Cssg>, &'static str, u128), String> {
     let out = loop {
         if let Some(g) = state.cache.lock().expect("cache lock").get_cssg(skey) {
@@ -498,7 +496,7 @@ fn cached_cssg(
                 break (g, "hit", 0u128);
             }
             let t0 = Instant::now();
-            let built = build_cssg_sharded(ckt, ccfg, shards);
+            let built = build_cssg_sharded(ckt, ccfg, threads);
             let outcome = match built {
                 Ok(g) => {
                     let g = Arc::new(g);
@@ -556,8 +554,8 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         ],
     ));
 
-    // --- Engine configuration (also decides the CSSG build fan-out:
-    // the abstraction builds with the job's worker count).  The flow
+    // --- Engine configuration (also bounds the CSSG build: the
+    // abstraction builds on up to the job's worker count of threads).  The flow
     // knobs come from `job_atpg_config` — the one spec→config mapping
     // every fleet node shares, which is what keeps a coordinator, its
     // peers and a local run computing identical class verdicts.
@@ -576,8 +574,8 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         job.spec.k,
         settle_signature(&cfg.atpg.cssg),
     );
-    let shards = cfg.build_shards();
-    let (cssg, cssg_cache, us_cssg) = cached_cssg(state, &ckt, &cfg.atpg.cssg, skey, shards)?;
+    let (cssg, cssg_cache, us_cssg) =
+        cached_cssg(state, &ckt, &cfg.atpg.cssg, skey, cfg.build_shards())?;
     if cssg.num_edges() == 0 {
         return Err(satpg_core::CoreError::NoValidVectors.to_string());
     }
@@ -633,7 +631,6 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
     let sink = ChannelSink {
         job: job.id,
         cssg_cache,
-        cssg_shards: if cssg_cache == "hit" { 1 } else { shards },
         tx: Mutex::new(job.tx.clone()),
         events_dropped: &state.events_dropped,
     };
@@ -862,9 +859,8 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
                 // deadlock behind queued local jobs (or each other) on a
                 // daemon that serves both roles.
                 std::thread::spawn(move || {
+                    let _slot = ShardSlot(state.clone(), sessions, shard);
                     execute_shard(&state, &writer, shard, id, &spec, &session);
-                    sessions.lock().expect("sessions lock").remove(&shard);
-                    state.shards_running.fetch_sub(1, Ordering::SeqCst);
                 });
             }
             Request::Submit(spec) => {
@@ -944,6 +940,18 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
 /// shard's own finds and the coordinator's relays alike, by the engine
 /// worker's rule, so the coordinator's serial merge replay re-derives
 /// every drop.
+/// A running shard session's `max_shards` slot: dropping it, also when
+/// the session unwinds, ends the session and frees the slot.
+struct ShardSlot(Arc<State>, Arc<Mutex<HashMap<u64, Arc<ShardSession>>>>, u64);
+
+impl Drop for ShardSlot {
+    fn drop(&mut self) {
+        let mut sessions = self.1.lock().unwrap_or_else(PoisonError::into_inner);
+        sessions.remove(&self.2);
+        self.0.shards_running.fetch_sub(1, Ordering::SeqCst);
+    }
+}
+
 fn execute_shard(
     state: &Arc<State>,
     writer: &Arc<Mutex<Conn>>,

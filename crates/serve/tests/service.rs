@@ -147,6 +147,37 @@ fn duplicate_submission_hits_the_cssg_cache() {
     handle.join().unwrap().unwrap();
 }
 
+/// The `cssg` stage reports the threads the build ran on, not the job's
+/// budget: converta stays below the build loop's helper threshold, and
+/// muller-16 passes it and builds on both workers' threads.
+#[test]
+fn cssg_stage_reports_the_threads_the_build_used() {
+    let (addr, handle) = start_daemon(ServeConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let muller = JobSpec {
+        workers: 2,
+        ..JobSpec::new(CircuitSpec::Family {
+            name: "muller".to_string(),
+            size: 16,
+        })
+    };
+    for (spec, threads) in [(bench_spec("converta"), 1), (muller, 2)] {
+        let out = client.submit(spec).expect("submit");
+        let stage = out
+            .events
+            .iter()
+            .find(|e| e.get("stage").and_then(Json::as_str) == Some("cssg"))
+            .expect("cssg stage event");
+        assert_eq!(
+            stage.get("threads").and_then(Json::as_usize),
+            Some(threads),
+            "{stage}"
+        );
+    }
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}
+
 /// The anti-stampede satellite: two clients racing the same cold CSSG
 /// key must trigger exactly **one** construction.  Whether the second
 /// requester lands while the first is mid-build (it then blocks on the
@@ -323,6 +354,68 @@ fn raw_garbage_lines_get_rejected_events() {
     }
     drop(stream);
     let mut client = Client::connect(&addr).expect("connect");
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}
+
+/// A relayed test of the wrong width never reaches the fault simulator:
+/// a shard session screens only tests as wide as its circuit, finishes
+/// with a `shard_result`, and releases its slot.
+#[test]
+fn misfit_broadcast_test_is_ignored_by_the_shard_screen() {
+    use std::io::{BufRead, BufReader, Write};
+    let (addr, handle) = start_daemon(ServeConfig::default());
+    let mut stream = std::net::TcpStream::connect(&addr).expect("connect");
+    stream
+        .set_read_timeout(Some(std::time::Duration::from_secs(60)))
+        .unwrap();
+    let mut reader = BufReader::new(stream.try_clone().unwrap());
+    let mut next_event = || {
+        let mut line = String::new();
+        reader
+            .read_line(&mut line)
+            .expect("an event before the timeout");
+        Json::parse(line.trim()).expect("event is protocol JSON")
+    };
+    let classes: Vec<String> = (0..64).map(|c| c.to_string()).collect();
+    let submit = format!(
+        r#"{{"cmd":"shard_submit","circuit":{{"family":"muller","size":10}},"no_random":true,"classes":[{}]}}"#,
+        classes.join(",")
+    );
+    stream.write_all(submit.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    let accepted = next_event();
+    assert_eq!(
+        accepted.get("event").and_then(Json::as_str),
+        Some("shard_accepted"),
+        "{accepted}"
+    );
+    let shard = accepted.get("shard").and_then(Json::as_usize).unwrap();
+    let relay = format!(r#"{{"cmd":"broadcast","shard":{shard},"class":0,"test":["1"]}}"#);
+    stream.write_all(relay.as_bytes()).unwrap();
+    stream.write_all(b"\n").unwrap();
+    loop {
+        let v = next_event();
+        if v.get("event").and_then(Json::as_str) == Some("shard_result") {
+            break;
+        }
+    }
+    drop((reader, stream));
+    let mut client = Client::connect(&addr).expect("connect");
+    let running = |client: &mut Client| {
+        let status = client.status().expect("status");
+        status
+            .get("fleet")
+            .and_then(|f| f.get("shards_running"))
+            .and_then(Json::as_usize)
+    };
+    // The slot is released just after the terminal event is sent.
+    let mut polls = 0;
+    while running(&mut client) != Some(0) && polls < 100 {
+        thread::sleep(std::time::Duration::from_millis(20));
+        polls += 1;
+    }
+    assert_eq!(running(&mut client), Some(0), "the shard slot leaked");
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
 }

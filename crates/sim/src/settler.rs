@@ -320,11 +320,6 @@ impl<'c> Settler<'c> {
         std::mem::take(&mut self.stats)
     }
 
-    /// The resolved cap this settler runs under.
-    pub fn cap(&self) -> usize {
-        self.cap
-    }
-
     /// Runs the k-bounded settling analysis for input `pattern` applied
     /// to the stable state `from` (which must be stable under the
     /// injection; the input application counts as the first of the `k`

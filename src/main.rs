@@ -624,12 +624,12 @@ fn print_event(ev: &Json) {
                     get("inputs")
                 ),
                 "cssg" => outln!(
-                    "  cssg ({}): {} states, {} edges, {} truncated, {} shards, {} us",
+                    "  cssg ({}): {} states, {} edges, {} truncated, built on {} thread(s), {} us",
                     ev.get("cache").and_then(Json::as_str).unwrap_or("?"),
                     get("states"),
                     get("edges"),
                     get("truncated"),
-                    get("shards"),
+                    get("threads"),
                     get("us")
                 ),
                 "random" => outln!("  random: {} resolved, {} us", get("resolved"), get("us")),

@@ -113,9 +113,10 @@ fn quick_rows_on_release_paths() {
 /// The structure rows whose builds take about a second or more in a
 /// debug run: arbiter-6 and the deep muller pipelines, where the naive
 /// walk is seconds of wall clock and the old fixed 2^15 cap used to
-/// truncate.
+/// truncate.  Arbiter-6 builds on its whole thread budget.
 #[test]
 #[ignore = "release tier: cargo test --release --test identity_matrix -- --include-ignored"]
 fn cssg_structure_release() {
     structure_cells(STRUCTURE_RELEASE, |_, _| true);
+    build_threads_cells(&["arbiter-6"], 4);
 }

@@ -735,6 +735,19 @@ pub fn fleet_cells(rows: &[Row], peers: &[usize], chunk: usize, misses: &mut Mis
     }
 }
 
+/// Builds each circuit (a row label) under the default configuration
+/// on a budget of four threads and checks how many it ran on: helpers
+/// join a build once its own settling work passes a threshold, which
+/// depends on the circuit and configuration alone.
+pub fn build_threads_cells(circuits: &[&str], threads: usize) {
+    for &circuit in circuits {
+        let ckt = resolve_circuit(&job(circuit).circuit).expect("the circuit resolves");
+        let cssg = untraced(|| build_cssg_sharded(&ckt, &CssgConfig::default(), 4))
+            .expect("the CSSG builds");
+        assert_eq!(cssg.build_threads(), threads, "{circuit} at a budget of 4");
+    }
+}
+
 /// The structural digest of a CSSG: its transition bound and input
 /// count, the state vector and every edge list in order, and the
 /// pruning, truncation and skip counters.  The settle-work counters are
@@ -761,10 +774,15 @@ pub fn structure(cssg: &Cssg) -> u64 {
 
 /// The rows of `table` that `keep(circuit, configuration)` selects:
 /// the serial build under the row's configuration; with POR on, the
-/// naive build, which must complete untruncated; and shards 1–4.
+/// naive build, which must complete untruncated; and shards 1–4.  A
+/// build runs on one thread or on its whole budget, and each selected
+/// configuration with a generated-family row must have one built with
+/// helpers, so the helper path stays exercised (no bundled benchmark
+/// builds long enough to get them).
 pub fn structure_cells(table: &[(&str, &str, u64)], keep: impl Fn(&str, &str) -> bool) {
     let mut misses = Misses::default();
     let mut got = Vec::new();
+    let mut helped = std::collections::BTreeMap::new();
     for &(circuit, config, golden) in table.iter().filter(|r| keep(r.0, r.1)) {
         let row = format!("{circuit} {config}");
         let ckt = resolve_circuit(&job(circuit).circuit).expect("the circuit resolves");
@@ -793,11 +811,25 @@ pub fn structure_cells(table: &[(&str, &str, u64)], keep: impl Fn(&str, &str) ->
             );
             misses.check(&row, "naive", structure(&naive), golden);
         }
+        let mut threads_seen = 1;
         for shards in 1..=4 {
             let column = format!("shards {shards}");
-            misses.check(&row, &column, structure(&build(&cfg, shards)), golden);
+            let built = build(&cfg, shards);
+            let threads = built.build_threads();
+            assert!(
+                threads == 1 || threads == shards,
+                "{row} × {column}: built on {threads} threads"
+            );
+            threads_seen = threads_seen.max(threads);
+            misses.check(&row, &column, structure(&built), golden);
+        }
+        if !is_bench_label(circuit) {
+            *helped.entry(config).or_insert(false) |= threads_seen > 1;
         }
     }
     assert!(!got.is_empty(), "no structure row selected");
     misses.assert_none(|| format!("recomputed rows:\n{}", got.join("\n")));
+    for (config, helped) in helped {
+        assert!(helped, "{config}: no family row built with helpers");
+    }
 }
