@@ -6,7 +6,7 @@ use std::collections::HashMap;
 
 /// A sequence of input patterns applied from the reset state, one per
 /// test cycle.
-#[derive(Clone, PartialEq, Eq, Debug, Default)]
+#[derive(Clone, PartialEq, Eq, Hash, Debug, Default)]
 pub struct TestSequence {
     /// The input patterns, in application order (bit `i` drives primary
     /// input `i`).

@@ -165,4 +165,67 @@ mod tests {
         }
         assert!(!hit.is_empty(), "the walk should catch something");
     }
+
+    /// Fault simulation is lane-pure: a batch detects exactly the faults
+    /// whose one-fault runs detect, whatever shares the batch, so
+    /// permuting or duplicating the list changes nothing.  The targeted
+    /// stage and the engine's backlog screening skip repeat simulations
+    /// on the strength of this.
+    #[test]
+    fn batches_detect_exactly_the_one_fault_runs() {
+        use crate::fault::output_stuck_faults;
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+        let dme = satpg_stg::families::dme_ring(3).expect("the dme-3 STG");
+        let sg = satpg_stg::StateGraph::build(&dme).expect("the dme-3 state graph");
+        let mut circuits = library::all();
+        circuits.extend([
+            satpg_netlist::families::muller_pipeline(6),
+            satpg_stg::synth::complex_gate(&dme, &sg).expect("dme-3 synthesizes"),
+            satpg_netlist::families::arbiter_tree(4),
+        ]);
+        let mut rng = StdRng::seed_from_u64(0x1a7e);
+        let mut detections = 0;
+        for ckt in &circuits {
+            let cssg = build_cssg(ckt, &CssgConfig::default()).unwrap();
+            if cssg.edges(cssg.initial()).is_empty() {
+                continue; // no valid vector (figure1b)
+            }
+            let mut pool = input_stuck_faults(ckt);
+            pool.extend(output_stuck_faults(ckt));
+            for _ in 0..8 {
+                // A valid CSSG walk of 1–8 patterns from reset.
+                let mut seq = TestSequence::default();
+                let mut state = cssg.initial();
+                for _ in 0..rng.gen_range(1usize..9) {
+                    let edges = cssg.edges(state);
+                    if edges.is_empty() {
+                        break;
+                    }
+                    let (pattern, next) = edges[rng.gen_range(0..edges.len())].clone();
+                    seq.patterns.push(pattern);
+                    state = next;
+                }
+                let alone: Vec<bool> = pool
+                    .iter()
+                    .map(|f| !fault_simulate(ckt, &cssg, &seq, &[*f]).is_empty())
+                    .collect();
+                for _ in 0..4 {
+                    let mut picks: Vec<usize> = (0..rng.gen_range(1usize..131))
+                        .map(|_| rng.gen_range(0..pool.len()))
+                        .collect();
+                    for _ in 0..2 {
+                        let faults: Vec<Fault> = picks.iter().map(|&i| pool[i]).collect();
+                        let want: Vec<usize> =
+                            (0..picks.len()).filter(|&j| alone[picks[j]]).collect();
+                        let got = fault_simulate(ckt, &cssg, &seq, &faults);
+                        assert_eq!(got, want, "{} under {:?}", ckt.name(), seq.patterns);
+                        detections += got.len();
+                        picks.reverse();
+                    }
+                }
+            }
+        }
+        assert!(detections > 0, "the walks must detect something");
+    }
 }

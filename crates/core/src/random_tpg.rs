@@ -94,10 +94,17 @@ pub fn random_tpg(
         inj.extend(chunk.iter().map(Fault::injection));
         let pinj = ParallelInjection::new(&inj);
         let s0 = &cssg.states()[cssg.initial()];
-        let p0 = ckt.input_pattern(s0);
 
         let mut detected = vec![false; lanes];
-        let mut planes = parallel_settle(ckt, &PlaneState::broadcast(s0), &p0, &pinj);
+        // A restart returns every lane to this reset fixpoint; it is
+        // settled once per batch and copied back, still counted a pass.
+        let reset = parallel_settle(
+            ckt,
+            &PlaneState::broadcast(s0),
+            ckt.input_pattern(s0),
+            &pinj,
+        );
+        let mut planes = reset.clone();
         result.note_pass();
         let mut good = cssg.initial();
         let mut seq: Vec<Pattern> = Vec::new();
@@ -118,7 +125,7 @@ pub fn random_tpg(
             }
             let edges = cssg.edges(good);
             if edges.is_empty() || since_restart >= cfg.restart_after {
-                planes = parallel_settle(ckt, &PlaneState::broadcast(s0), &p0, &pinj);
+                planes.clone_from(&reset);
                 result.note_pass();
                 good = cssg.initial();
                 seq.clear();

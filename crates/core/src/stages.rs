@@ -172,8 +172,15 @@ pub fn random_stage(
 
 /// Stage 2: the targeted loop.  Walks `queue` (class indices); for each
 /// class still open it asks `oracle` for the three-phase verdict, and on
-/// detection optionally fault-simulates the new test against every other
-/// open class (harvesting [`Phase::FaultSim`] credits).
+/// detection optionally fault-simulates the test against every other
+/// open class (harvesting [`Phase::FaultSim`] credits).  Returns how many
+/// fault simulations it ran.
+///
+/// A test is simulated only the first time a three-phase verdict brings
+/// it: a class still open when the test recurs was open, and missed,
+/// when it ran, and fault simulation is lane-pure (a class's outcome
+/// does not depend on the classes simulated beside it), so a rerun would
+/// credit nothing.
 ///
 /// The serial driver passes `0..plan.len()` as the queue and the real
 /// [`three_phase`](crate::three_phase) as the oracle; a parallel driver
@@ -189,36 +196,49 @@ pub fn targeted_stage(
     queue: &[usize],
     state: &mut StageState,
     oracle: &mut dyn FnMut(usize, &Fault) -> FaultStatus,
-) {
+) -> u64 {
+    // Per test index: whether this stage has fault-simulated it.
+    let mut simulated: Vec<bool> = Vec::new();
+    let mut sims = 0u64;
     for &ci in queue {
         if state.verdicts[ci] != ClassVerdict::Open {
             continue;
         }
         match oracle(ci, &plan.classes[ci].representative) {
             FaultStatus::Detected { sequence } => {
-                let ti = state.intern_test(sequence.clone());
+                let ti = state.intern_test(sequence);
                 state.verdicts[ci] = ClassVerdict::Detected {
                     phase: Phase::ThreePhase,
                     test: ti,
                 };
-                if fault_sim {
-                    let open = state.open_classes();
-                    let open_faults: Vec<Fault> = open
-                        .iter()
-                        .map(|&cj| plan.classes[cj].representative)
-                        .collect();
-                    for hit in fault_simulate(ckt, cssg, &sequence, &open_faults) {
-                        state.verdicts[open[hit]] = ClassVerdict::Detected {
-                            phase: Phase::FaultSim,
-                            test: ti,
-                        };
-                    }
+                simulated.resize(state.tests.len(), false);
+                if !fault_sim || std::mem::replace(&mut simulated[ti], true) {
+                    continue;
+                }
+                let open = state.open_classes();
+                if open.is_empty() {
+                    continue;
+                }
+                let open_faults: Vec<Fault> = open
+                    .iter()
+                    .map(|&cj| plan.classes[cj].representative)
+                    .collect();
+                sims += 1;
+                for hit in fault_simulate(ckt, cssg, &state.tests[ti], &open_faults) {
+                    state.verdicts[open[hit]] = ClassVerdict::Detected {
+                        phase: Phase::FaultSim,
+                        test: ti,
+                    };
                 }
             }
             FaultStatus::Untestable(_) => state.verdicts[ci] = ClassVerdict::Untestable,
             FaultStatus::Aborted => state.verdicts[ci] = ClassVerdict::Aborted,
         }
     }
+    satpg_trace::metrics()
+        .counter("fsim.targeted_sims")
+        .add(sims);
+    sims
 }
 
 /// Wall-clock attribution carried into the report.

@@ -15,7 +15,10 @@
 //!   fault-simulates (`AtpgConfig::fault_sim`), before each pop every
 //!   worker fault-simulates the tests logged since its last look against
 //!   its pending faults and drops the ones they already cover, skipping
-//!   their three-phase searches;
+//!   their three-phase searches.  A test logged again (another class's
+//!   search found it too) is simulated only against the pending classes
+//!   no earlier copy screened, so each worker simulates each (test,
+//!   class) pair at most once;
 //! * that class-search loop is [`search_classes`], and it is the only
 //!   one: a fleet peer (`satpg-serve`) runs it too, over a one-deque
 //!   [`shard::ShardedQueues`] holding its shard and a test log its

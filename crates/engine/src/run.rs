@@ -9,6 +9,7 @@ use satpg_core::{
     CoreError, Cssg, Fault, FaultStatus, TestSequence,
 };
 use satpg_netlist::Circuit;
+use std::collections::HashMap;
 use std::sync::{OnceLock, RwLock};
 use std::time::Instant;
 
@@ -182,6 +183,9 @@ pub struct WorkerStats {
     /// Expansions those cuts credited without running them (metrics
     /// only).
     pub settle_fast_forwarded: u64,
+    /// Fault simulations this worker's backlog screening ran (metrics
+    /// only).
+    pub screen_sims: u64,
     /// Wall-clock microseconds the worker was busy.
     pub us_busy: u128,
 }
@@ -598,6 +602,7 @@ fn flush_engine_metrics(
             .add(w.settle_cycle_cuts);
         m.counter("engine.settle_fast_forwarded")
             .add(w.settle_fast_forwarded);
+        m.counter("engine.screen_sims").add(w.screen_sims);
         m.gauge("engine.bdd_peak_unique")
             .max(w.bdd_peak_unique.min(i64::MAX as usize) as i64);
         m.histogram("engine.worker.busy_us")
@@ -656,6 +661,9 @@ pub fn search_classes(
         aud
     });
     let mut seen = 0usize;
+    // Per distinct logged test, the lowest class it has screened this
+    // worker's backlog from ([`screen_backlog`]).
+    let mut screened_from: HashMap<TestSequence, usize> = HashMap::new();
     // Screening only pays off when the merge can harvest the skipped
     // classes as fault-sim credits; with fault_sim off every drop would
     // serialize a recomputation instead.
@@ -668,7 +676,15 @@ pub fn search_classes(
                 log[seen..].to_vec()
             };
             seen += fresh.len();
-            stats.broadcast_drops += screen_backlog(ckt, cssg, plan, queues, w, &fresh);
+            screen_backlog(
+                ckt,
+                cssg,
+                plan,
+                queues,
+                &fresh,
+                &mut screened_from,
+                &mut stats,
+            );
         }
         let Some(popped) = queues.pop(w) else { break };
         let ci = popped.item();
@@ -709,26 +725,51 @@ pub fn search_classes(
     stats
 }
 
-/// The screening rule: drops from worker `w`'s deque every class `cb`
+/// The screening rule: drops from the worker's deque every class `cb`
 /// that a test found at class `ca` detects, for `cb > ca` only.  Those
 /// are the classes the serial flow would also resolve by fault
 /// simulation, so the merge never has to re-search them.  A test whose
 /// patterns are not as wide as the circuit's inputs (only a relay can
-/// carry one) screens nothing.  Returns how many classes were dropped.
+/// carry one) screens nothing.  Adds the drops and the simulations run
+/// to the worker's `stats`.
+///
+/// Each logged copy of a test screens only what no earlier copy did.
+/// `screened_from` keeps, per distinct test, the lowest class `low` it
+/// has screened from.  Every backlog class above `low` was simulated
+/// against the test then and missed it: a deque only shrinks, and fault
+/// simulation is lane-pure, so a rerun would miss it again.  A copy from
+/// `ca` therefore simulates only the backlog classes in `(ca, low]`, and
+/// a copy with `ca >= low` none.
 fn screen_backlog(
     ckt: &Circuit,
     cssg: &Cssg,
     plan: &FaultPlan,
     queues: &ShardedQueues,
-    w: usize,
     fresh: &[(usize, TestSequence)],
-) -> usize {
+    screened_from: &mut HashMap<TestSequence, usize>,
+    stats: &mut WorkerStats,
+) {
     let _span = (!fresh.is_empty()).then(|| satpg_trace::span!("fsim.screen", tests = fresh.len()));
-    let mut dropped = 0;
     let fits = |test: &TestSequence| test.patterns.iter().all(|p| p.len() == ckt.num_inputs());
     for (ca, test) in fresh.iter().filter(|(_, test)| fits(test)) {
-        dropped += queues.drop_pending(w, |backlog| {
-            let candidates: Vec<usize> = backlog.iter().copied().filter(|&cb| cb > *ca).collect();
+        let low = match screened_from.get_mut(test) {
+            Some(low) if *low <= *ca => continue,
+            Some(low) => std::mem::replace(low, *ca),
+            None => {
+                screened_from.insert(test.clone(), *ca);
+                usize::MAX
+            }
+        };
+        stats.broadcast_drops += queues.drop_pending(stats.worker, |backlog| {
+            let candidates: Vec<usize> = backlog
+                .iter()
+                .copied()
+                .filter(|&cb| *ca < cb && cb <= low)
+                .collect();
+            if candidates.is_empty() {
+                return Vec::new();
+            }
+            stats.screen_sims += 1;
             let cand_faults: Vec<Fault> = candidates
                 .iter()
                 .map(|&cb| plan.classes()[cb].representative)
@@ -739,7 +780,6 @@ fn screen_backlog(
                 .collect()
         });
     }
-    dropped
 }
 
 /// Whether two reports are identical apart from wall-clock fields: their

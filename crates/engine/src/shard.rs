@@ -87,7 +87,11 @@ impl ShardedQueues {
     /// Removes every pending item that `drop_if` approves from `worker`'s
     /// own deque, returning how many were removed.  This is the screening
     /// path: a logged test screens this worker's backlog.
-    pub fn drop_pending(&self, worker: usize, drop_if: impl Fn(&[usize]) -> Vec<usize>) -> usize {
+    pub fn drop_pending(
+        &self,
+        worker: usize,
+        drop_if: impl FnOnce(&[usize]) -> Vec<usize>,
+    ) -> usize {
         let mut q = self.queues[worker].lock().expect("queue lock");
         let snapshot: Vec<usize> = q.iter().copied().collect();
         if snapshot.is_empty() {

@@ -535,3 +535,65 @@ fn unix_socket_transport_works() {
     handle.join().unwrap().unwrap();
     assert!(!std::path::Path::new(&path).exists(), "socket file cleaned");
 }
+
+/// The README's metrics glossary names only metrics the code records:
+/// after one `submit`, a daemon's `metrics` snapshot holds every
+/// `settler.*`, `cssg.*`, `fsim.*` and `engine.*` name it lists.  A
+/// bare name in a bullet takes the bullet's prefix.
+#[test]
+fn readme_glossary_names_recorded_metrics() {
+    let readme = std::fs::read_to_string(concat!(env!("CARGO_MANIFEST_DIR"), "/../../README.md"))
+        .expect("the README reads");
+    let (_, glossary) = readme
+        .split_once("Glossary (prefix → meaning):")
+        .expect("the README has a metrics glossary");
+    let bullets = glossary
+        .trim_start()
+        .split("\n\n")
+        .next()
+        .unwrap_or_default();
+    let mut named = Vec::new();
+    for bullet in bullets.split("\n* ") {
+        let mut quoted = bullet.split('`').skip(1).step_by(2);
+        let Some(prefix) = quoted.next().and_then(|p| p.strip_suffix('*')) else {
+            continue;
+        };
+        if !["settler.", "cssg.", "fsim.", "engine."].contains(&prefix) {
+            continue;
+        }
+        for name in quoted {
+            if name.starts_with(prefix) {
+                named.push(name.to_string());
+            } else {
+                named.push(format!("{prefix}{name}"));
+            }
+        }
+    }
+    assert!(named.len() > 20, "the glossary parses: {named:?}");
+
+    let (addr, handle) = start_daemon(ServeConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    // The random stage off leaves every class to the workers.
+    let spec = JobSpec {
+        workers: 2,
+        no_random: true,
+        ..JobSpec::new(CircuitSpec::Family {
+            name: "muller".to_string(),
+            size: 6,
+        })
+    };
+    client.submit(spec).expect("the job runs");
+    let snapshot = client.metrics().expect("metrics");
+    let recorded = |name: &str| {
+        ["counters", "gauges", "histograms"]
+            .iter()
+            .any(|kind| snapshot.get(kind).and_then(|m| m.get(name)).is_some())
+    };
+    let missing: Vec<&String> = named.iter().filter(|n| !recorded(n)).collect();
+    assert!(
+        missing.is_empty(),
+        "glossary names unrecorded metrics: {missing:?}"
+    );
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}

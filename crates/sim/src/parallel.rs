@@ -158,16 +158,20 @@ impl PlaneState {
     }
 }
 
-/// Per-lane fault forces, pre-compiled to masks.
+/// Per-lane fault forces, pre-compiled to masks and filed by gate.
 ///
 /// Lane 0 is conventionally the good machine; [`ParallelInjection::new`]
-/// takes one [`Injection`] per lane.
+/// takes one [`Injection`] per lane.  Gate `g` owns the mask slots
+/// `masks[start[g]..start[g + 1]]`: slot 0 forces its output and slot
+/// `1 + p` its pin `p`.  A gate with no force owns no slot, so a gate
+/// evaluation reads only its own gate's masks.
 #[derive(Clone, Debug, Default)]
 pub struct ParallelInjection {
-    /// `(gate, pin, force-1 mask, force-0 mask)` for pins.
-    pins: Vec<(GateId, usize, u64, u64)>,
-    /// `(gate, force-1 mask, force-0 mask)` for outputs.
-    outputs: Vec<(GateId, u64, u64)>,
+    /// Slot offsets per gate, one past the last forced gate; gates
+    /// beyond it own no slot.
+    start: Vec<u32>,
+    /// `(force-1 mask, force-0 mask)` per slot.
+    masks: Vec<(u64, u64)>,
 }
 
 impl ParallelInjection {
@@ -178,73 +182,63 @@ impl ParallelInjection {
     /// Panics if more than [`LANES`] injections are given.
     pub fn new(lanes: &[Injection]) -> Self {
         assert!(lanes.len() <= LANES, "at most {LANES} lanes");
-        let mut pins: std::collections::HashMap<(GateId, usize), (u64, u64)> =
-            std::collections::HashMap::new();
-        let mut outputs: std::collections::HashMap<GateId, (u64, u64)> =
-            std::collections::HashMap::new();
+        let slot = |site: Site| match site {
+            Site::Output => 0,
+            Site::Pin(p) => 1 + p,
+        };
+        // Slots per gate: one past the highest slot any lane forces.
+        let mut width: Vec<usize> = Vec::new();
+        for f in lanes.iter().flat_map(|inj| &inj.forces) {
+            let g = f.gate.index();
+            if width.len() <= g {
+                width.resize(g + 1, 0);
+            }
+            width[g] = width[g].max(slot(f.site) + 1);
+        }
+        let mut start = vec![0u32];
+        let mut slots = 0usize;
+        for w in &width {
+            slots += w;
+            start.push(u32::try_from(slots).expect("fewer than 2^32 force slots"));
+        }
+        let mut masks = vec![(0u64, 0u64); slots];
         for (lane, inj) in lanes.iter().enumerate() {
             let m = 1u64 << lane;
             for f in &inj.forces {
-                match f.site {
-                    Site::Pin(p) => {
-                        let e = pins.entry((f.gate, p)).or_default();
-                        if f.value {
-                            e.0 |= m;
-                        } else {
-                            e.1 |= m;
-                        }
-                    }
-                    Site::Output => {
-                        let e = outputs.entry(f.gate).or_default();
-                        if f.value {
-                            e.0 |= m;
-                        } else {
-                            e.1 |= m;
-                        }
-                    }
+                let e = &mut masks[start[f.gate.index()] as usize + slot(f.site)];
+                if f.value {
+                    e.0 |= m;
+                } else {
+                    e.1 |= m;
                 }
             }
         }
-        ParallelInjection {
-            pins: pins
-                .into_iter()
-                .map(|((g, p), (m1, m0))| (g, p, m1, m0))
-                .collect(),
-            outputs: outputs
-                .into_iter()
-                .map(|(g, (m1, m0))| (g, m1, m0))
-                .collect(),
-        }
+        ParallelInjection { start, masks }
     }
 
+    /// Gate `g`'s mask slots: empty when no lane forces it.
     #[inline]
-    fn pin_masks(&self, g: GateId, p: usize) -> (u64, u64) {
-        for &(gg, pp, m1, m0) in &self.pins {
-            if gg == g && pp == p {
-                return (m1, m0);
-            }
+    fn gate_masks(&self, g: GateId) -> &[(u64, u64)] {
+        let g = g.index();
+        match self.start.get(g + 1) {
+            Some(&end) => &self.masks[self.start[g] as usize..end as usize],
+            None => &[],
         }
-        (0, 0)
     }
+}
 
-    #[inline]
-    fn output_masks(&self, g: GateId) -> (u64, u64) {
-        for &(gg, m1, m0) in &self.outputs {
-            if gg == g {
-                return (m1, m0);
-            }
-        }
-        (0, 0)
+#[inline]
+fn forced(v: Planes, masks: Option<&(u64, u64)>) -> Planes {
+    match masks {
+        Some(&(m1, m0)) => v.force(m1, true).force(m0, false),
+        None => v,
     }
 }
 
 fn eval_gate_planes(ckt: &Circuit, g: GateId, st: &PlaneState, inj: &ParallelInjection) -> Planes {
     let gate = ckt.gate(g);
-    let pin = |p: usize| -> Planes {
-        let raw = st.planes[gate.inputs[p].index()];
-        let (m1, m0) = inj.pin_masks(g, p);
-        raw.force(m1, true).force(m0, false)
-    };
+    let masks = inj.gate_masks(g);
+    let pin = |p: usize| -> Planes { forced(st.planes[gate.inputs[p].index()], masks.get(1 + p)) };
     let n = gate.inputs.len();
     let f = match &gate.kind {
         GateKind::Input | GateKind::Buf => pin(0),
@@ -269,8 +263,7 @@ fn eval_gate_planes(ckt: &Circuit, g: GateId, st: &PlaneState, inj: &ParallelInj
         }),
         GateKind::Const(v) => Planes::from_bool(*v),
     };
-    let (m1, m0) = inj.output_masks(g);
-    f.force(m1, true).force(m0, false)
+    forced(f, masks.first())
 }
 
 fn fixpoint_planes(ckt: &Circuit, st: &mut PlaneState, inj: &ParallelInjection, lub: bool) {

@@ -230,9 +230,9 @@ impl SettleStats {
     }
 
     /// Adds these counters into the process-wide metrics registry
-    /// (`settler.*`).  Called at integration boundaries — a CSSG build
-    /// completing, an engine worker retiring — never per settle, so the
-    /// settling hot path carries no registry traffic.
+    /// (`settler.*`).  Called when a CSSG build completes, never per
+    /// settle, so the settling hot path carries no registry traffic
+    /// (engine workers report their searches' settles as `engine.settle_*`).
     pub fn flush_metrics(&self) {
         let m = satpg_trace::metrics();
         m.counter("settler.settles").add(self.settles);

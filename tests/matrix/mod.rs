@@ -28,11 +28,14 @@
 // Each suite includes this module and runs its own columns.
 #![allow(dead_code)]
 
+use satpg::core::stages::targeted_stage;
 use satpg::core::{
-    build_cssg, build_cssg_sharded, faults_for, run_atpg, run_atpg_on, AtpgConfig, AtpgReport,
-    CapPolicy, CoreError, Cssg, CssgConfig, Fault, Phase,
+    build_cssg, build_cssg_sharded, faults_for, run_atpg, run_atpg_on, three_phase, AtpgConfig,
+    AtpgReport, CapPolicy, CoreError, Cssg, CssgConfig, Fault, Phase,
 };
-use satpg::engine::{merge_partial, prepare_campaign, run_engine, EngineConfig, EngineReport};
+use satpg::engine::{
+    merge_partial, prepare_campaign, run_engine, Campaign, EngineConfig, EngineReport,
+};
 use satpg::netlist::Circuit;
 use satpg::serve::cache::fnv64;
 use satpg::serve::testing::{start_daemon, timing_free_report};
@@ -229,6 +232,18 @@ pub const RELEASE: &[(&str, u64, u64)] = &[
     ("arbiter-5 no-random", 0x38e76ec87de25482, 0x4d25e3fd924f6822),
     ("arbiter-6", 0x31a08c26dff5855b, 0x762e5989ea2b02bb),
     ("arbiter-6 no-random", 0xf22b8b67590a1ee4, 0xbc36866e53a4f5f4),
+];
+
+/// Fault-simulation work on the family rows: `(row, simulations the
+/// serial targeted stage runs, simulations the one-worker engine's
+/// backlog screening runs)`.  Both are one per distinct test a
+/// three-phase search found, however many classes it was found for.
+pub const FSIM_WORK: &[(&str, u64, u64)] = &[
+    ("muller-10", 3, 3),
+    ("muller-16", 3, 3),
+    ("muller-22", 3, 3),
+    ("dme-3", 7, 7),
+    ("dme-5", 11, 11),
 ];
 
 /// Structure rows: `(circuit, CSSG configuration, structural digest)`,
@@ -562,6 +577,44 @@ pub fn shard_cells(rows: &[Row], misses: &mut Misses) {
                 row.report,
             );
         }
+    }
+}
+
+/// Checks each [`FSIM_WORK`] row: the serial targeted stage's
+/// simulation count and the one-worker engine's screening count.  The
+/// counts reach only the metrics registry in a product run, so the
+/// serial stages run here one by one.
+pub fn fsim_work_cells() {
+    for &(label, targeted, screened) in FSIM_WORK {
+        let spec = job(label);
+        let ckt = resolve_circuit(&spec.circuit).expect("the circuit resolves");
+        let cfg = job_atpg_config(&spec, &ckt);
+        let got = untraced(|| {
+            let cssg = build_cssg(&ckt, &cfg.cssg).expect("the CSSG builds");
+            let faults = faults_for(&ckt, cfg.fault_model);
+            let Campaign {
+                plan, mut state, ..
+            } = prepare_campaign(&ckt, &cssg, &faults, &cfg);
+            let queue: Vec<usize> = (0..plan.len()).collect();
+            targeted_stage(
+                &ckt,
+                &cssg,
+                &plan,
+                cfg.fault_sim,
+                &queue,
+                &mut state,
+                &mut |_, f| three_phase(&ckt, &cssg, f, &cfg.three_phase),
+            )
+        });
+        assert_eq!(got, targeted, "{label}: serial targeted-stage simulations");
+        let one = EngineConfig {
+            atpg: cfg,
+            workers: 1,
+            ..EngineConfig::default()
+        };
+        let e = untraced(|| run_engine(&ckt, &one)).expect("the engine runs");
+        let got: u64 = e.workers.iter().map(|w| w.screen_sims).sum();
+        assert_eq!(got, screened, "{label}: one-worker screening simulations");
     }
 }
 

@@ -8,7 +8,9 @@
 
 mod matrix;
 
-use matrix::{engine_cells, fleet_cells, quick_rows, recomputed, rows, Misses, QUICK};
+use matrix::{
+    engine_cells, fleet_cells, fsim_work_cells, quick_rows, recomputed, rows, Misses, QUICK,
+};
 
 /// The matrix's one-worker engine column on every quick row, and one
 /// peer in one shard on the `si`/`2l` rows and four family sizes.
@@ -24,4 +26,12 @@ fn one_worker_and_one_peer_search_exactly_the_serial_set() {
     });
     fleet_cells(&one_peer, &[1], usize::MAX, &mut misses);
     misses.assert_none(|| recomputed(&rows));
+}
+
+/// A test is fault-simulated once per campaign in the targeted stage,
+/// and once per worker in the backlog screening, however often the
+/// three-phase search finds it again.
+#[test]
+fn each_test_is_fault_simulated_once() {
+    fsim_work_cells();
 }
