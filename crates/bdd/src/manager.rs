@@ -56,6 +56,10 @@ struct Node {
 /// Variable index used by terminal nodes (below every real variable).
 const TERM_VAR: u32 = u32::MAX;
 
+/// The node count at which an operation panics: a runaway build fails
+/// there instead of exhausting memory.
+const NODE_LIMIT: usize = 1 << 26;
+
 #[derive(Clone, Copy, PartialEq, Eq, Hash)]
 enum Op {
     And,
@@ -86,7 +90,6 @@ pub struct Manager {
     unique: FxMap<(u32, u32, u32), u32>,
     cache: FxMap<(Op, u32, u32, u32), u32>,
     num_vars: u32,
-    node_limit: usize,
 }
 
 impl fmt::Debug for Manager {
@@ -119,7 +122,6 @@ impl Manager {
             unique: FxMap::default(),
             cache: FxMap::default(),
             num_vars,
-            node_limit: 1 << 26,
         }
     }
 
@@ -132,11 +134,6 @@ impl Manager {
     /// terminals, i.e. [`Manager::unique_len`] `+ 2`.
     pub fn num_nodes(&self) -> usize {
         self.nodes.len()
-    }
-
-    /// Sets the node-count limit at which operations panic (default 2²⁶).
-    pub fn set_node_limit(&mut self, limit: usize) {
-        self.node_limit = limit;
     }
 
     /// Drops the operation cache (keeps all nodes valid).
@@ -201,9 +198,8 @@ impl Manager {
             return Bdd(i);
         }
         assert!(
-            self.nodes.len() < self.node_limit,
-            "BDD node limit ({}) exceeded",
-            self.node_limit
+            self.nodes.len() < NODE_LIMIT,
+            "BDD node limit ({NODE_LIMIT}) exceeded"
         );
         let i = self.nodes.len() as u32;
         self.nodes.push(Node { var, lo, hi });

@@ -6,10 +6,8 @@ use crate::error::CoreError;
 use crate::explicit_cssg::{build_cssg, CssgConfig};
 use crate::fault::{input_stuck_faults, output_stuck_faults, Fault};
 use crate::random_tpg::RandomTpgConfig;
-use crate::stages::{
-    assemble_report, random_stage, targeted_stage, FaultPlan, StageState, StageTimings,
-};
-use crate::three_phase::{three_phase, ThreePhaseConfig};
+use crate::stages::Campaign;
+use crate::three_phase::ThreePhaseConfig;
 use crate::Result;
 use satpg_netlist::Circuit;
 use std::time::Instant;
@@ -227,9 +225,8 @@ pub fn run_atpg(ckt: &Circuit, cfg: &AtpgConfig) -> Result<AtpgReport> {
 /// (e.g. one constructed by [`crate::build_cssg_sharded`] or served
 /// from a cache); `us_cssg` is the construction time to attribute.
 ///
-/// This is the serial driver over the resumable stages of
-/// [`crate::stages`]: plan → random → targeted (with the real
-/// [`three_phase`] as the verdict oracle) → report.
+/// This is the serial driver of [`Campaign`]: every three-phase verdict
+/// is computed on the spot.
 pub fn run_atpg_on(
     ckt: &Circuit,
     cssg: &Cssg,
@@ -237,42 +234,8 @@ pub fn run_atpg_on(
     cfg: &AtpgConfig,
     us_cssg: u128,
 ) -> Result<AtpgReport> {
-    let plan = FaultPlan::new(ckt, faults, cfg.collapse);
-    let mut state = StageState::new(plan.len());
-
-    let t1 = Instant::now();
-    if let Some(rnd_cfg) = &cfg.random {
-        let _span = satpg_trace::span!("stage.random", classes = plan.len());
-        random_stage(ckt, cssg, &plan, rnd_cfg, &mut state);
-    }
-    let us_random = t1.elapsed().as_micros();
-
-    let t2 = Instant::now();
-    let _span = satpg_trace::span!("stage.targeted", open = state.open_classes().len());
-    let queue: Vec<usize> = (0..plan.len()).collect();
-    targeted_stage(
-        ckt,
-        cssg,
-        &plan,
-        cfg.fault_sim,
-        &queue,
-        &mut state,
-        &mut |_, f| three_phase(ckt, cssg, f, &cfg.three_phase),
-    );
-    let us_three_phase = t2.elapsed().as_micros();
-
-    Ok(assemble_report(
-        ckt,
-        cssg,
-        faults,
-        &plan,
-        state,
-        StageTimings {
-            us_cssg,
-            us_random,
-            us_three_phase,
-        },
-    ))
+    let campaign = Campaign::prepare(ckt, cssg, faults, cfg);
+    Ok(campaign.finish(us_cssg, 0, &mut |_| None).report)
 }
 
 #[cfg(test)]

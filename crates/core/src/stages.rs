@@ -1,32 +1,36 @@
 //! The ATPG flow decomposed into resumable stages.
 //!
-//! [`run_atpg`](crate::run_atpg) drives the full pipeline in one call,
-//! but each step is exposed here so orchestration layers (notably the
-//! fault-parallel `satpg-engine` crate) can run the same computation with
-//! injectable pieces:
+//! [`Campaign`] is the flow's one stage sequence: [`Campaign::prepare`]
+//! plans the fault classes and runs the random stage, and
+//! [`Campaign::finish`] replays the targeted stage in serial class order
+//! and assembles the report.  Serial [`run_atpg`](crate::run_atpg), the
+//! fault-parallel `satpg-engine` and the `satpg-serve` fleet coordinator
+//! all run it; they differ only in where `finish` finds its three-phase
+//! verdicts (computed on the spot, precomputed by engine workers, or
+//! delivered by fleet peers).  The stages it runs are exposed too:
 //!
 //! * [`FaultPlan`] — the deterministic collapsing of a fault list into
-//!   target classes (shared between serial and parallel drivers);
+//!   target classes;
 //! * [`random_stage`] — random TPG over the open classes;
 //! * [`targeted_stage`] — the three-phase + fault-simulation loop over an
 //!   explicit **fault queue**, with the three-phase search itself
-//!   injected as an oracle callback (a parallel driver substitutes
-//!   precomputed verdicts, falling back to the real search on a miss);
+//!   injected as an oracle callback;
 //! * [`assemble_report`] — per-fault record materialization.
 //!
 //! Because every stage is a pure function of its inputs plus the
-//! [`StageState`] it advances, a serial run and any replay of the same
-//! stages produce identical reports — the invariant the parallel engine's
-//! deterministic merge is built on.
+//! [`StageState`] it advances, and a class verdict is a pure function of
+//! the class, the report does not depend on where the verdicts came from
+//! (`crates/core/DESIGN.md`, "One campaign, three verdict sources").
 
-use crate::atpg::{AtpgReport, Phase};
+use crate::atpg::{AtpgConfig, AtpgReport, Phase};
 use crate::cssg::{Cssg, TestSequence};
 use crate::fault::{collapse_faults, Fault, FaultClass};
 use crate::fsim::fault_simulate;
 use crate::random_tpg::{random_tpg, RandomStats, RandomTpgConfig};
-use crate::three_phase::FaultStatus;
+use crate::three_phase::{three_phase, FaultStatus};
 use satpg_netlist::Circuit;
 use std::collections::HashMap;
+use std::time::Instant;
 
 /// The deterministic targeting plan: fault classes plus the map from each
 /// enumerated fault back to its class.
@@ -182,12 +186,11 @@ pub fn random_stage(
 /// does not depend on the classes simulated beside it), so a rerun would
 /// credit nothing.
 ///
-/// The serial driver passes `0..plan.len()` as the queue and the real
-/// [`three_phase`](crate::three_phase) as the oracle; a parallel driver
-/// may substitute any precomputed, order-independent verdict source.
-/// Given the same queue and an oracle that is a pure function of the
-/// class, the resulting state is identical regardless of where the
-/// verdicts were computed.
+/// [`Campaign::finish`] passes `0..plan.len()` as the queue and, as the
+/// oracle, a precomputed verdict where its driver has one and the real
+/// [`three_phase`] where it does not.  Given the same queue and an
+/// oracle that is a pure function of the class, the resulting state is
+/// identical regardless of where the verdicts were computed.
 pub fn targeted_stage(
     ckt: &Circuit,
     cssg: &Cssg,
@@ -319,12 +322,125 @@ pub fn assemble_report(
     }
 }
 
+/// One campaign of the flow over a built CSSG, paused at the
+/// targeted-stage boundary: the fault plan plus the stage state the
+/// random stage left.  [`StageState::open_classes`] is the work a
+/// parallel or distributed driver may precompute verdicts for before
+/// [`Campaign::finish`] replays the targeted stage.
+pub struct Campaign<'a> {
+    ckt: &'a Circuit,
+    cssg: &'a Cssg,
+    faults: &'a [Fault],
+    cfg: &'a AtpgConfig,
+    /// The fault plan (class order is the serial order).
+    pub plan: FaultPlan,
+    /// Stage state after random TPG: open classes still need a verdict.
+    pub state: StageState,
+    /// Microseconds the random stage took.
+    pub us_random: u128,
+}
+
+/// A finished [`Campaign`].
+pub struct Finished {
+    /// The assembled report, byte-identical (timing aside) to serial
+    /// [`run_atpg`](crate::run_atpg) for the same configuration.
+    pub report: AtpgReport,
+    /// Classes whose three-phase search the replay ran itself, for want
+    /// of a precomputed verdict.
+    pub searched: usize,
+    /// Microseconds the targeted-stage replay took.
+    pub us_targeted: u128,
+}
+
+impl<'a> Campaign<'a> {
+    /// Builds the fault plan of `faults` and runs the random stage (when
+    /// `cfg` enables it): everything that precedes the targeted search.
+    pub fn prepare(
+        ckt: &'a Circuit,
+        cssg: &'a Cssg,
+        faults: &'a [Fault],
+        cfg: &'a AtpgConfig,
+    ) -> Self {
+        let plan = FaultPlan::new(ckt, faults, cfg.collapse);
+        let mut state = StageState::new(plan.len());
+        let t = Instant::now();
+        if let Some(rnd_cfg) = &cfg.random {
+            let _span = satpg_trace::span!("stage.random", classes = plan.len());
+            random_stage(ckt, cssg, &plan, rnd_cfg, &mut state);
+        }
+        Campaign {
+            ckt,
+            cssg,
+            faults,
+            cfg,
+            plan,
+            state,
+            us_random: t.elapsed().as_micros(),
+        }
+    }
+
+    /// Replays the targeted stage over every class in serial order,
+    /// taking a class's three-phase verdict from `verdict(ci)` where the
+    /// driver precomputed one and running [`three_phase`] where it
+    /// returns `None`, then assembles the report.  Which verdicts arrive
+    /// precomputed changes only `searched`, never the report.
+    ///
+    /// `us_cssg` is the CSSG construction time to attribute, and
+    /// `us_verdicts` the wall clock of whatever phase precomputed the
+    /// verdicts; it is folded into the report's three-phase timing
+    /// alongside the replay's own.
+    pub fn finish(
+        mut self,
+        us_cssg: u128,
+        us_verdicts: u128,
+        verdict: &mut dyn FnMut(usize) -> Option<FaultStatus>,
+    ) -> Finished {
+        let (ckt, cssg, cfg) = (self.ckt, self.cssg, self.cfg);
+        let t = Instant::now();
+        let span = satpg_trace::span!("stage.targeted", open = self.state.open_classes().len());
+        let mut searched = 0usize;
+        let queue: Vec<usize> = (0..self.plan.len()).collect();
+        targeted_stage(
+            ckt,
+            cssg,
+            &self.plan,
+            cfg.fault_sim,
+            &queue,
+            &mut self.state,
+            &mut |ci, f| {
+                verdict(ci).unwrap_or_else(|| {
+                    searched += 1;
+                    three_phase(ckt, cssg, f, &cfg.three_phase)
+                })
+            },
+        );
+        drop(span);
+        let us_targeted = t.elapsed().as_micros();
+        let report = assemble_report(
+            ckt,
+            cssg,
+            self.faults,
+            &self.plan,
+            self.state,
+            StageTimings {
+                us_cssg,
+                us_random: self.us_random,
+                us_three_phase: us_verdicts + us_targeted,
+            },
+        );
+        Finished {
+            report,
+            searched,
+            us_targeted,
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::explicit_cssg::{build_cssg, CssgConfig};
+    use crate::explicit_cssg::build_cssg;
     use crate::fault::input_stuck_faults;
-    use crate::three_phase::{three_phase, ThreePhaseConfig};
     use satpg_netlist::library;
 
     #[test]
@@ -358,38 +474,34 @@ mod tests {
 
     #[test]
     fn queue_order_with_pure_oracle_is_order_independent_on_outcome_source() {
-        // Precomputing every verdict up front, then replaying in serial
-        // order, must equal computing lazily — the engine's merge model.
+        // Precomputing every open verdict up front, then replaying in
+        // serial order, must equal computing lazily: the engine's and
+        // the fleet's model.
         let ckt = library::muller_pipeline2();
-        let cfg = ThreePhaseConfig::default();
-        let cssg = build_cssg(&ckt, &CssgConfig::default()).unwrap();
+        let cfg = crate::AtpgConfig {
+            random: None,
+            ..crate::AtpgConfig::paper()
+        };
+        let cssg = build_cssg(&ckt, &cfg.cssg).unwrap();
         let faults = input_stuck_faults(&ckt);
-        let plan = FaultPlan::new(&ckt, &faults, false);
-        let queue: Vec<usize> = (0..plan.len()).collect();
 
-        let mut lazy = StageState::new(plan.len());
-        targeted_stage(&ckt, &cssg, &plan, true, &queue, &mut lazy, &mut |_, f| {
-            three_phase(&ckt, &cssg, f, &cfg)
-        });
+        let lazy = Campaign::prepare(&ckt, &cssg, &faults, &cfg).finish(0, 0, &mut |_| None);
 
-        let precomputed: Vec<FaultStatus> = plan
-            .classes()
-            .iter()
-            .map(|c| three_phase(&ckt, &cssg, &c.representative, &cfg))
+        let campaign = Campaign::prepare(&ckt, &cssg, &faults, &cfg);
+        let classes = campaign.plan.classes();
+        let mut precomputed: Vec<Option<FaultStatus>> = (0..classes.len())
+            .map(|ci| {
+                (campaign.state.verdicts[ci] == ClassVerdict::Open).then(|| {
+                    three_phase(&ckt, &cssg, &classes[ci].representative, &cfg.three_phase)
+                })
+            })
             .collect();
-        let mut replay = StageState::new(plan.len());
-        targeted_stage(
-            &ckt,
-            &cssg,
-            &plan,
-            true,
-            &queue,
-            &mut replay,
-            &mut |ci, _| precomputed[ci].clone(),
-        );
+        let replay = campaign.finish(0, 0, &mut |ci| precomputed[ci].take());
 
-        assert_eq!(lazy.verdicts, replay.verdicts);
-        assert_eq!(lazy.tests, replay.tests);
+        assert_eq!(lazy.report.records, replay.report.records);
+        assert_eq!(lazy.report.tests, replay.report.tests);
+        assert!(lazy.searched > 0, "the lazy replay searches");
+        assert_eq!(replay.searched, 0, "every verdict was precomputed");
     }
 
     #[test]

@@ -23,18 +23,14 @@
 //!   one: a fleet peer (`satpg-serve`) runs it too, over a one-deque
 //!   [`shard::ShardedQueues`] holding its shard and a test log its
 //!   coordinator's relays append to;
-//! * results are merged by a **deterministic serial replay** over the
-//!   resumable stages of [`satpg_core::stages`], so the final
-//!   [`EngineReport`] carries fault records and tests *identical* to the
-//!   serial [`satpg_core::run_atpg`] report, regardless of worker count,
-//!   steal order or broadcast timing.
-//!
-//! The determinism argument: the three-phase verdict of a class is a pure
-//! function of `(circuit, cssg, fault, config)`.  Workers merely
-//! *precompute* verdicts; the merge replays the exact serial control flow
-//! (class order, test interning, fault-simulation cascade), consuming a
-//! precomputed verdict where one exists and recomputing on the spot where
-//! broadcasting skipped a class the serial flow would have targeted.
+//! * the campaign is [`satpg_core::stages::Campaign`], the serial flow's
+//!   own stage sequence: workers only *precompute* three-phase verdicts,
+//!   and `Campaign::finish` replays the serial targeted stage over them
+//!   (the **merge**), so the final [`EngineReport`] carries fault
+//!   records and tests *identical* to the serial
+//!   [`satpg_core::run_atpg`] report, regardless of worker count, steal
+//!   order or broadcast timing.  `crates/core/DESIGN.md`, "One campaign,
+//!   three verdict sources", has the argument.
 //!
 //! # Example
 //!
@@ -54,7 +50,6 @@ mod run;
 pub mod shard;
 
 pub use run::{
-    merge_partial, prepare_campaign, reports_identical, run_engine, run_engine_on,
-    run_engine_on_streaming, search_classes, Campaign, EngineConfig, EngineEvent, EngineReport,
-    EngineSink, NullSink, PartialMerge, WorkerStats,
+    reports_identical, run_engine, run_engine_on, run_engine_on_streaming, search_classes,
+    EngineConfig, EngineEvent, EngineReport, EngineSink, NullSink, WorkerStats,
 };

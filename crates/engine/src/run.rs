@@ -3,10 +3,10 @@
 use crate::audit::WalkAuditor;
 use crate::shard::{Popped, ShardedQueues};
 use satpg_core::json::Json;
-use satpg_core::stages::{random_stage, targeted_stage, FaultPlan, StageState};
+use satpg_core::stages::{Campaign, FaultPlan};
 use satpg_core::{
-    build_cssg_sharded, faults_for, three_phase, three_phase_traced, AtpgConfig, AtpgReport,
-    CoreError, Cssg, Fault, FaultStatus, TestSequence,
+    build_cssg_sharded, faults_for, three_phase_traced, AtpgConfig, AtpgReport, CoreError, Cssg,
+    Fault, FaultStatus, TestSequence,
 };
 use satpg_netlist::Circuit;
 use std::collections::HashMap;
@@ -226,6 +226,36 @@ impl WorkerStats {
         }
         Json::Obj(fields)
     }
+
+    /// Adds this worker's telemetry to the process metrics registry
+    /// (the `engine.*` worker counters, the `engine.bdd_peak_unique`
+    /// gauge and the `engine.worker.busy_us` histogram).
+    /// [`search_classes`] calls it as it returns, so an engine worker and
+    /// a fleet peer's shard both land there.
+    fn flush_metrics(&self) {
+        let m = satpg_trace::metrics();
+        m.counter("engine.searched").add(self.searched as u64);
+        m.counter("engine.stolen").add(self.stolen as u64);
+        m.counter("engine.tests_found").add(self.tests_found as u64);
+        m.counter("engine.broadcast_drops")
+            .add(self.broadcast_drops as u64);
+        m.counter("engine.audit_failures")
+            .add(self.audit_failures as u64);
+        m.counter("engine.settle_states").add(self.settle_states);
+        m.counter("engine.settle_por_pruned")
+            .add(self.settle_por_pruned);
+        m.counter("engine.settle_fallbacks")
+            .add(self.settle_fallbacks);
+        m.counter("engine.settle_cycle_cuts")
+            .add(self.settle_cycle_cuts);
+        m.counter("engine.settle_fast_forwarded")
+            .add(self.settle_fast_forwarded);
+        m.counter("engine.screen_sims").add(self.screen_sims);
+        m.gauge("engine.bdd_peak_unique")
+            .max(self.bdd_peak_unique.min(i64::MAX as usize) as i64);
+        m.histogram("engine.worker.busy_us")
+            .record(self.us_busy.min(u64::MAX as u128) as u64);
+    }
 }
 
 /// The campaign result: a serial-identical report plus parallel telemetry.
@@ -282,121 +312,6 @@ impl EngineReport {
             ),
             ("engine".to_string(), Json::Obj(engine)),
         ])
-    }
-}
-
-/// A campaign paused at the targeted-stage boundary: the fault plan plus
-/// the stage state left by random TPG.  This is the unit a distributed
-/// coordinator exports — [`StageState::open_classes`] is the work to
-/// partition across peers, and feeding the collected verdicts back
-/// through [`merge_partial`] reproduces the serial report.
-pub struct Campaign {
-    /// The collapsed fault plan (class order is the serial order).
-    pub plan: FaultPlan,
-    /// Stage state after random TPG: open classes still need a verdict.
-    pub state: StageState,
-    /// Microseconds the random stage took.
-    pub us_random: u128,
-}
-
-/// Builds the fault plan and runs the (serial, deterministic) random
-/// stage — everything that precedes the parallelizable targeted search.
-pub fn prepare_campaign(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &AtpgConfig,
-) -> Campaign {
-    let plan = FaultPlan::new(ckt, faults, cfg.collapse);
-    let mut state = StageState::new(plan.len());
-    let t = Instant::now();
-    if let Some(rnd_cfg) = &cfg.random {
-        let _span = satpg_trace::span!("stage.random", classes = plan.len());
-        random_stage(ckt, cssg, &plan, rnd_cfg, &mut state);
-    }
-    Campaign {
-        plan,
-        state,
-        us_random: t.elapsed().as_micros(),
-    }
-}
-
-/// Outcome of [`merge_partial`]: the serial-identical report and how many
-/// classes had to be re-searched locally.
-pub struct PartialMerge {
-    /// The assembled report, byte-identical (timing aside) to serial
-    /// [`satpg_core::run_atpg`] for the same configuration.
-    pub report: AtpgReport,
-    /// Classes whose verdict was missing and recomputed on the spot.
-    pub fallbacks: usize,
-    /// Microseconds the merge replay took.
-    pub us_merge: u128,
-}
-
-/// The deterministic merge as a standalone entry point: replays the exact
-/// serial control flow over *all* classes, consuming a precomputed
-/// verdict wherever `verdict(ci)` supplies one and recomputing the
-/// three-phase search locally where it does not.
-///
-/// Because a class verdict is a pure function of
-/// `(circuit, cssg, fault, config)`, the report does not depend on which
-/// classes arrive precomputed: lost, late or never-dispatched verdicts
-/// only move work into `fallbacks`, never change a record.  This is what
-/// makes peer loss invisible to a fleet campaign's report.
-///
-/// `us_distributed` is the wall-clock of whatever parallel/remote phase
-/// produced the verdicts; it is folded into the report's three-phase
-/// timing alongside the merge's own time.
-#[allow(clippy::too_many_arguments)]
-pub fn merge_partial(
-    ckt: &Circuit,
-    cssg: &Cssg,
-    faults: &[Fault],
-    cfg: &AtpgConfig,
-    plan: &FaultPlan,
-    mut state: StageState,
-    us_cssg: u128,
-    us_random: u128,
-    us_distributed: u128,
-    verdict: &mut dyn FnMut(usize) -> Option<FaultStatus>,
-) -> PartialMerge {
-    let t = Instant::now();
-    let merge_span = satpg_trace::span!("stage.merge", classes = plan.len());
-    let mut fallbacks = 0usize;
-    let queue: Vec<usize> = (0..plan.len()).collect();
-    targeted_stage(
-        ckt,
-        cssg,
-        plan,
-        cfg.fault_sim,
-        &queue,
-        &mut state,
-        &mut |ci, f| match verdict(ci) {
-            Some(v) => v,
-            None => {
-                fallbacks += 1;
-                three_phase(ckt, cssg, f, &cfg.three_phase)
-            }
-        },
-    );
-    drop(merge_span);
-    let us_merge = t.elapsed().as_micros();
-    let report = satpg_core::stages::assemble_report(
-        ckt,
-        cssg,
-        faults,
-        plan,
-        state,
-        satpg_core::stages::StageTimings {
-            us_cssg,
-            us_random,
-            us_three_phase: us_distributed + us_merge,
-        },
-    );
-    PartialMerge {
-        report,
-        fallbacks,
-        us_merge,
     }
 }
 
@@ -458,23 +373,20 @@ pub fn run_engine_on_streaming(
     });
     // --- Stage 1: random TPG (serial; it is cheap, deterministic and
     // sets the shared baseline both drivers start the targeted loop from).
-    let Campaign {
-        plan,
-        state,
-        us_random,
-    } = prepare_campaign(ckt, cssg, faults, &cfg.atpg);
+    let campaign = Campaign::prepare(ckt, cssg, faults, &cfg.atpg);
 
     // --- Stage 2 (parallel): precompute three-phase verdicts. ---
-    let pending = state.open_classes();
+    let pending = campaign.state.open_classes();
     sink.event(EngineEvent::RandomDone {
-        resolved: plan.len() - pending.len(),
-        passes: state.random.passes,
-        patterns: state.random.patterns_evaluated,
-        us: us_random,
+        resolved: campaign.plan.len() - pending.len(),
+        passes: campaign.state.random.passes,
+        patterns: campaign.state.random.patterns_evaluated,
+        us: campaign.us_random,
     });
     let workers = cfg.effective_workers(pending.len());
     let queues = ShardedQueues::new(workers, &pending);
-    let outcomes: Vec<OnceLock<FaultStatus>> = (0..plan.len()).map(|_| OnceLock::new()).collect();
+    let mut outcomes: Vec<OnceLock<FaultStatus>> =
+        (0..campaign.plan.len()).map(|_| OnceLock::new()).collect();
     let tests: RwLock<Vec<(usize, TestSequence)>> = RwLock::new(Vec::new());
 
     let t2 = Instant::now();
@@ -497,7 +409,7 @@ pub fn run_engine_on_streaming(
                     let queues = &queues;
                     let outcomes = &outcomes;
                     let tests = &tests;
-                    let plan = &plan;
+                    let plan = &campaign.plan;
                     scope.spawn(move || {
                         let stats = search_classes(
                             ckt,
@@ -537,77 +449,37 @@ pub fn run_engine_on_streaming(
     let us_parallel = t2.elapsed().as_micros();
     let parallel_verdicts = outcomes.iter().filter(|o| o.get().is_some()).count();
 
-    // --- Stage 3: deterministic merge.  Replay the exact serial control
-    // flow, consuming precomputed verdicts; a class skipped by a
-    // broadcast drop but reached open here is recomputed on the spot.
-    let merged = merge_partial(
-        ckt,
-        cssg,
-        faults,
-        &cfg.atpg,
-        &plan,
-        state,
-        us_cssg,
-        us_random,
-        us_parallel,
-        &mut |ci| outcomes[ci].get().cloned(),
-    );
+    // --- Stage 3: deterministic merge.  The campaign's targeted-stage
+    // replay consumes the precomputed verdicts; a class skipped by a
+    // broadcast drop but reached open there is searched on the spot.
+    let merged = campaign.finish(us_cssg, us_parallel, &mut |ci| outcomes[ci].take());
     sink.event(EngineEvent::MergeDone {
-        fallbacks: merged.fallbacks,
-        us: merged.us_merge,
+        fallbacks: merged.searched,
+        us: merged.us_targeted,
     });
     flush_engine_metrics(
-        &worker_stats,
         us_cssg,
-        us_random,
+        merged.report.us_random,
         us_parallel,
-        merged.us_merge,
+        merged.us_targeted,
     );
 
     EngineReport {
         report: merged.report,
         workers: worker_stats,
         parallel_verdicts,
-        merge_fallbacks: merged.fallbacks,
+        merge_fallbacks: merged.searched,
         us_parallel,
-        us_merge: merged.us_merge,
+        us_merge: merged.us_targeted,
     }
 }
 
-/// Feeds one campaign's telemetry into the process metrics registry
-/// (`engine.*` counters/gauges, `stage.*.us` histograms).  Called once
-/// per run, after the merge — never from worker threads.
-fn flush_engine_metrics(
-    workers: &[WorkerStats],
-    us_cssg: u128,
-    us_random: u128,
-    us_parallel: u128,
-    us_merge: u128,
-) {
+/// Feeds one campaign's totals into the process metrics registry: the
+/// `engine.runs` counter and the `stage.*.us` histograms.  Each worker
+/// adds its own counters when it returns ([`WorkerStats::flush_metrics`]).
+fn flush_engine_metrics(us_cssg: u128, us_random: u128, us_parallel: u128, us_merge: u128) {
     let m = satpg_trace::metrics();
     m.counter("engine.runs").inc();
-    for w in workers {
-        m.counter("engine.searched").add(w.searched as u64);
-        m.counter("engine.stolen").add(w.stolen as u64);
-        m.counter("engine.tests_found").add(w.tests_found as u64);
-        m.counter("engine.broadcast_drops")
-            .add(w.broadcast_drops as u64);
-        m.counter("engine.audit_failures")
-            .add(w.audit_failures as u64);
-        m.counter("engine.settle_states").add(w.settle_states);
-        m.counter("engine.settle_por_pruned")
-            .add(w.settle_por_pruned);
-        m.counter("engine.settle_fallbacks").add(w.settle_fallbacks);
-        m.counter("engine.settle_cycle_cuts")
-            .add(w.settle_cycle_cuts);
-        m.counter("engine.settle_fast_forwarded")
-            .add(w.settle_fast_forwarded);
-        m.counter("engine.screen_sims").add(w.screen_sims);
-        m.gauge("engine.bdd_peak_unique")
-            .max(w.bdd_peak_unique.min(i64::MAX as usize) as i64);
-        m.histogram("engine.worker.busy_us")
-            .record(w.us_busy.min(u64::MAX as u128) as u64);
-    }
     m.histogram("stage.cssg.us")
         .record(us_cssg.min(u64::MAX as u128) as u64);
     m.histogram("stage.random.us")
@@ -722,6 +594,7 @@ pub fn search_classes(
         stats.bdd_peak_unique = aud.unique_len();
     }
     stats.us_busy = t0.elapsed().as_micros();
+    stats.flush_metrics();
     stats
 }
 

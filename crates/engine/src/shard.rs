@@ -53,11 +53,6 @@ impl ShardedQueues {
         }
     }
 
-    /// Number of worker deques.
-    pub fn num_workers(&self) -> usize {
-        self.queues.len()
-    }
-
     /// Pops the next item for `worker`: front of its own deque first,
     /// then the back of the fullest other deque.  `None` means every
     /// deque is empty and the worker can retire.
@@ -116,7 +111,6 @@ mod tests {
     fn round_robin_distribution() {
         let items: Vec<usize> = (0..10).collect();
         let q = ShardedQueues::new(3, &items);
-        assert_eq!(q.num_workers(), 3);
         // Worker 0 gets 0,3,6,9; worker 1 gets 1,4,7; worker 2 gets 2,5,8.
         assert_eq!(q.pop(0), Some(Popped::Own(0)));
         assert_eq!(q.pop(1), Some(Popped::Own(1)));

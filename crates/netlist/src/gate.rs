@@ -122,11 +122,6 @@ impl GateKind {
         }
     }
 
-    /// Whether the function depends on the gate's own current output.
-    pub fn is_sequential(&self) -> bool {
-        matches!(self, GateKind::C)
-    }
-
     /// The number of inputs this kind requires, if fixed.
     pub fn fixed_arity(&self) -> Option<usize> {
         match self {

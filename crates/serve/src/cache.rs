@@ -182,11 +182,19 @@ impl<K: Eq + Hash + Clone> Default for SingleFlight<K> {
     }
 }
 
+/// CSSG cache key: the canonical-netlist hash, the job's transition
+/// bound `k` and its per-state pattern budget.  The daemon's one
+/// spec→config mapping (`job_atpg_config`) sets only those two fields
+/// of the default `CssgConfig`, so they and the netlist determine the
+/// graph.  A budgeted graph covers fewer edges, so it is never served
+/// for an exhaustive request or vice versa.
+pub type CssgKey = (u64, Option<usize>, Option<u64>);
+
 /// The session cache: parsed netlists keyed by submission-content hash,
-/// CSSGs keyed by canonical-netlist hash plus the transition bound `k`.
+/// CSSGs by [`CssgKey`].
 pub struct SessionCache {
     circuits: Lru<u64, Arc<Circuit>>,
-    cssgs: Lru<(u64, Option<usize>, u64), Arc<Cssg>>,
+    cssgs: Lru<CssgKey, Arc<Cssg>>,
 }
 
 impl SessionCache {
@@ -209,19 +217,19 @@ impl SessionCache {
         self.circuits.put(key, ckt, bytes);
     }
 
-    /// Looks up a CSSG by canonical-netlist hash and transition bound.
-    pub fn get_cssg(&mut self, key: (u64, Option<usize>, u64)) -> Option<Arc<Cssg>> {
+    /// Looks up a CSSG.
+    pub fn get_cssg(&mut self, key: CssgKey) -> Option<Arc<Cssg>> {
         self.cssgs.get(&key)
     }
 
     /// [`SessionCache::get_cssg`] without counting: the single-flight
     /// double-check already recorded its miss on the first probe.
-    pub fn peek_cssg(&self, key: (u64, Option<usize>, u64)) -> Option<Arc<Cssg>> {
+    pub fn peek_cssg(&self, key: CssgKey) -> Option<Arc<Cssg>> {
         self.cssgs.peek(&key)
     }
 
     /// Stores a CSSG.
-    pub fn put_cssg(&mut self, key: (u64, Option<usize>, u64), cssg: Arc<Cssg>) {
+    pub fn put_cssg(&mut self, key: CssgKey, cssg: Arc<Cssg>) {
         // Weight a CSSG by its edge table: 16 bytes per (state, pattern,
         // successor) record approximates the dominant allocation.
         let bytes = cssg.num_edges().saturating_mul(16);
@@ -348,7 +356,7 @@ mod tests {
         let ckt = Arc::new(satpg_netlist::library::c_element());
         c.put_circuit(7, ckt.clone(), 123);
         assert!(c.get_circuit(7).is_some());
-        assert!(c.get_cssg((7, None, 0)).is_none());
+        assert!(c.get_cssg((7, None, None)).is_none());
         assert_eq!(c.circuit_stats().hits, 1);
         assert_eq!(c.cssg_stats().misses, 1);
         assert_eq!(c.circuit_bytes(), 123);

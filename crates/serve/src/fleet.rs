@@ -17,8 +17,8 @@
 //!   requeue for the survivors.
 //!
 //! Correctness never depends on any of that machinery.  A class verdict
-//! is a pure function of `(circuit, CSSG, fault, config)`, and the final
-//! [`satpg_engine::merge_partial`] replays the exact serial control flow,
+//! is a pure function of `(circuit, CSSG, fault, config)`, and
+//! [`Campaign::finish`] replays the exact serial control flow,
 //! recomputing any class the fleet failed to deliver.  Peer loss —
 //! including losing *every* peer — therefore moves work, never results:
 //! the report stays byte-identical to a serial run.  See
@@ -30,10 +30,10 @@ use crate::proto::{
     verdict_from_json, JobSpec, Request, ShardSpec, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
 use satpg_core::json::Json;
+use satpg_core::stages::Campaign;
 use satpg_core::{
     build_cssg, faults_for, AtpgConfig, AtpgReport, Cssg, Fault, FaultStatus, TestSequence,
 };
-use satpg_engine::{merge_partial, prepare_campaign};
 use satpg_netlist::Circuit;
 use std::collections::VecDeque;
 use std::sync::{mpsc, Arc, Mutex};
@@ -167,7 +167,7 @@ pub fn run_fleet_built(
         peers = fc.peers.len(),
         circuit = ckt.name().to_string()
     );
-    let campaign = prepare_campaign(ckt, cssg, faults, acfg);
+    let campaign = Campaign::prepare(ckt, cssg, faults, acfg);
     let pending = campaign.state.open_classes();
     let mut verdicts: Vec<Option<FaultStatus>> = vec![None; campaign.plan.len()];
     let mut stats = FleetStats {
@@ -179,21 +179,10 @@ pub fn run_fleet_built(
         distribute(spec, acfg, fc, &pending, &mut verdicts, &mut stats);
     }
     let us_distributed = t0.elapsed().as_micros();
-    let merged = merge_partial(
-        ckt,
-        cssg,
-        faults,
-        acfg,
-        &campaign.plan,
-        campaign.state,
-        us_cssg,
-        campaign.us_random,
-        us_distributed,
-        &mut |ci| verdicts[ci].take(),
-    );
-    stats.merge_fallbacks = merged.fallbacks;
+    let merged = campaign.finish(us_cssg, us_distributed, &mut |ci| verdicts[ci].take());
+    stats.merge_fallbacks = merged.searched;
     m.counter("fleet.merge_fallbacks")
-        .add(merged.fallbacks as u64);
+        .add(merged.searched as u64);
     FleetOutcome {
         report: merged.report,
         stats,

@@ -23,14 +23,16 @@
 //! read-only circuit/CSSG `Arc`s from the cache, so daemon-lifetime
 //! memory is bounded by the caches' LRU capacity.
 
-use crate::cache::{fnv64, SessionCache, SingleFlight};
+use crate::cache::{fnv64, CssgKey, SessionCache, SingleFlight};
 use crate::fleet::{run_fleet_built, FleetConfig};
 use crate::job::{job_atpg_config, resolve_circuit};
 use crate::net::{connect, read_line_capped, write_line, Conn, Listener};
 use crate::proto::{event, CircuitSpec, JobSpec, Request, ShardSpec, MAX_LINE_BYTES};
 use satpg_core::json::Json;
 use satpg_core::stages::FaultPlan;
-use satpg_core::{build_cssg_sharded, faults_for, Cssg, CssgConfig, TestSequence};
+use satpg_core::{
+    build_cssg_sharded, faults_for, AtpgConfig, Cssg, CssgConfig, Fault, TestSequence,
+};
 use satpg_engine::shard::ShardedQueues;
 use satpg_engine::{
     run_engine_on_streaming, search_classes, EngineConfig, EngineEvent, EngineSink,
@@ -105,30 +107,6 @@ struct QueuedJob {
     id: u64,
     spec: JobSpec,
     tx: mpsc::Sender<Json>,
-}
-
-/// CSSG cache key: canonical-netlist hash, the transition bound, and a
-/// hash of the settling policy ([`settle_signature`]).  Deliberately
-/// *not* keyed by shard count — sharded and serial builds are
-/// structurally identical, so either satisfies a request for the other —
-/// but POR/naive walks and different cap policies get distinct keys:
-/// where one truncates and the other does not, their graphs differ.
-type CssgKey = (u64, Option<usize>, u64);
-
-/// Hash of the settling policy a CSSG was built under: the POR flag,
-/// the cap policy, the ternary fast path and the per-state pattern
-/// budget (a budgeted graph covers fewer edges, so it must never be
-/// served for an exhaustive request or vice versa).  `CapPolicy`'s
-/// `Debug` form is a stable rendering of its parameters, so equal
-/// policies hash equal.
-fn settle_signature(cfg: &satpg_core::CssgConfig) -> u64 {
-    fnv64(
-        format!(
-            "por={};cap={:?};fast={};budget={:?}",
-            cfg.por, cfg.settle_cap, cfg.ternary_fast_path, cfg.pattern_budget
-        )
-        .as_bytes(),
-    )
 }
 
 struct State {
@@ -470,13 +448,10 @@ fn cached_circuit(
     Ok(out)
 }
 
-/// CSSG lookup: keyed by canonical netlist text + transition bound + a
-/// settle-policy signature (POR flag, cap policy, fast path), the same
-/// key for every thread budget (identical structure) but distinct
-/// keys for POR and naive walks — their graphs agree only where the
-/// naive walk completes, so they must not alias.  Concurrent misses on
-/// one key single-flight through `cssg_flight`: the first requester
-/// builds, later ones block and then hit.
+/// CSSG lookup by [`CssgKey`], the same key for every thread budget
+/// (the graphs are identical).  Concurrent misses on one key
+/// single-flight through `cssg_flight`: the first requester builds,
+/// later ones block and then hit.
 fn cached_cssg(
     state: &Arc<State>,
     ckt: &Circuit,
@@ -534,33 +509,61 @@ fn cached_cssg(
     Ok(out)
 }
 
+/// A job's campaign inputs, resolved through the daemon's caches.
+struct JobInputs {
+    ckt: Arc<Circuit>,
+    ckt_cache: &'static str,
+    acfg: AtpgConfig,
+    cssg: Arc<Cssg>,
+    cssg_cache: &'static str,
+    us_cssg: u128,
+    faults: Vec<Fault>,
+}
+
+/// The prologue a job and a fleet shard share: resolves the circuit
+/// `spec` names (`ckey` is its content hash), derives the flow
+/// configuration from [`job_atpg_config`] — the one spec→config mapping
+/// every fleet node shares, which keeps a coordinator, its peers and a
+/// local run computing identical class verdicts — fetches the CSSG
+/// (built on up to `threads` threads on a miss), rejects an abstraction
+/// with no valid vectors and lists the faults.  `on_circuit` sees the
+/// circuit and its cache outcome before the CSSG is fetched.
+fn job_inputs(
+    state: &Arc<State>,
+    spec: &JobSpec,
+    ckey: u64,
+    threads: usize,
+    on_circuit: impl FnOnce(&Circuit, &'static str),
+) -> Result<JobInputs, String> {
+    let (ckt, ckt_cache) = cached_circuit(state, &spec.circuit, ckey)?;
+    on_circuit(&ckt, ckt_cache);
+    let acfg = job_atpg_config(spec, &ckt);
+    let skey: CssgKey = (fnv64(to_ckt(&ckt).as_bytes()), spec.k, spec.pattern_budget);
+    let (cssg, cssg_cache, us_cssg) = cached_cssg(state, &ckt, &acfg.cssg, skey, threads)?;
+    if cssg.num_edges() == 0 {
+        return Err(satpg_core::CoreError::NoValidVectors.to_string());
+    }
+    let faults = faults_for(&ckt, acfg.fault_model);
+    Ok(JobInputs {
+        ckt,
+        ckt_cache,
+        acfg,
+        cssg,
+        cssg_cache,
+        us_cssg,
+        faults,
+    })
+}
+
 /// The job's stages, streamed as events; returns the final report body
 /// or the failure message for [`execute`] to send.
 fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json, String> {
     let send = |ev: Json| {
         let _ = job.tx.send(ev);
     };
-
-    // --- Circuit: content-hash lookup, then parse/synthesize. ---
-    let (ckt, ckt_cache) = cached_circuit(state, &job.spec.circuit, ckey)?;
-    send(event::stage(
-        job.id,
-        "circuit",
-        vec![
-            ("cache".to_string(), Json::str(ckt_cache)),
-            ("name".to_string(), Json::str(ckt.name())),
-            ("gates".to_string(), Json::int(ckt.num_gates())),
-            ("inputs".to_string(), Json::int(ckt.num_inputs())),
-        ],
-    ));
-
-    // --- Engine configuration (also bounds the CSSG build: the
-    // abstraction builds on up to the job's worker count of threads).  The flow
-    // knobs come from `job_atpg_config` — the one spec→config mapping
-    // every fleet node shares, which is what keeps a coordinator, its
-    // peers and a local run computing identical class verdicts.
-    let cfg = EngineConfig {
-        atpg: job_atpg_config(&job.spec, &ckt),
+    // The job's worker count also bounds the CSSG build: the
+    // abstraction builds on up to that many threads.
+    let mut cfg = EngineConfig {
         workers: if job.spec.workers == 0 {
             state.cfg.default_job_workers
         } else {
@@ -568,18 +571,19 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
         },
         ..EngineConfig::default()
     };
-
-    let skey: CssgKey = (
-        fnv64(to_ckt(&ckt).as_bytes()),
-        job.spec.k,
-        settle_signature(&cfg.atpg.cssg),
-    );
-    let (cssg, cssg_cache, us_cssg) =
-        cached_cssg(state, &ckt, &cfg.atpg.cssg, skey, cfg.build_shards())?;
-    if cssg.num_edges() == 0 {
-        return Err(satpg_core::CoreError::NoValidVectors.to_string());
-    }
-    let faults = faults_for(&ckt, cfg.atpg.fault_model);
+    let inputs = job_inputs(state, &job.spec, ckey, cfg.build_shards(), |ckt, cache| {
+        send(event::stage(
+            job.id,
+            "circuit",
+            vec![
+                ("cache".to_string(), Json::str(cache)),
+                ("name".to_string(), Json::str(ckt.name())),
+                ("gates".to_string(), Json::int(ckt.num_gates())),
+                ("inputs".to_string(), Json::int(ckt.num_inputs())),
+            ],
+        ))
+    })?;
+    cfg.atpg = inputs.acfg;
 
     // --- Coordinator path: with peers configured, the job fans out
     // across the fleet instead of running the local engine.  The merge
@@ -593,13 +597,13 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
             vec![("peers".to_string(), Json::int(state.cfg.peers.len()))],
         ));
         let outcome = run_fleet_built(
-            &ckt,
-            &cssg,
-            &faults,
+            &inputs.ckt,
+            &inputs.cssg,
+            &inputs.faults,
             &cfg.atpg,
             &job.spec,
             &state.cfg.fleet_config(),
-            us_cssg,
+            inputs.us_cssg,
         );
         state.fleet_campaigns.fetch_add(1, Ordering::SeqCst);
         state
@@ -620,8 +624,8 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
             (
                 "cache".to_string(),
                 Json::Obj(vec![
-                    ("circuit".to_string(), Json::str(ckt_cache)),
-                    ("cssg".to_string(), Json::str(cssg_cache)),
+                    ("circuit".to_string(), Json::str(inputs.ckt_cache)),
+                    ("cssg".to_string(), Json::str(inputs.cssg_cache)),
                 ]),
             ),
         ]));
@@ -630,18 +634,25 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
     // --- Engine campaign, telemetry streamed through the sink. ---
     let sink = ChannelSink {
         job: job.id,
-        cssg_cache,
+        cssg_cache: inputs.cssg_cache,
         tx: Mutex::new(job.tx.clone()),
         events_dropped: &state.events_dropped,
     };
-    let out = run_engine_on_streaming(&ckt, &cssg, &faults, &cfg, us_cssg, &sink);
+    let out = run_engine_on_streaming(
+        &inputs.ckt,
+        &inputs.cssg,
+        &inputs.faults,
+        &cfg,
+        inputs.us_cssg,
+        &sink,
+    );
     let mut body = out.to_json_value(true);
     if let Json::Obj(m) = &mut body {
         m.push((
             "cache".to_string(),
             Json::Obj(vec![
-                ("circuit".to_string(), Json::str(ckt_cache)),
-                ("cssg".to_string(), Json::str(cssg_cache)),
+                ("circuit".to_string(), Json::str(inputs.ckt_cache)),
+                ("cssg".to_string(), Json::str(inputs.cssg_cache)),
             ]),
         ));
     }
@@ -932,14 +943,6 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
     }
 }
 
-/// Runs one fleet shard on the engine's own class-search loop
-/// ([`search_classes`]): one worker over a one-deque queue holding the
-/// assigned classes in ascending serial order, with the session's test
-/// log as its broadcast log.  Each verdict streams as a `shard_verdict`
-/// event.  The loop screens the backlog before each class against the
-/// shard's own finds and the coordinator's relays alike, by the engine
-/// worker's rule, so the coordinator's serial merge replay re-derives
-/// every drop.
 /// A running shard session's `max_shards` slot: dropping it, also when
 /// the session unwinds, ends the session and frees the slot.
 struct ShardSlot(Arc<State>, Arc<Mutex<HashMap<u64, Arc<ShardSession>>>>, u64);
@@ -952,6 +955,15 @@ impl Drop for ShardSlot {
     }
 }
 
+/// Runs one fleet shard on the engine's own class-search loop
+/// ([`search_classes`]): one worker over a one-deque queue holding the
+/// assigned classes in ascending serial order, with the session's test
+/// log as its broadcast log.  Each verdict streams as a `shard_verdict`
+/// event.  The loop screens the backlog before each class against the
+/// shard's own finds and the coordinator's relays alike, by the engine
+/// worker's rule, so the coordinator's serial merge replay re-derives
+/// every drop.  The worker's telemetry lands in the metrics registry as
+/// the `engine.*` worker counters.
 fn execute_shard(
     state: &Arc<State>,
     writer: &Arc<Mutex<Conn>>,
@@ -966,27 +978,11 @@ fn execute_shard(
 
     let span = satpg_trace::span!("fleet.shard", shard = shard, classes = spec.classes.len());
     let ckey = fnv64(spec.job.circuit.cache_text().as_bytes());
-    let (ckt, _) = match cached_circuit(state, &spec.job.circuit, ckey) {
-        Ok(hit) => hit,
+    let inputs = match job_inputs(state, &spec.job, ckey, 1, |_, _| {}) {
+        Ok(inputs) => inputs,
         Err(msg) => return reply(event::rejected(&msg)),
     };
-    let acfg = job_atpg_config(&spec.job, &ckt);
-    let skey: CssgKey = (
-        fnv64(to_ckt(&ckt).as_bytes()),
-        spec.job.k,
-        settle_signature(&acfg.cssg),
-    );
-    let (cssg, _, _) = match cached_cssg(state, &ckt, &acfg.cssg, skey, 1) {
-        Ok(hit) => hit,
-        Err(msg) => return reply(event::rejected(&msg)),
-    };
-    if cssg.num_edges() == 0 {
-        return reply(event::rejected(
-            &satpg_core::CoreError::NoValidVectors.to_string(),
-        ));
-    }
-    let faults = faults_for(&ckt, acfg.fault_model);
-    let plan = FaultPlan::new(&ckt, &faults, acfg.collapse);
+    let plan = FaultPlan::new(&inputs.ckt, &inputs.faults, inputs.acfg.collapse);
     if spec.classes.iter().any(|&c| c >= plan.len()) {
         return reply(event::rejected(&format!(
             "class index out of range (plan has {} classes)",
@@ -997,13 +993,13 @@ fn execute_shard(
     let m = satpg_trace::metrics();
     m.counter("fleet.shards_executed").inc();
     let cfg = EngineConfig {
-        atpg: acfg,
+        atpg: inputs.acfg,
         workers: 1,
         ..EngineConfig::default()
     };
     let stats = search_classes(
-        &ckt,
-        &cssg,
+        &inputs.ckt,
+        &inputs.cssg,
         &plan,
         &cfg,
         &ShardedQueues::new(1, &spec.classes),

@@ -1,8 +1,8 @@
 //! Merge determinism under arbitrary distribution: for any partition of
 //! the fault list into shards, any interleaved completion order, any
 //! broadcast-screening drops and any subset of lost verdicts, feeding
-//! the surviving verdicts to [`satpg_engine::merge_partial`] must
-//! reproduce the serial report byte-for-byte.
+//! the surviving verdicts to [`satpg_core::stages::Campaign::finish`]
+//! must reproduce the serial report byte-for-byte.
 //!
 //! This is the property the fleet coordinator leans on (see
 //! `crates/serve/DESIGN.md`): a class verdict is a pure function of
@@ -15,11 +15,11 @@
 //! peers carrying them had died.
 
 use proptest::prelude::*;
+use satpg_core::stages::{Campaign, Finished};
 use satpg_core::{
     build_cssg_sharded, fault_simulate, faults_for, run_atpg_on, three_phase, AtpgConfig, Cssg,
     Fault, FaultStatus, ThreePhaseConfig,
 };
-use satpg_engine::{merge_partial, prepare_campaign};
 use satpg_netlist::{families as nf, library, Circuit};
 use std::sync::OnceLock;
 
@@ -51,7 +51,7 @@ fn fixture(ckt: Circuit) -> Fixture {
         .expect("serial ATPG runs")
         .to_json_value(false)
         .render();
-    let campaign = prepare_campaign(&ckt, &cssg, &faults, &cfg);
+    let campaign = Campaign::prepare(&ckt, &cssg, &faults, &cfg);
     let open = campaign.state.open_classes();
     let reps: Vec<Fault> = campaign
         .plan
@@ -163,21 +163,14 @@ fn simulate(
     avail
 }
 
+/// The fixture's campaign, finished on the verdicts in `avail`.
+fn merge(fx: &Fixture, mut avail: Vec<Option<FaultStatus>>) -> Finished {
+    Campaign::prepare(&fx.ckt, &fx.cssg, &fx.faults, &fx.cfg)
+        .finish(0, 0, &mut |ci| avail[ci].take())
+}
+
 fn check(fx: &Fixture, partition_seed: u64, order_seed: u64, loss_seed: u64) {
-    let mut avail = simulate(fx, partition_seed, order_seed, loss_seed);
-    let campaign = prepare_campaign(&fx.ckt, &fx.cssg, &fx.faults, &fx.cfg);
-    let merged = merge_partial(
-        &fx.ckt,
-        &fx.cssg,
-        &fx.faults,
-        &fx.cfg,
-        &campaign.plan,
-        campaign.state,
-        0,
-        campaign.us_random,
-        0,
-        &mut |ci| avail[ci].take(),
-    );
+    let merged = merge(fx, simulate(fx, partition_seed, order_seed, loss_seed));
     assert_eq!(
         fx.serial,
         merged.report.to_json_value(false).render(),
@@ -214,45 +207,20 @@ proptest! {
 fn all_lost_and_none_lost_both_merge_to_serial() {
     for fx in [c_element(), muller3()] {
         // Nothing delivered: the merge recomputes every class.
-        let campaign = prepare_campaign(&fx.ckt, &fx.cssg, &fx.faults, &fx.cfg);
-        let merged = merge_partial(
-            &fx.ckt,
-            &fx.cssg,
-            &fx.faults,
-            &fx.cfg,
-            &campaign.plan,
-            campaign.state,
-            0,
-            campaign.us_random,
-            0,
-            &mut |_| None,
-        );
+        let merged = merge(fx, vec![None; fx.truth.len()]);
         assert_eq!(fx.serial, merged.report.to_json_value(false).render());
-        // Not every open class becomes a fallback — the replay's own
+        // Not every open class is searched — the replay's own
         // screening drops some before the oracle is consulted — but the
         // first queried class always misses.
         assert!(
-            fx.open.is_empty() || merged.fallbacks >= 1,
+            fx.open.is_empty() || merged.searched >= 1,
             "with nothing delivered the merge must recompute something"
         );
         // Everything delivered: the merge recomputes nothing.
-        let mut avail = fx.truth.clone();
-        let campaign = prepare_campaign(&fx.ckt, &fx.cssg, &fx.faults, &fx.cfg);
-        let merged = merge_partial(
-            &fx.ckt,
-            &fx.cssg,
-            &fx.faults,
-            &fx.cfg,
-            &campaign.plan,
-            campaign.state,
-            0,
-            campaign.us_random,
-            0,
-            &mut |ci| avail[ci].take(),
-        );
+        let merged = merge(fx, fx.truth.clone());
         assert_eq!(fx.serial, merged.report.to_json_value(false).render());
         assert_eq!(
-            merged.fallbacks, 0,
+            merged.searched, 0,
             "a complete verdict map needs no fallbacks"
         );
     }

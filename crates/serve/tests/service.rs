@@ -29,6 +29,18 @@ fn serial_json(name: &str) -> String {
         .render()
 }
 
+/// The `cache` flag of a job's `cssg` stage event.
+fn cssg_stage(events: &[Json]) -> String {
+    events
+        .iter()
+        .find(|e| e.get("stage").and_then(Json::as_str) == Some("cssg"))
+        .expect("cssg stage event")
+        .get("cache")
+        .and_then(Json::as_str)
+        .expect("cache flag")
+        .to_string()
+}
+
 #[test]
 fn concurrent_clients_get_serial_identical_reports() {
     let (addr, handle) = start_daemon(ServeConfig {
@@ -89,16 +101,6 @@ fn duplicate_submission_hits_the_cssg_cache() {
     let mut client = Client::connect(&addr).expect("connect");
 
     let first = client.submit(bench_spec("converta")).expect("submit");
-    let cssg_stage = |events: &[Json]| {
-        events
-            .iter()
-            .find(|e| e.get("stage").and_then(Json::as_str) == Some("cssg"))
-            .expect("cssg stage event")
-            .get("cache")
-            .and_then(Json::as_str)
-            .expect("cache flag")
-            .to_string()
-    };
     assert_eq!(cssg_stage(&first.events), "miss");
 
     let second = client.submit(bench_spec("converta")).expect("submit");
@@ -143,6 +145,49 @@ fn duplicate_submission_hits_the_cssg_cache() {
     };
     assert_eq!(hits("cssgs"), 2, "bench resubmit + inline twin");
     assert_eq!(hits("circuits"), 1, "only the bench resubmit");
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}
+
+/// The CSSG cache key is the canonical netlist plus the two CSSG fields
+/// a job spec sets, `k` and `pattern_budget`: one circuit submitted
+/// plain, with a `k` and with a budget builds three graphs, and each
+/// resubmission hits its own.  Every report equals serial `run_atpg`
+/// under the same spec.
+#[test]
+fn cssg_cache_keys_on_k_and_pattern_budget() {
+    let (addr, handle) = start_daemon(ServeConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    let specs = [
+        bench_spec("converta"),
+        JobSpec {
+            k: Some(3),
+            ..bench_spec("converta")
+        },
+        JobSpec {
+            pattern_budget: Some(2),
+            ..bench_spec("converta")
+        },
+    ];
+    for cache in ["miss", "hit"] {
+        for spec in &specs {
+            let out = client.submit(spec.clone()).expect("submit");
+            assert_eq!(cssg_stage(&out.events), cache, "{spec:?}");
+            let ckt = satpg_serve::resolve_circuit(&spec.circuit).expect("converta");
+            let serial = run_atpg(&ckt, &job_atpg_config(spec, &ckt)).expect("serial flow runs");
+            assert_eq!(
+                timing_free_report(&out.report),
+                serial.to_json_value(false).render(),
+                "{spec:?}"
+            );
+        }
+    }
+    let status = client.status().expect("status");
+    assert_eq!(
+        status.get("cssg_builds").and_then(Json::as_usize),
+        Some(specs.len()),
+        "{status}"
+    );
     client.shutdown().expect("shutdown");
     handle.join().unwrap().unwrap();
 }

@@ -150,6 +150,43 @@ fn coordinator_records_one_rtt_per_shard() {
     shutdown(&p1, h1);
 }
 
+fn counter(metrics: &Json, name: &str) -> usize {
+    metrics
+        .get("counters")
+        .and_then(|c| c.get(name))
+        .and_then(Json::as_usize)
+        .unwrap_or(0)
+}
+
+/// A peer's shards run the engine's class-search loop and record its
+/// worker telemetry: across one healthy campaign, every remote verdict
+/// is one `engine.searched` in the (process-wide) registry.
+#[test]
+fn peers_record_their_worker_telemetry() {
+    let _fleet = FLEET.lock().unwrap_or_else(|e| e.into_inner());
+    let (p0, h0) = start(ServeConfig::default());
+    let (p1, h1) = start(ServeConfig::default());
+    let fc = FleetConfig {
+        peers: vec![p0.clone(), p1.clone()],
+        chunk: 1,
+        ..FleetConfig::default()
+    };
+    let mut client = Client::connect(&p0).expect("connect peer");
+    let before = counter(&client.metrics().expect("metrics"), "engine.searched");
+    let out = run_fleet(&spec(), &fc).expect("campaign runs");
+    let after = client.metrics().expect("metrics");
+    assert_eq!(out.stats.peer_deaths, 0, "{:?}", out.stats);
+    assert!(out.stats.remote_verdicts > 0, "{:?}", out.stats);
+    assert_eq!(
+        counter(&after, "engine.searched") - before,
+        out.stats.remote_verdicts,
+        "one engine.searched per remote verdict: {after}"
+    );
+    drop(client);
+    shutdown(&p0, h0);
+    shutdown(&p1, h1);
+}
+
 #[test]
 fn wildcard_bind_stops_promptly_on_shutdown() {
     let server = Server::bind(ServeConfig {

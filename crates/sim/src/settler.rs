@@ -55,9 +55,6 @@ pub enum CapPolicy {
         /// Hard upper bound (memory guard).
         ceil: usize,
     },
-    /// No cap at all.  The walk may consume unbounded memory; reserve
-    /// for property tests and offline studies.
-    Unbounded,
 }
 
 impl CapPolicy {
@@ -76,7 +73,6 @@ impl CapPolicy {
     pub fn resolve(&self, num_gates: usize) -> usize {
         match *self {
             CapPolicy::Fixed(n) => n,
-            CapPolicy::Unbounded => usize::MAX,
             CapPolicy::Scaled {
                 floor,
                 gates_per_doubling,
@@ -829,7 +825,6 @@ mod tests {
     #[test]
     fn cap_policy_resolution() {
         assert_eq!(CapPolicy::Fixed(7).resolve(1000), 7);
-        assert_eq!(CapPolicy::Unbounded.resolve(3), usize::MAX);
         let s = CapPolicy::default_scaled();
         // Paper-sized circuits see the historical 2^15.
         assert_eq!(s.resolve(7), 1 << 15);

@@ -226,14 +226,6 @@ impl Stg {
             format!("{}{dir}/{}", self.signal_names[tr.signal], tr.instance)
         }
     }
-
-    /// All transitions of signal `s`.
-    pub fn transitions_of(&self, s: SignalIdx) -> Vec<TransitionId> {
-        (0..self.transitions.len() as u32)
-            .map(TransitionId)
-            .filter(|&t| self.transitions[t.0 as usize].signal == s)
-            .collect()
-    }
 }
 
 impl fmt::Display for Stg {
@@ -283,6 +275,5 @@ mod tests {
         let t1 = g.add_transition(a, false, 2);
         assert_eq!(g.transition_label(t0), "a-");
         assert_eq!(g.transition_label(t1), "a-/2");
-        assert_eq!(g.transitions_of(a), vec![t0, t1]);
     }
 }

@@ -312,6 +312,15 @@ fn engine_trace_nests_the_audit_under_its_worker() {
         !plain.iter().any(|e| name(e).starts_with("audit.")),
         "audit spans without --audit"
     );
+    // The merge is the campaign's one targeted-stage replay, a child of
+    // the campaign span.
+    let span_of = |n: &str| plain.iter().find(|e| name(e) == n).expect(n);
+    assert_eq!(
+        arg(span_of("stage.targeted"), "parent"),
+        arg(span_of("engine.run"), "span_id"),
+        "stage.targeted nests under engine.run"
+    );
+    assert!(!plain.iter().any(|e| name(e) == "stage.merge"));
 }
 
 /// A daemon on an ephemeral port, shut down when dropped.

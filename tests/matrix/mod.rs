@@ -10,12 +10,13 @@
 //! `satpg table`'s config, serial (`report_digests`), CSSG shards 2–4,
 //! the engine on one worker (`search_set`) and on 2–4 plus audited
 //! (`identity`), traced, the naive walk with POR off in both settling
-//! layers (`settler_por_identity`), a merge with no verdicts (what a
-//! fleet that lost every peer runs), one daemon, and the fleet on 1–4
-//! peers (one peer in one shard: `search_set`); `identity_matrix` runs
-//! the rest and the whole `#[ignore]`d release tier.  Every cell hashes
-//! to its row's digest, except a naive cell, whose records, tests and
-//! totals equal the serial cell's (its settle work differs by design).
+//! layers (`settler_por_identity`), the campaign's targeted-stage
+//! replay with every verdict precomputed (`merge`), one daemon, and the
+//! fleet on 1–4 peers (one peer in one shard: `search_set`);
+//! `identity_matrix` runs the rest and the whole `#[ignore]`d release
+//! tier.  Every cell hashes to its row's digest, except a naive cell,
+//! whose records, tests and totals equal the serial cell's (its settle
+//! work differs by design).
 //! The one-worker engine cell also pins the whole `EngineReport`.
 //!
 //! Report digests cannot see how a shard merge numbers CSSG states, so
@@ -28,14 +29,12 @@
 // Each suite includes this module and runs its own columns.
 #![allow(dead_code)]
 
-use satpg::core::stages::targeted_stage;
+use satpg::core::stages::{targeted_stage, Campaign};
 use satpg::core::{
     build_cssg, build_cssg_sharded, faults_for, run_atpg, run_atpg_on, three_phase, AtpgConfig,
-    AtpgReport, CapPolicy, CoreError, Cssg, CssgConfig, Fault, Phase,
+    AtpgReport, CapPolicy, CoreError, Cssg, CssgConfig, Fault, FaultStatus, Phase,
 };
-use satpg::engine::{
-    merge_partial, prepare_campaign, run_engine, Campaign, EngineConfig, EngineReport,
-};
+use satpg::engine::{run_engine, EngineConfig, EngineReport};
 use satpg::netlist::Circuit;
 use satpg::serve::cache::fnv64;
 use satpg::serve::testing::{start_daemon, timing_free_report};
@@ -592,17 +591,15 @@ pub fn fsim_work_cells() {
         let got = untraced(|| {
             let cssg = build_cssg(&ckt, &cfg.cssg).expect("the CSSG builds");
             let faults = faults_for(&ckt, cfg.fault_model);
-            let Campaign {
-                plan, mut state, ..
-            } = prepare_campaign(&ckt, &cssg, &faults, &cfg);
-            let queue: Vec<usize> = (0..plan.len()).collect();
+            let mut campaign = Campaign::prepare(&ckt, &cssg, &faults, &cfg);
+            let queue: Vec<usize> = (0..campaign.plan.len()).collect();
             targeted_stage(
                 &ckt,
                 &cssg,
-                &plan,
+                &campaign.plan,
                 cfg.fault_sim,
                 &queue,
-                &mut state,
+                &mut campaign.state,
                 &mut |_, f| three_phase(&ckt, &cssg, f, &cfg.three_phase),
             )
         });
@@ -718,6 +715,11 @@ pub fn naive_cells(rows: &[Row]) {
     }
 }
 
+/// The campaign's targeted-stage replay with every verdict
+/// precomputed: each class the random stage leaves open gets its
+/// `three_phase` verdict up front, as if engine workers or fleet peers
+/// had delivered all of them, and [`Campaign::finish`] must hit the
+/// row's digest without searching a class itself.
 pub fn merge_cells(rows: &[Row], misses: &mut Misses) {
     for row in rows {
         let ckt = row.circuit();
@@ -727,17 +729,20 @@ pub fn merge_cells(rows: &[Row], misses: &mut Misses) {
             &cfg,
             |c| build_cssg(&ckt, c),
             |cssg, faults| {
-                let campaign = prepare_campaign(&ckt, cssg, faults, &cfg);
-                let (plan, state) = (&campaign.plan, campaign.state);
-                merge_partial(&ckt, cssg, faults, &cfg, plan, state, 0, 0, 0, &mut |_| {
-                    None
-                })
-                .report
+                let campaign = Campaign::prepare(&ckt, cssg, faults, &cfg);
+                let mut verdicts: Vec<Option<FaultStatus>> = vec![None; campaign.plan.len()];
+                for ci in campaign.state.open_classes() {
+                    let fault = &campaign.plan.classes()[ci].representative;
+                    verdicts[ci] = Some(three_phase(&ckt, cssg, fault, &cfg.three_phase));
+                }
+                let done = campaign.finish(0, 0, &mut |ci| verdicts[ci].take());
+                assert_eq!(done.searched, 0, "{} × merge: searched", row.label);
+                done.report
             },
         );
         misses.check(
             row.label,
-            "merge without verdicts",
+            "merge with every verdict precomputed",
             digest(&out),
             row.report,
         );
