@@ -223,15 +223,6 @@ impl Manager {
         self.mk(v, Bdd::TRUE, Bdd::FALSE)
     }
 
-    /// A literal: `var(v)` if `positive` else `nvar(v)`.
-    pub fn literal(&mut self, v: u32, positive: bool) -> Bdd {
-        if positive {
-            self.var(v)
-        } else {
-            self.nvar(v)
-        }
-    }
-
     #[inline]
     fn cofactors(&self, f: Bdd, v: u32) -> (Bdd, Bdd) {
         let n = self.node(f);
@@ -350,12 +341,6 @@ impl Manager {
         let r = self.mk(n.var, r0, r1);
         self.cache.insert(key, r.0);
         r
-    }
-
-    /// Implication `f → g`.
-    pub fn implies(&mut self, f: Bdd, g: Bdd) -> Bdd {
-        let nf = self.not(f);
-        self.or(nf, g)
     }
 
     /// Biconditional `f ↔ g`.
@@ -822,21 +807,6 @@ mod tests {
         let f = m.xor(a, c);
         assert_eq!(m.support(f), vec![0, 2]);
         assert_eq!(m.node_count(f), 5); // two terminals + 3 decision nodes
-    }
-
-    #[test]
-    fn implies_truth_table() {
-        let mut m = mgr();
-        let (a, b) = (m.var(0), m.var(1));
-        let f = m.implies(a, b);
-        for (av, bv, want) in [
-            (false, false, true),
-            (false, true, true),
-            (true, false, false),
-            (true, true, true),
-        ] {
-            assert_eq!(m.eval(f, &|v| if v == 0 { av } else { bv }), want);
-        }
     }
 
     #[test]

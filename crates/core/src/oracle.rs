@@ -51,9 +51,8 @@ pub fn validate_test(ckt: &Circuit, fault: &Fault, seq: &TestSequence, k: usize)
     // Good machine: deterministic replay (must be confluent every cycle).
     let mut good = s0.clone();
     // Faulty machine: settle the reset state under the fault first.
-    let mut fset = match faulty.settle_set(&BTreeSet::from([s0]), p0).ok() {
-        Some(s) => s,
-        None => return Verdict::Overflow,
+    let Some(mut fset) = faulty.settle_set(&BTreeSet::from([s0]), p0) else {
+        return Verdict::Overflow;
     };
     let mismatch = |good: &Bits, fset: &BTreeSet<Bits>| {
         let gv = ckt.output_values(good);
@@ -63,9 +62,8 @@ pub fn validate_test(ckt: &Circuit, fault: &Fault, seq: &TestSequence, k: usize)
         return Verdict::Detects { at: 0 };
     }
     for (i, p) in seq.patterns.iter().enumerate() {
-        let gset = match clean.settle_set(&BTreeSet::from([good.clone()]), p).ok() {
-            Some(s) => s,
-            None => return Verdict::Overflow,
+        let Some(gset) = clean.settle_set(&BTreeSet::from([good.clone()]), p) else {
+            return Verdict::Overflow;
         };
         if gset.len() != 1 {
             return Verdict::GoodInvalid;
@@ -74,10 +72,10 @@ pub fn validate_test(ckt: &Circuit, fault: &Fault, seq: &TestSequence, k: usize)
         if !ckt.is_stable(&good) {
             return Verdict::GoodInvalid;
         }
-        fset = match faulty.settle_set(&fset, p).ok() {
-            Some(s) => s,
-            None => return Verdict::Overflow,
+        let Some(next) = faulty.settle_set(&fset, p) else {
+            return Verdict::Overflow;
         };
+        fset = next;
         if mismatch(&good, &fset) {
             return Verdict::Detects { at: i + 1 };
         }

@@ -3,7 +3,8 @@
 //! paths can contribute to improve testability").
 //!
 //! For every fault left undetected by the flow, the good×faulty product
-//! is explored once more, recording at which *internal* signals a
+//! is walked once more (three-phase's own walk, which never stops here),
+//! recording at which *internal* signals a
 //! guaranteed mismatch (every possible faulty state disagrees with the
 //! good machine) occurs.  A signal that would expose many undetected
 //! faults if it were observable is a good candidate for a test point or
@@ -13,10 +14,9 @@
 use crate::atpg::AtpgReport;
 use crate::cssg::Cssg;
 use crate::fault::Fault;
-use crate::three_phase::ThreePhaseConfig;
+use crate::three_phase::{product_walk, ThreePhaseConfig};
 use satpg_netlist::{Bits, Circuit, SignalId};
-use satpg_sim::{Settler, SettlerConfig};
-use std::collections::{BTreeSet, HashSet, VecDeque};
+use std::collections::{BTreeSet, HashSet};
 
 /// One scan candidate: an internal signal and the undetected faults it
 /// would expose if observable.
@@ -55,58 +55,23 @@ fn mismatch_mask(ckt: &Circuit, good: &Bits, fset: &BTreeSet<Bits>) -> Vec<bool>
     mask
 }
 
-/// Explores the product machine of one fault and returns the signals at
-/// which a guaranteed mismatch is ever reachable.
+/// Walks the product machine of one fault (three-phase's own walk, to
+/// its end) and returns the signals at which a guaranteed mismatch is
+/// ever reachable.
 fn exposing_signals(
     ckt: &Circuit,
     cssg: &Cssg,
     fault: &Fault,
     cfg: &ThreePhaseConfig,
 ) -> Vec<bool> {
-    let scfg = SettlerConfig {
-        k: cssg.k(),
-        cap: cfg.settle_cap,
-        por: cfg.por,
-        ternary_fast_path: true,
-    };
-    let mut settler = Settler::new(ckt, &fault.injection(), &scfg);
-    let n = ckt.num_state_bits();
-    let mut exposed = vec![false; n];
-    let s0 = &cssg.states()[cssg.initial()];
-    let Some(f0) = settler
-        .settle_set(&BTreeSet::from([s0.clone()]), ckt.input_pattern(s0))
-        .ok()
-    else {
-        return exposed;
-    };
-    let key_of = |g: usize, f: &BTreeSet<Bits>| (g, f.iter().cloned().collect::<Vec<_>>());
-    let mut visited: HashSet<(usize, Vec<Bits>)> = HashSet::new();
-    visited.insert(key_of(cssg.initial(), &f0));
-    let mut queue: VecDeque<(usize, BTreeSet<Bits>, usize)> =
-        VecDeque::from([(cssg.initial(), f0, 0)]);
-    while let Some((good, fset, depth)) = queue.pop_front() {
-        for (i, m) in mismatch_mask(ckt, &cssg.states()[good], &fset)
-            .into_iter()
-            .enumerate()
-        {
-            if m {
-                exposed[i] = true;
-            }
+    let mut exposed = vec![false; ckt.num_state_bits()];
+    product_walk(ckt, cssg, fault, cfg, |good, faulty| {
+        let mask = mismatch_mask(ckt, &cssg.states()[good], faulty);
+        for (e, m) in exposed.iter_mut().zip(mask) {
+            *e |= m;
         }
-        if depth >= cfg.max_depth || visited.len() >= cfg.max_nodes {
-            continue;
-        }
-        let edges: Vec<(satpg_netlist::Pattern, usize)> = cssg.edges(good).to_vec();
-        for (pattern, gsucc) in edges {
-            let Some(fsucc) = settler.settle_set(&fset, pattern).ok() else {
-                continue;
-            };
-            let key = key_of(gsucc, &fsucc);
-            if visited.insert(key) {
-                queue.push_back((gsucc, fsucc, depth + 1));
-            }
-        }
-    }
+        false
+    });
     exposed
 }
 

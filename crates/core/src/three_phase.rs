@@ -79,11 +79,6 @@ impl ThreePhaseConfig {
             por: true,
         }
     }
-
-    /// The concrete settle-set cap for `ckt` under this configuration.
-    pub fn resolved_set_cap(&self, ckt: &Circuit) -> usize {
-        self.settle_cap.resolve(ckt.num_gates())
-    }
 }
 
 /// Why a fault is provably untestable in the synchronous framework.
@@ -127,47 +122,81 @@ pub fn three_phase(
 
 /// [`three_phase`] returning the settling-engine counters alongside the
 /// verdict (the engine workers aggregate them into their telemetry).
+///
+/// Phase 1, fault activation (§5.1), is informational: the set of
+/// exciting stable states prioritizes nothing in a BFS, and an empty
+/// set does not disprove testability (pulse-only signals).  Phases 2
+/// and 3 are one [`product_walk`] that stops at the first guaranteed
+/// output mismatch.
 pub fn three_phase_traced(
     ckt: &Circuit,
     cssg: &Cssg,
     fault: &Fault,
     cfg: &ThreePhaseConfig,
 ) -> (FaultStatus, SettleStats) {
-    // --- Phase 1: fault activation (§5.1) — informational: the set of
-    // exciting stable states prioritizes nothing in a BFS, and an empty
-    // set does not disprove testability (pulse-only signals).
-    let inj = fault.injection();
+    let (walk, stats) = product_walk(ckt, cssg, fault, cfg, |good, faulty| {
+        guaranteed_mismatch(ckt, &cssg.states()[good], faulty)
+    });
+    let status = match walk {
+        Walk::Stopped(patterns) => FaultStatus::Detected {
+            sequence: TestSequence { patterns },
+        },
+        Walk::Exhausted => FaultStatus::Untestable(UntestableReason::NoDistinguishingSequence),
+        Walk::Truncated => FaultStatus::Aborted,
+    };
+    (status, stats)
+}
+
+/// How a [`product_walk`] ended.
+pub(crate) enum Walk {
+    /// `visit` stopped the walk at a node; the patterns that reach it
+    /// from reset.
+    Stopped(Vec<Pattern>),
+    /// Every reachable product node was visited.
+    Exhausted,
+    /// A limit cut the walk short: the depth or node budget, or a settle
+    /// the cap truncated.
+    Truncated,
+}
+
+/// The breadth-first walk over the product of the good CSSG and the
+/// machine under `fault` (phases 2 and 3, justification and
+/// differentiation, fused).  Calls `visit(good, faulty_set)` on each
+/// product node as it is first reached, reset first, and stops at the
+/// first node `visit` returns `true` for; BFS order makes that node's
+/// path a shortest one.  Returns the settling counters too.
+pub(crate) fn product_walk(
+    ckt: &Circuit,
+    cssg: &Cssg,
+    fault: &Fault,
+    cfg: &ThreePhaseConfig,
+    mut visit: impl FnMut(usize, &BTreeSet<Bits>) -> bool,
+) -> (Walk, SettleStats) {
     let scfg = SettlerConfig {
         k: cssg.k(),
         cap: cfg.settle_cap,
         por: cfg.por,
         ternary_fast_path: true,
     };
-    let mut settler = Settler::new(ckt, &inj, &scfg);
-    let status = three_phase_inner(ckt, cssg, cfg, &mut settler);
-    let stats = settler.take_stats();
-    (status, stats)
+    let mut settler = Settler::new(ckt, &fault.injection(), &scfg);
+    let walk = walk_from_reset(ckt, cssg, cfg, &mut settler, &mut visit);
+    (walk, settler.take_stats())
 }
 
-/// The product BFS, generic over the settling engine instance.
-fn three_phase_inner(
+/// [`product_walk`] on its settler.
+fn walk_from_reset(
     ckt: &Circuit,
     cssg: &Cssg,
     cfg: &ThreePhaseConfig,
     settler: &mut Settler,
-) -> FaultStatus {
-    // --- Phases 2+3: product BFS (justification + differentiation). ---
+    visit: &mut impl FnMut(usize, &BTreeSet<Bits>) -> bool,
+) -> Walk {
     let s0 = &cssg.states()[cssg.initial()];
-    let Some(f0) = settler
-        .settle_set(&BTreeSet::from([s0.clone()]), ckt.input_pattern(s0))
-        .ok()
-    else {
-        return FaultStatus::Aborted;
+    let Some(f0) = settler.settle_set(&BTreeSet::from([s0.clone()]), ckt.input_pattern(s0)) else {
+        return Walk::Truncated;
     };
-    if guaranteed_mismatch(ckt, s0, &f0) {
-        return FaultStatus::Detected {
-            sequence: TestSequence::default(),
-        };
+    if visit(cssg.initial(), &f0) {
+        return Walk::Stopped(Vec::new());
     }
 
     struct Node {
@@ -177,9 +206,8 @@ fn three_phase_inner(
         pattern: Pattern,
         depth: usize,
     }
-    let key_of = |good: usize, fset: &BTreeSet<Bits>| -> (usize, Vec<Bits>) {
-        (good, fset.iter().cloned().collect())
-    };
+    let mut visited: HashSet<(usize, BTreeSet<Bits>)> =
+        HashSet::from([(cssg.initial(), f0.clone())]);
     let mut nodes: Vec<Node> = vec![Node {
         good: cssg.initial(),
         faulty: f0,
@@ -187,56 +215,50 @@ fn three_phase_inner(
         pattern: Pattern::zeros(ckt.num_inputs()),
         depth: 0,
     }];
-    let mut visited: HashSet<(usize, Vec<Bits>)> = HashSet::new();
-    visited.insert(key_of(nodes[0].good, &nodes[0].faulty));
     let mut queue: VecDeque<usize> = VecDeque::from([0]);
     let mut truncated = false;
 
     while let Some(ni) = queue.pop_front() {
-        if nodes[ni].depth >= cfg.max_depth {
+        let (good, depth) = (nodes[ni].good, nodes[ni].depth);
+        if depth >= cfg.max_depth {
             truncated = true;
             continue;
         }
-        let good = nodes[ni].good;
-        let depth = nodes[ni].depth;
-        let edges: Vec<(Pattern, usize)> = cssg.edges(good).to_vec();
-        for (pattern, gsucc) in edges {
-            let Some(fsucc) = settler.settle_set(&nodes[ni].faulty, &pattern).ok() else {
+        for (pattern, gsucc) in cssg.edges(good) {
+            let Some(fsucc) = settler.settle_set(&nodes[ni].faulty, pattern) else {
                 truncated = true;
                 continue;
             };
-            if guaranteed_mismatch(ckt, &cssg.states()[gsucc], &fsucc) {
-                let mut patterns = vec![pattern];
+            if !visited.insert((*gsucc, fsucc.clone())) {
+                continue;
+            }
+            if visit(*gsucc, &fsucc) {
+                let mut patterns = vec![pattern.clone()];
                 let mut cur = ni;
                 while nodes[cur].parent != usize::MAX {
                     patterns.push(nodes[cur].pattern.clone());
                     cur = nodes[cur].parent;
                 }
                 patterns.reverse();
-                return FaultStatus::Detected {
-                    sequence: TestSequence { patterns },
-                };
+                return Walk::Stopped(patterns);
             }
-            let key = key_of(gsucc, &fsucc);
-            if visited.insert(key) {
-                if nodes.len() >= cfg.max_nodes {
-                    return FaultStatus::Aborted;
-                }
-                nodes.push(Node {
-                    good: gsucc,
-                    faulty: fsucc,
-                    parent: ni,
-                    pattern,
-                    depth: depth + 1,
-                });
-                queue.push_back(nodes.len() - 1);
+            if nodes.len() >= cfg.max_nodes {
+                return Walk::Truncated;
             }
+            nodes.push(Node {
+                good: *gsucc,
+                faulty: fsucc,
+                parent: ni,
+                pattern: pattern.clone(),
+                depth: depth + 1,
+            });
+            queue.push_back(nodes.len() - 1);
         }
     }
     if truncated {
-        FaultStatus::Aborted
+        Walk::Truncated
     } else {
-        FaultStatus::Untestable(UntestableReason::NoDistinguishingSequence)
+        Walk::Exhausted
     }
 }
 

@@ -246,16 +246,6 @@ impl SessionCache {
         self.cssgs.entries.len()
     }
 
-    /// Counters of the circuit-level cache.
-    pub fn circuit_stats(&self) -> CacheStats {
-        self.circuits.stats
-    }
-
-    /// Counters of the CSSG-level cache.
-    pub fn cssg_stats(&self) -> CacheStats {
-        self.cssgs.stats
-    }
-
     /// The machine-readable form of both levels.
     pub fn to_json_value(&self) -> Json {
         Json::Obj(vec![
@@ -357,18 +347,12 @@ mod tests {
         c.put_circuit(7, ckt.clone(), 123);
         assert!(c.get_circuit(7).is_some());
         assert!(c.get_cssg((7, None, None)).is_none());
-        assert_eq!(c.circuit_stats().hits, 1);
-        assert_eq!(c.cssg_stats().misses, 1);
+        let v = c.to_json_value();
+        let count = |level: &str, key: &str| v.get(level)?.get(key)?.as_usize();
+        assert_eq!(count("circuits", "hits"), Some(1));
+        assert_eq!(count("cssgs", "misses"), Some(1));
         assert_eq!(c.circuit_bytes(), 123);
         assert_eq!(c.cssg_entries(), 0);
-        let v = c.to_json_value();
-        assert_eq!(
-            v.get("circuits")
-                .unwrap()
-                .get("entries")
-                .unwrap()
-                .as_usize(),
-            Some(1)
-        );
+        assert_eq!(count("circuits", "entries"), Some(1));
     }
 }

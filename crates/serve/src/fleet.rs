@@ -25,7 +25,7 @@
 //! `crates/serve/DESIGN.md` for the full argument.
 
 use crate::job::{job_atpg_config, resolve_circuit};
-use crate::net::{connect, write_line, Conn, LineRead, TimedLineReader};
+use crate::net::{connect, read_line_capped, read_line_until, write_line, Conn};
 use crate::proto::{
     verdict_from_json, JobSpec, Request, ShardSpec, MAX_LINE_BYTES, PROTOCOL_VERSION,
 };
@@ -36,7 +36,8 @@ use satpg_core::{
 };
 use satpg_netlist::Circuit;
 use std::collections::VecDeque;
-use std::sync::{mpsc, Arc, Mutex};
+use std::io::{self, BufReader};
+use std::sync::mpsc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -49,7 +50,8 @@ pub struct FleetConfig {
     /// three of them (enough granularity to rebalance around a loss
     /// without drowning the wire in tiny submissions).
     pub chunk: usize,
-    /// Milliseconds of in-flight silence before a peer is declared lost.
+    /// Milliseconds a peer may stay silent, while it holds a shard or
+    /// before it answers `enlist`, before it is declared lost.
     pub peer_timeout_ms: u64,
 }
 
@@ -189,25 +191,19 @@ pub fn run_fleet_built(
     }
 }
 
-/// Messages from peer reader threads to the coordinator loop.
+/// One reply line of a peer, as its reader thread forwards it to the
+/// coordinator loop (tagged with the peer's index).  Every line is one
+/// message, so every line proves its peer alive.
 enum PeerMsg {
-    /// A peer delivered one class verdict.
-    Verdict {
-        peer: usize,
-        class: usize,
-        status: FaultStatus,
-    },
-    /// A peer finished its in-flight shard.
-    ShardDone { peer: usize },
-    /// A peer was lost: EOF, stall past the timeout, or garbage.
-    Dead { peer: usize, reason: String },
+    /// One class verdict.
+    Verdict { class: usize, status: FaultStatus },
+    /// The in-flight shard is finished.
+    ShardDone,
+    /// An acknowledgement that carries no coordinator state.
+    Ack,
+    /// The peer is lost: EOF, a read error, garbage, or refused work.
+    Dead(String),
 }
-
-/// Stall-watchdog stamp shared between the coordinator and a peer's
-/// reader thread: when the in-flight shard was dispatched, refreshed on
-/// every reply line; `None` while idle, so silence without work is not
-/// a stall.
-type Watchdog = Arc<Mutex<Option<Instant>>>;
 
 /// Coordinator-side view of one enlisted peer.
 struct Peer {
@@ -219,128 +215,95 @@ struct Peer {
     shard: Option<(u64, Instant)>,
     /// The in-flight shard's classes (for requeue on loss).
     chunk: Vec<usize>,
-    inflight_since: Watchdog,
+    /// When the loop last dispatched the peer a shard or handled a
+    /// message from it: the stall watchdog's clock.
+    heard: Instant,
 }
 
-/// Connects to a peer and runs the `enlist` handshake, returning the
-/// write half and the (timeout-polling) line reader with any handshake
-/// overshoot still buffered.
-fn enlist(addr: &str, timeout: Duration) -> Result<(Conn, TimedLineReader), String> {
+/// Connects to a peer and runs the `enlist` handshake, reading its one
+/// reply by a deadline `timeout` away.  Returns the write half and a
+/// blocking reader that still buffers any handshake overshoot.
+fn enlist(addr: &str, timeout: Duration) -> Result<(Conn, BufReader<Conn>), String> {
     let conn = connect(addr).map_err(|e| format!("{addr}: connect: {e}"))?;
     let mut writer = conn
         .try_clone()
         .map_err(|e| format!("{addr}: clone: {e}"))?;
-    // Short socket timeout; the reader thread polls and applies the
-    // (much longer) in-flight stall timeout itself.
-    conn.set_read_timeout(Some(Duration::from_millis(100)))
-        .map_err(|e| format!("{addr}: timeout: {e}"))?;
-    let mut reader = TimedLineReader::new(conn, MAX_LINE_BYTES);
+    let mut reader = BufReader::new(conn);
     write_line(&mut writer, &Request::Enlist.to_json_value().render())
         .map_err(|e| format!("{addr}: enlist write: {e}"))?;
-    let deadline = Instant::now() + timeout;
+    // A deadline, not just a per-read timeout: a peer trickling bytes
+    // would otherwise hold the handshake for as long as it likes.
+    let line = read_line_until(&mut reader, MAX_LINE_BYTES, Instant::now() + timeout)
+        .map_err(|e| match e.kind() {
+            io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut => {
+                format!("{addr}: enlist timed out")
+            }
+            _ => format!("{addr}: enlist read: {e}"),
+        })?
+        .ok_or_else(|| format!("{addr}: closed during enlist"))?;
+    let v = Json::parse(&line).map_err(|e| format!("{addr}: enlist reply: {e}"))?;
+    match v.get("event").and_then(Json::as_str) {
+        Some("enlisted") => {
+            let proto = v.get("protocol").and_then(Json::as_usize).unwrap_or(0);
+            if proto != PROTOCOL_VERSION as usize {
+                return Err(format!(
+                    "{addr}: speaks protocol {proto}, need {PROTOCOL_VERSION}"
+                ));
+            }
+        }
+        other => return Err(format!("{addr}: unexpected {other:?} during enlist")),
+    }
+    Ok((writer, reader))
+}
+
+/// The per-peer reader thread: forwards every reply line to the
+/// coordinator loop as one [`PeerMsg`], and judges nothing but the line
+/// itself.  Ends after its first `Dead` — EOF included, which the
+/// coordinator causes by shutting the socket down when it loses the
+/// peer or ends the campaign.
+fn reader_loop(mut reader: BufReader<Conn>, peer: usize, tx: mpsc::Sender<(usize, PeerMsg)>) {
     loop {
-        match reader.next() {
-            Ok(LineRead::Line(line)) => {
-                let v = Json::parse(&line).map_err(|e| format!("{addr}: enlist reply: {e}"))?;
-                return match v.get("event").and_then(Json::as_str) {
-                    Some("enlisted") => {
-                        let proto = v.get("protocol").and_then(Json::as_usize).unwrap_or(0);
-                        if proto == PROTOCOL_VERSION as usize {
-                            Ok((writer, reader))
-                        } else {
-                            Err(format!(
-                                "{addr}: speaks protocol {proto}, need {PROTOCOL_VERSION}"
-                            ))
-                        }
-                    }
-                    other => Err(format!("{addr}: unexpected {other:?} during enlist")),
-                };
-            }
-            Ok(LineRead::TimedOut) => {
-                if Instant::now() > deadline {
-                    return Err(format!("{addr}: enlist timed out"));
-                }
-            }
-            Ok(LineRead::Eof) => return Err(format!("{addr}: closed during enlist")),
-            Err(e) => return Err(format!("{addr}: enlist read: {e}")),
+        let msg = match read_line_capped(&mut reader, MAX_LINE_BYTES) {
+            Ok(Some(line)) => parse_reply(&line),
+            Ok(None) => PeerMsg::Dead("connection closed".to_string()),
+            Err(e) => PeerMsg::Dead(format!("read: {e}")),
+        };
+        let dead = matches!(msg, PeerMsg::Dead(_));
+        if tx.send((peer, msg)).is_err() || dead {
+            return;
         }
     }
 }
 
-/// The per-peer reader thread: parses reply lines into [`PeerMsg`]s and
-/// enforces the in-flight stall timeout.  Exits on EOF — including the
-/// one the coordinator causes by shutting the socket down when it loses
-/// the peer or ends the campaign — or on any fatal parse problem
-/// (reported as a death: a peer speaking garbage cannot be trusted with
-/// work).
-fn reader_loop(
-    mut reader: TimedLineReader,
-    peer: usize,
-    inflight_since: Watchdog,
-    timeout: Duration,
-    tx: mpsc::Sender<PeerMsg>,
-) {
-    let dead = |reason: String| {
-        let _ = tx.send(PeerMsg::Dead { peer, reason });
+/// Parses one reply line.  A peer speaking garbage cannot be trusted
+/// with work, so anything unexpected is a death.
+fn parse_reply(line: &str) -> PeerMsg {
+    let v = match Json::parse(line) {
+        Ok(v) => v,
+        Err(e) => return PeerMsg::Dead(format!("garbage reply: {e}")),
     };
-    loop {
-        match reader.next() {
-            Ok(LineRead::Line(line)) => {
-                // Any reply line proves liveness; refresh the watchdog.
-                if let Some(t) = inflight_since.lock().expect("peer watchdog lock").as_mut() {
-                    *t = Instant::now();
-                }
-                let v = match Json::parse(&line) {
-                    Ok(v) => v,
-                    Err(e) => return dead(format!("garbage reply: {e}")),
-                };
-                match v.get("event").and_then(Json::as_str) {
-                    Some("shard_verdict") => {
-                        let class = v.get("class").and_then(Json::as_usize);
-                        match (class, verdict_from_json(&v)) {
-                            (Some(class), Ok(status)) => {
-                                let _ = tx.send(PeerMsg::Verdict {
-                                    peer,
-                                    class,
-                                    status,
-                                });
-                            }
-                            (_, Err(e)) => return dead(format!("bad verdict: {e}")),
-                            (None, _) => return dead("verdict without class".to_string()),
-                        }
-                    }
-                    Some("shard_result") => {
-                        let _ = tx.send(PeerMsg::ShardDone { peer });
-                    }
-                    // Handshake echoes and acks carry no coordinator
-                    // state; `status`/`metrics` could share the socket.
-                    Some("enlisted" | "shard_accepted" | "broadcast_ok" | "status" | "metrics") => {
-                    }
-                    Some("rejected" | "error") => {
-                        let why = v
-                            .get("reason")
-                            .or_else(|| v.get("message"))
-                            .and_then(Json::as_str)
-                            .unwrap_or("unspecified");
-                        return dead(format!("peer refused work: {why}"));
-                    }
-                    other => return dead(format!("unknown event {other:?}")),
-                }
+    match v.get("event").and_then(Json::as_str) {
+        Some("shard_verdict") => {
+            let class = v.get("class").and_then(Json::as_usize);
+            match (class, verdict_from_json(&v)) {
+                (Some(class), Ok(status)) => PeerMsg::Verdict { class, status },
+                (_, Err(e)) => PeerMsg::Dead(format!("bad verdict: {e}")),
+                (None, _) => PeerMsg::Dead("verdict without class".to_string()),
             }
-            Ok(LineRead::TimedOut) => {
-                let since = *inflight_since.lock().expect("peer watchdog lock");
-                if let Some(t) = since {
-                    if t.elapsed() > timeout {
-                        return dead(format!(
-                            "no reply for {}ms with a shard in flight",
-                            t.elapsed().as_millis()
-                        ));
-                    }
-                }
-            }
-            Ok(LineRead::Eof) => return dead("connection closed".to_string()),
-            Err(e) => return dead(format!("read: {e}")),
         }
+        Some("shard_result") => PeerMsg::ShardDone,
+        // Handshake echoes and acks carry no coordinator state;
+        // `status`/`metrics` could share the socket.
+        Some("enlisted" | "shard_accepted" | "broadcast_ok" | "status" | "metrics") => PeerMsg::Ack,
+        Some("rejected" | "error") => {
+            let why = v
+                .get("reason")
+                .or_else(|| v.get("message"))
+                .and_then(Json::as_str)
+                .unwrap_or("unspecified");
+            PeerMsg::Dead(format!("peer refused work: {why}"))
+        }
+        other => PeerMsg::Dead(format!("unknown event {other:?}")),
     }
 }
 
@@ -369,7 +332,6 @@ fn kill_peer(
     // handle would not close it, and EOF is what ends the reader.
     let _ = w.shutdown();
     note_lost(&p.addr, reason, stats);
-    *p.inflight_since.lock().expect("peer watchdog lock") = None;
     if p.shard.take().is_some() {
         let chunk = std::mem::take(&mut p.chunk);
         // Verdicts that already arrived are kept — work is requeued,
@@ -414,7 +376,7 @@ fn distribute(
     // drops the shard's own later classes) without any cross-chunk
     // bookkeeping, because all of a chunk's classes ascend.
     let mut queue: VecDeque<Vec<usize>> = pending.chunks(chunk).map(<[usize]>::to_vec).collect();
-    let (tx, rx) = mpsc::channel::<PeerMsg>();
+    let (tx, rx) = mpsc::channel::<(usize, PeerMsg)>();
     // Each address gets one `enlist`; a peer that fails it is lost for
     // the campaign, and the others enlist with a reader thread each
     // (named `fleet-rx`, joined when the campaign ends).
@@ -428,13 +390,11 @@ fn distribute(
                 continue;
             }
         };
-        let q = peers.len();
-        let inflight_since: Watchdog = Arc::new(Mutex::new(None));
-        let (since, tx) = (inflight_since.clone(), tx.clone());
+        let (q, tx) = (peers.len(), tx.clone());
         readers.push(
             std::thread::Builder::new()
                 .name("fleet-rx".to_string())
-                .spawn(move || reader_loop(reader, q, since, timeout, tx))
+                .spawn(move || reader_loop(reader, q, tx))
                 .expect("spawn fleet reader thread"),
         );
         peers.push(Peer {
@@ -442,7 +402,7 @@ fn distribute(
             writer: Some(writer),
             shard: None,
             chunk: Vec::new(),
-            inflight_since,
+            heard: Instant::now(),
         });
     }
 
@@ -468,7 +428,7 @@ fn distribute(
                     let now = Instant::now();
                     peers[q].shard = Some((shard, now));
                     peers[q].chunk = classes;
-                    *peers[q].inflight_since.lock().expect("peer watchdog lock") = Some(now);
+                    peers[q].heard = now;
                     stats.shards += 1;
                     m.counter("fleet.shards").inc();
                 }
@@ -502,44 +462,63 @@ fn distribute(
             break;
         }
 
-        match rx.recv_timeout(Duration::from_millis(50)) {
-            Ok(PeerMsg::Verdict {
-                peer,
-                class,
-                status,
-            }) => {
-                if class < verdicts.len() && verdicts[class].is_none() {
-                    // Relay a found test to every other busy peer so its
-                    // remaining classes can be screened.  Verdicts are
-                    // pure, so a missed or raced relay costs time only.
-                    if acfg.fault_sim {
-                        if let FaultStatus::Detected { sequence } = &status {
-                            relay(
-                                &mut peers, peer, class, sequence, &mut queue, verdicts, stats,
-                            );
-                        }
-                    }
-                    verdicts[class] = Some(status);
-                    stats.remote_verdicts += 1;
-                    m.counter("fleet.remote_verdicts").inc();
-                }
-            }
-            Ok(PeerMsg::ShardDone { peer }) => {
-                // A lost peer has no shard or chunk left, so its
-                // stragglers change nothing here.
-                let p = &mut peers[peer];
-                if let Some((_, sent)) = p.shard.take() {
-                    rtt.record(sent.elapsed().as_micros() as u64);
-                }
-                p.chunk.clear();
-                *p.inflight_since.lock().expect("peer watchdog lock") = None;
-            }
-            Ok(PeerMsg::Dead { peer, reason }) => {
-                kill_peer(&mut peers, peer, &reason, &mut queue, verdicts, stats);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {}
+        // Wait up to 50 ms for a message, then drain whatever else is
+        // queued before the watchdog looks: a queued message proves its
+        // peer alive, however late the loop gets to it.
+        let first = match rx.recv_timeout(Duration::from_millis(50)) {
+            Ok(msg) => Some(msg),
+            Err(mpsc::RecvTimeoutError::Timeout) => None,
             // Unreachable while we hold `tx`, but harmless.
             Err(mpsc::RecvTimeoutError::Disconnected) => break,
+        };
+        for (peer, msg) in first.into_iter().chain(rx.try_iter()) {
+            peers[peer].heard = Instant::now();
+            match msg {
+                PeerMsg::Verdict { class, status } => {
+                    if class < verdicts.len() && verdicts[class].is_none() {
+                        // Relay a found test to every other busy peer so
+                        // its remaining classes can be screened.  Verdicts
+                        // are pure, so a missed or raced relay costs time
+                        // only.
+                        if acfg.fault_sim {
+                            if let FaultStatus::Detected { sequence } = &status {
+                                relay(
+                                    &mut peers, peer, class, sequence, &mut queue, verdicts, stats,
+                                );
+                            }
+                        }
+                        verdicts[class] = Some(status);
+                        stats.remote_verdicts += 1;
+                        m.counter("fleet.remote_verdicts").inc();
+                    }
+                }
+                PeerMsg::ShardDone => {
+                    // A lost peer has no shard or chunk left, so its
+                    // stragglers change nothing here.
+                    let p = &mut peers[peer];
+                    if let Some((_, sent)) = p.shard.take() {
+                        rtt.record(sent.elapsed().as_micros() as u64);
+                    }
+                    p.chunk.clear();
+                }
+                PeerMsg::Ack => {}
+                PeerMsg::Dead(reason) => {
+                    kill_peer(&mut peers, peer, &reason, &mut queue, verdicts, stats);
+                }
+            }
+        }
+
+        // The stall watchdog: a live peer that holds a shard and has been
+        // silent past the timeout is lost, though its socket is open.
+        for q in 0..peers.len() {
+            let silent = peers[q].heard.elapsed();
+            if peers[q].writer.is_some() && peers[q].shard.is_some() && silent > timeout {
+                let reason = format!(
+                    "no reply for {}ms with a shard in flight",
+                    silent.as_millis()
+                );
+                kill_peer(&mut peers, q, &reason, &mut queue, verdicts, stats);
+            }
         }
     }
 

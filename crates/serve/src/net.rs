@@ -1,5 +1,6 @@
-//! Transport plumbing shared by the daemon and the client: a stream
-//! that is either TCP or a Unix-domain socket, plus capped line I/O.
+//! Transport plumbing shared by the daemon, the client and the fleet
+//! coordinator: a stream that is either TCP or a Unix-domain socket,
+//! plus capped line I/O.
 //!
 //! Every protocol exchange is a short line answered by another short
 //! line, so TCP streams run with `TCP_NODELAY` and [`write_line`] hands
@@ -7,12 +8,13 @@
 //! second small segment waits for the receiver's delayed ACK (tens of
 //! milliseconds per round trip on Linux).
 
-use std::io::{self, BufRead, Read, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{IpAddr, Ipv4Addr, Ipv6Addr, Shutdown, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
 #[cfg(unix)]
 use std::path::PathBuf;
+use std::time::Instant;
 
 /// A connected byte stream (TCP or Unix socket).
 pub(crate) enum Conn {
@@ -216,76 +218,52 @@ pub(crate) fn read_line_capped(r: &mut impl BufRead, cap: usize) -> io::Result<O
     }
 }
 
-/// One poll of a [`TimedLineReader`].
-#[derive(Debug)]
-pub(crate) enum LineRead {
-    /// A complete line (newline stripped).
-    Line(String),
-    /// The read timed out before a full line arrived; buffered partial
-    /// data is kept, so a later poll resumes exactly where this stopped.
-    TimedOut,
-    /// The peer closed the connection.  A partial unterminated line is
-    /// discarded — line protocols treat a mid-line close as a dead peer.
-    Eof,
-}
-
-/// A line reader over a socket with a read timeout set.  Unlike a
-/// `BufRead` loop, a timeout here never corrupts framing: partial bytes
-/// stay buffered across [`LineRead::TimedOut`] polls, which is what lets
-/// a fleet coordinator watch a slow peer without losing sync with it.
-pub(crate) struct TimedLineReader {
-    conn: Conn,
-    buf: Vec<u8>,
-    /// Prefix of `buf` already scanned and known newline-free.
-    scanned: usize,
+/// [`read_line_capped`] on a socket, bounded by `deadline` however the
+/// bytes trickle in: each socket read waits at most until then, and one
+/// due after it fails with `TimedOut`.  Blocking reads are restored
+/// before it returns; the reader keeps any bytes past the line.
+pub(crate) fn read_line_until(
+    r: &mut BufReader<Conn>,
     cap: usize,
+    deadline: Instant,
+) -> io::Result<Option<String>> {
+    let line = read_line_capped(&mut Until { r, deadline }, cap);
+    r.get_ref().set_read_timeout(None)?;
+    line
 }
 
-impl TimedLineReader {
-    pub(crate) fn new(conn: Conn, cap: usize) -> Self {
-        TimedLineReader {
-            conn,
-            buf: Vec::new(),
-            scanned: 0,
-            cap,
+/// A buffered socket reader whose every read waits at most until
+/// `deadline`.
+struct Until<'a> {
+    r: &'a mut BufReader<Conn>,
+    deadline: Instant,
+}
+
+impl Until<'_> {
+    fn arm(&self) -> io::Result<()> {
+        let left = self.deadline.saturating_duration_since(Instant::now());
+        if left.is_zero() {
+            return Err(io::ErrorKind::TimedOut.into());
         }
+        self.r.get_ref().set_read_timeout(Some(left))
+    }
+}
+
+impl Read for Until<'_> {
+    fn read(&mut self, buf: &mut [u8]) -> io::Result<usize> {
+        self.arm()?;
+        self.r.read(buf)
+    }
+}
+
+impl BufRead for Until<'_> {
+    fn fill_buf(&mut self) -> io::Result<&[u8]> {
+        self.arm()?;
+        self.r.fill_buf()
     }
 
-    /// Polls for the next line; returns [`LineRead::TimedOut`] when the
-    /// socket's read timeout expires first.
-    pub(crate) fn next(&mut self) -> io::Result<LineRead> {
-        loop {
-            if let Some(off) = self.buf[self.scanned..].iter().position(|&b| b == b'\n') {
-                let pos = self.scanned + off;
-                let rest = self.buf.split_off(pos + 1);
-                let mut line = std::mem::replace(&mut self.buf, rest);
-                line.pop();
-                self.scanned = 0;
-                return Ok(LineRead::Line(String::from_utf8_lossy(&line).into_owned()));
-            }
-            self.scanned = self.buf.len();
-            if self.buf.len() > self.cap {
-                return Err(io::Error::new(
-                    io::ErrorKind::InvalidData,
-                    format!("reply line exceeds {} bytes", self.cap),
-                ));
-            }
-            let mut chunk = [0u8; 4096];
-            match self.conn.read(&mut chunk) {
-                Ok(0) => return Ok(LineRead::Eof),
-                Ok(n) => self.buf.extend_from_slice(&chunk[..n]),
-                Err(e)
-                    if matches!(
-                        e.kind(),
-                        io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
-                    ) =>
-                {
-                    return Ok(LineRead::TimedOut)
-                }
-                Err(e) if e.kind() == io::ErrorKind::Interrupted => {}
-                Err(e) => return Err(e),
-            }
-        }
+    fn consume(&mut self, n: usize) {
+        self.r.consume(n)
     }
 }
 
@@ -329,24 +307,49 @@ mod tests {
 
     #[cfg(unix)]
     #[test]
-    fn timed_reader_survives_timeouts_mid_line() {
-        use std::io::Write;
+    fn a_deadline_ends_a_trickled_line_and_keeps_the_overshoot() {
         use std::os::unix::net::UnixStream;
+        use std::sync::atomic::{AtomicBool, Ordering};
         use std::time::Duration;
         let (a, mut w) = UnixStream::pair().unwrap();
-        a.set_read_timeout(Some(Duration::from_millis(30))).unwrap();
-        let mut r = TimedLineReader::new(Conn::Unix(a), 64);
-        w.write_all(b"hel").unwrap();
-        // A timeout mid-line keeps the partial bytes buffered.
-        assert!(matches!(r.next().unwrap(), LineRead::TimedOut));
-        w.write_all(b"lo\nwor").unwrap();
-        match r.next().unwrap() {
-            LineRead::Line(l) => assert_eq!(l, "hello"),
-            other => panic!("{other:?}"),
-        }
-        assert!(matches!(r.next().unwrap(), LineRead::TimedOut));
-        drop(w);
-        assert!(matches!(r.next().unwrap(), LineRead::Eof));
+        let mut r = BufReader::new(Conn::Unix(a));
+        w.write_all(b"one\ntwo\n").unwrap();
+        let soon = || Instant::now() + Duration::from_secs(5);
+        let line = read_line_until(&mut r, 64, soon()).unwrap();
+        assert_eq!(line.as_deref(), Some("one"));
+        assert_eq!(r.buffer(), b"two\n", "bytes past the line stay buffered");
+        let Conn::Unix(sock) = r.get_ref() else {
+            unreachable!("a unix pair")
+        };
+        assert_eq!(
+            sock.read_timeout().unwrap(),
+            None,
+            "blocking reads restored"
+        );
+        r.consume(4);
+        // A byte every 20 ms, for up to 2 s, never lets a 200 ms read
+        // time out; only the deadline ends the line.
+        let done = AtomicBool::new(false);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                for _ in 0..100 {
+                    if done.load(Ordering::SeqCst) || w.write_all(b"x").is_err() {
+                        break;
+                    }
+                    std::thread::sleep(Duration::from_millis(20));
+                }
+                let _ = w.shutdown(std::net::Shutdown::Both);
+            });
+            let t0 = Instant::now();
+            let err = read_line_until(&mut r, 1 << 20, t0 + Duration::from_millis(200));
+            done.store(true, Ordering::SeqCst);
+            assert!(t0.elapsed() < Duration::from_secs(2), "{:?}", t0.elapsed());
+            let kind = err.expect_err("the deadline passed mid-line").kind();
+            assert!(
+                matches!(kind, io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut),
+                "{kind:?}"
+            );
+        });
     }
 
     /// Counts `write` calls; accepts every byte offered.

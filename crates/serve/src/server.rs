@@ -62,17 +62,13 @@ pub struct ServeConfig {
     /// Directory for per-job Chrome trace-event files; `None` leaves
     /// the span collector uninstalled (spans cost one atomic load).
     pub trace_out: Option<PathBuf>,
-    /// Fleet peers (`host:port` / `unix:/path` daemon addresses).  When
-    /// non-empty this daemon is a coordinator: submitted jobs are
-    /// partitioned across the peers instead of running locally, with
-    /// local recomputation covering whatever the fleet loses.
-    pub peers: Vec<String>,
     /// Concurrent shard sessions this daemon accepts as a fleet peer.
     pub max_shards: usize,
-    /// Classes per fleet shard; `0` sizes chunks automatically.
-    pub fleet_chunk: usize,
-    /// Milliseconds of in-flight silence before a peer is declared lost.
-    pub fleet_timeout_ms: u64,
+    /// The fleet this daemon coordinates.  With peers configured it is a
+    /// coordinator: submitted jobs are partitioned across the peers
+    /// instead of running locally, with local recomputation covering
+    /// whatever the fleet loses.
+    pub fleet: FleetConfig,
 }
 
 impl Default for ServeConfig {
@@ -84,21 +80,8 @@ impl Default for ServeConfig {
             cache_entries: 64,
             default_job_workers: 0,
             trace_out: None,
-            peers: Vec::new(),
             max_shards: 16,
-            fleet_chunk: 0,
-            fleet_timeout_ms: 10_000,
-        }
-    }
-}
-
-impl ServeConfig {
-    /// The coordinator-side fleet tuning this config denotes.
-    pub fn fleet_config(&self) -> FleetConfig {
-        FleetConfig {
-            peers: self.peers.clone(),
-            chunk: self.fleet_chunk,
-            peer_timeout_ms: self.fleet_timeout_ms,
+            fleet: FleetConfig::default(),
         }
     }
 }
@@ -590,11 +573,11 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
     // inside `run_fleet_built` recomputes whatever the fleet failed to
     // deliver, so this path's report matches the local path byte for
     // byte regardless of peer behavior.
-    if !state.cfg.peers.is_empty() {
+    if !state.cfg.fleet.peers.is_empty() {
         send(event::stage(
             job.id,
             "fleet",
-            vec![("peers".to_string(), Json::int(state.cfg.peers.len()))],
+            vec![("peers".to_string(), Json::int(state.cfg.fleet.peers.len()))],
         ));
         let outcome = run_fleet_built(
             &inputs.ckt,
@@ -602,7 +585,7 @@ fn execute_inner(state: &Arc<State>, job: &QueuedJob, ckey: u64) -> Result<Json,
             &inputs.faults,
             &cfg.atpg,
             &job.spec,
-            &state.cfg.fleet_config(),
+            &state.cfg.fleet,
             inputs.us_cssg,
         );
         state.fleet_campaigns.fetch_add(1, Ordering::SeqCst);
@@ -693,7 +676,7 @@ fn status_json(state: &State) -> Json {
         (
             "fleet".to_string(),
             Json::Obj(vec![
-                ("peers".to_string(), Json::int(state.cfg.peers.len())),
+                ("peers".to_string(), Json::int(state.cfg.fleet.peers.len())),
                 (
                     "campaigns".to_string(),
                     Json::int(state.fleet_campaigns.load(Ordering::SeqCst)),

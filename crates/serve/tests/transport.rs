@@ -89,8 +89,8 @@ fn campaigns_join_their_reader_threads() {
         let out = run_fleet(&spec(), &fc).expect("campaign runs");
         assert!(out.stats.shards > 0, "campaign {i} shipped no shard");
         // A joined thread can outlive its join by the few microseconds
-        // the kernel needs to reap it; a reader left polling would stay
-        // for up to its 100 ms read timeout.
+        // the kernel needs to reap it; a reader left blocked on an open
+        // socket would stay until the peer closed it.
         let deadline = Instant::now() + Duration::from_millis(10);
         while fleet_rx_threads() > 0 && Instant::now() < deadline {
             thread::sleep(Duration::from_millis(1));
@@ -127,8 +127,11 @@ fn coordinator_records_one_rtt_per_shard() {
     let (p0, h0) = start(ServeConfig::default());
     let (p1, h1) = start(ServeConfig::default());
     let (coord, hc) = start(ServeConfig {
-        peers: vec![p0.clone(), p1.clone()],
-        fleet_chunk: 1,
+        fleet: FleetConfig {
+            peers: vec![p0.clone(), p1.clone()],
+            chunk: 1,
+            ..FleetConfig::default()
+        },
         ..ServeConfig::default()
     });
     let mut client = Client::connect(&coord).expect("connect coordinator");

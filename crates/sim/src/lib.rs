@@ -34,7 +34,7 @@ mod ternary;
 
 pub use inject::{eval_gate_inj, is_excited_inj, Force, Injection, Site};
 pub use parallel::{parallel_settle, ParallelInjection, PlaneState, LANES};
-pub use settler::{CapPolicy, SetSettle, Settle, SettleStats, Settler, SettlerConfig};
+pub use settler::{CapPolicy, Settle, SettleStats, Settler, SettlerConfig};
 pub use ternary::{
     eval_gate_ternary, ternary_settle, ternary_settle_from, TernaryOutcome, Trit, TritVec,
 };

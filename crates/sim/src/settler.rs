@@ -21,8 +21,8 @@
 //!   argument);
 //! * **adaptive caps** ([`CapPolicy`]) — the tracked-set bound derived
 //!   from circuit size instead of a fixed constant, with a distinct
-//!   [`Settle::Truncated`] verdict (and [`SetSettle::Truncated`]) in
-//!   place of the old ambiguous `None`.
+//!   [`Settle::Truncated`] verdict (a set-tracking settle the cap cuts
+//!   returns `None`).
 //!
 //! With POR off ([`SettlerConfig::por`]) the walker is the naive
 //! reference walk that the property tests compare the reduction against.
@@ -126,28 +126,6 @@ impl Settle {
     /// Whether the vector may be used for testing.
     pub fn is_valid(&self) -> bool {
         matches!(self, Settle::Confluent(_))
-    }
-}
-
-/// Outcome of a set-tracking settle ([`Settler::settle_set`]): either
-/// the set of states the machine may occupy when sampled, or a distinct
-/// truncation verdict (the old API folded truncation into `None`).
-#[derive(Clone, PartialEq, Eq, Debug)]
-pub enum SetSettle {
-    /// The tracked state set (closed over oscillation phases when the
-    /// machine does not settle within `k`).
-    Set(BTreeSet<Bits>),
-    /// The tracked set exceeded the cap before a verdict.
-    Truncated,
-}
-
-impl SetSettle {
-    /// The set, or `None` on truncation (the legacy `Option` shape).
-    pub fn ok(self) -> Option<BTreeSet<Bits>> {
-        match self {
-            SetSettle::Set(s) => Some(s),
-            SetSettle::Truncated => None,
-        }
     }
 }
 
@@ -371,14 +349,19 @@ impl<'c> Settler<'c> {
     /// the tester samples, given it may occupy any state of `from` when
     /// `pattern` is applied: the k-bounded frontier of every
     /// interleaving, closed under further transitions while any member
-    /// is still unstable.
+    /// is still unstable.  `None` when the tracked set exceeds the cap
+    /// before a verdict.
     ///
     /// POR applies only while the walk can still settle within `k`
     /// (where the reduced settled set equals the naive one); a reduced
     /// walk that reaches depth `k` unsettled falls back to the naive
     /// walk, because the oscillation closure must see *every* transient
     /// the machine could be sampled in.
-    pub fn settle_set(&mut self, from: &BTreeSet<Bits>, pattern: impl IntoPattern) -> SetSettle {
+    pub fn settle_set(
+        &mut self,
+        from: &BTreeSet<Bits>,
+        pattern: impl IntoPattern,
+    ) -> Option<BTreeSet<Bits>> {
         let pattern = pattern.into_pattern(self.ckt.num_inputs());
         self.stats.settles += 1;
         // Fast path: a singleton, ternary-definite settle is exact (also
@@ -386,29 +369,29 @@ impl<'c> Settler<'c> {
         if self.fast_path && from.len() == 1 {
             let only = from.iter().next().expect("len checked");
             if let Some(b) = self.ternary(only, &pattern) {
-                return SetSettle::Set(BTreeSet::from([b]));
+                return Some(BTreeSet::from([b]));
             }
         }
         if self.por {
             self.start(from, &pattern);
             match self.bounded_walk(true) {
-                Bounded::Settled => return SetSettle::Set(self.states(&self.cur)),
+                Bounded::Settled => return Some(self.states(&self.cur)),
                 // The reduced frontier is a subset of the naive one at
                 // every depth, so a reduced truncation implies a naive
                 // truncation: no fallback can rescue it.
                 Bounded::Truncated => {
                     self.stats.truncated += 1;
-                    return SetSettle::Truncated;
+                    return None;
                 }
                 Bounded::Unsettled => self.stats.fallbacks += 1,
             }
         }
         self.start(from, &pattern);
         match self.bounded_walk(false) {
-            Bounded::Settled => SetSettle::Set(self.states(&self.cur)),
+            Bounded::Settled => Some(self.states(&self.cur)),
             Bounded::Truncated => {
                 self.stats.truncated += 1;
-                SetSettle::Truncated
+                None
             }
             Bounded::Unsettled => self.closure(),
         }
@@ -551,7 +534,7 @@ impl<'c> Settler<'c> {
     /// Oscillation closure (naive only): union further frontiers until
     /// nothing new appears — once a step adds no states, no later step
     /// can (the step image of a subset of the union stays inside it).
-    fn closure(&mut self) -> SetSettle {
+    fn closure(&mut self) -> Option<BTreeSet<Bits>> {
         self.union.clear();
         for i in 0..self.cur.len() {
             self.union.insert(self.cur.key(i));
@@ -559,24 +542,24 @@ impl<'c> Settler<'c> {
         for _ in 0..4 * self.k + 4 {
             let Some(any_unstable) = self.step(false) else {
                 self.stats.truncated += 1;
-                return SetSettle::Truncated;
+                return None;
             };
             let before = self.union.len();
             for i in 0..self.cur.len() {
                 self.union.insert(self.cur.key(i));
                 if self.union.len() > self.cap {
                     self.stats.truncated += 1;
-                    return SetSettle::Truncated;
+                    return None;
                 }
             }
             if !any_unstable || self.union.len() == before {
-                return SetSettle::Set(self.states(&self.union));
+                return Some(self.states(&self.union));
             }
         }
         // Still growing: the closure is incomplete, so claiming any
         // verdict from it would be unsound.
         self.stats.truncated += 1;
-        SetSettle::Truncated
+        None
     }
 
     /// One synchronous frontier step, `cur` to `next` (then swapped):
@@ -906,9 +889,9 @@ mod tests {
         // The same boundary governs the set walk.
         let from = BTreeSet::from([c.initial_state().clone()]);
         let mut tight = Settler::new(&c, &Injection::none(), &mk(3));
-        assert_eq!(tight.settle_set(&from, 0b01), SetSettle::Truncated);
+        assert_eq!(tight.settle_set(&from, 0b01), None);
         let mut exact = Settler::new(&c, &Injection::none(), &mk(4));
-        assert!(matches!(exact.settle_set(&from, 0b01), SetSettle::Set(_)));
+        assert!(exact.settle_set(&from, 0b01).is_some());
     }
 
     /// POR and the naive walk agree on every verdict over the whole
@@ -945,8 +928,8 @@ mod tests {
             let mut por = Settler::new(&ckt, &inj, &por_cfg(&ckt));
             let mut from = BTreeSet::from([ckt.initial_state().clone()]);
             for pattern in Pattern::all(ckt.num_inputs()) {
-                let n = naive.settle_set(&from, &pattern).ok();
-                let p = por.settle_set(&from, &pattern).ok();
+                let n = naive.settle_set(&from, &pattern);
+                let p = por.settle_set(&from, &pattern);
                 assert_eq!(n, p, "{} pattern {pattern}", ckt.name());
                 if let Some(set) = n {
                     if !set.is_empty() {
@@ -974,8 +957,8 @@ mod tests {
             let from = BTreeSet::from([c.initial_state().clone()]);
             for pattern in 0..4u64 {
                 assert_eq!(
-                    naive.settle_set(&from, pattern).ok(),
-                    por.settle_set(&from, pattern).ok(),
+                    naive.settle_set(&from, pattern),
+                    por.settle_set(&from, pattern),
                     "{site:?}={value} pattern {pattern:b}"
                 );
             }
@@ -994,8 +977,8 @@ mod tests {
         // are the multi-gate waves after R toggles with tokens in flight.
         let mut from = BTreeSet::from([c.initial_state().clone()]);
         for &pattern in &[0b01u64, 0b11, 0b10, 0b00, 0b01] {
-            let n = naive.settle_set(&from, pattern).ok();
-            let p = por.settle_set(&from, pattern).ok();
+            let n = naive.settle_set(&from, pattern);
+            let p = por.settle_set(&from, pattern);
             assert_eq!(n, p, "pattern {pattern:b}");
             if let Some(set) = n {
                 from = set;
@@ -1115,11 +1098,11 @@ mod tests {
                     for from in froms {
                         for p in Pattern::all(ckt.num_inputs()) {
                             match st.settle_set(&from, &p) {
-                                SetSettle::Set(set) => {
+                                Some(set) => {
                                     kinds[set.len().min(2)] += 1;
                                     fold_states(&mut h, &set);
                                 }
-                                SetSettle::Truncated => kinds[3] += 1,
+                                None => kinds[3] += 1,
                             }
                         }
                     }
@@ -1239,23 +1222,23 @@ mod tests {
                             Settle::Truncated => tag(&mut h, 4),
                         }
                         match st.settle_set(&reset, &p) {
-                            SetSettle::Set(set) => {
+                            Some(set) => {
                                 tag(&mut h, 5);
                                 fold_states(&mut h, &set);
                             }
-                            SetSettle::Truncated => tag(&mut h, 6),
+                            None => tag(&mut h, 6),
                         }
                         // Chained: the previous settled set is the next
                         // from-set.
                         match st.settle_set(&chain, &p) {
-                            SetSettle::Set(set) => {
+                            Some(set) => {
                                 tag(&mut h, 7);
                                 fold_states(&mut h, &set);
                                 if !set.is_empty() {
                                     chain = set;
                                 }
                             }
-                            SetSettle::Truncated => tag(&mut h, 8),
+                            None => tag(&mut h, 8),
                         }
                     }
                     sum.absorb(&st.take_stats());

@@ -37,8 +37,8 @@ use satpg::core::{
 use satpg::engine::{run_engine, EngineConfig};
 use satpg::netlist::{to_ckt, Circuit};
 use satpg::serve::{
-    family_default_size, job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client,
-    FleetConfig, JobSpec, ServeConfig, Server,
+    family_default_size, job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client, JobSpec,
+    ServeConfig, Server,
 };
 use satpg::stg::suite;
 use std::path::PathBuf;
@@ -79,45 +79,84 @@ type CliResult<T = ()> = Result<T, Box<dyn std::error::Error>>;
 /// Default daemon address for `serve`/`submit`/`status`/`shutdown`.
 const DEFAULT_ADDR: &str = "127.0.0.1:9117";
 
+/// The usage text: every command with exactly the flags it reads.
+const USAGE: &str = "\
+usage: satpg <command> [...]
+commands:
+  list
+  synth <circuit> [--style si|2l|2lr]
+  cssg  <circuit> [--style si|2l|2lr] [--k N] [--pattern-budget N]
+  atpg  <circuit> [--style si|2l|2lr] [--k N] [--output-model] [--collapse] [--no-random]
+         [--pattern-budget N] [--program] [--json] [--trace-out DIR]
+  scan  <circuit> [--style si|2l|2lr] [--k N] [--output-model] [--collapse] [--no-random]
+         [--pattern-budget N] [--trace-out DIR]   # scan points for what atpg leaves undetected
+  table <1|2>
+  dot   <circuit> [--style si|2l|2lr]
+  gen   <family|circuit> [--style si|2l|2lr] [--size K]   # print the circuit as .ckt
+  engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model] [--collapse]
+         [--no-random] [--json] [--trace-out DIR]
+         [--audit]              # replay each test on a BDD of the CSSG
+         [--pattern-budget N]   # per-state CSSG pattern cap (needed past 63 inputs)
+  serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]
+         [--cache-size N] [--workers N] [--trace-out DIR]
+         [--peers A,B,..]       # coordinator mode: partition jobs across peers
+         [--max-shards N] [--fleet-chunk N] [--fleet-timeout-ms N]
+  fleet  <circuit> --peers A,B,.. [--style si|2l|2lr]
+         [--fleet-chunk N] [--fleet-timeout-ms N] [--k N] [--output-model] [--collapse]
+         [--no-random] [--pattern-budget N] [--json] [--trace-out DIR]
+                                # one campaign across peer daemons
+  submit <circuit> [--addr A] [--style si|2l|2lr] [--workers N] [--k N] [--output-model]
+         [--collapse] [--no-random] [--pattern-budget N] [--json]
+  status [--addr A] [--json]
+  metrics [--addr A] [--json]   # process-wide metrics registry snapshot
+  shutdown [--addr A]
+  trace-check <trace.json>      # validate a Chrome trace-event file
+<circuit> is a benchmark name (see `list`), a .g or .ckt file, `-` (that text
+on stdin), or --family muller|dme|arbiter|seq [--size K] in its place.
+A command rejects any flag it does not list.  --trace-out DIR writes Chrome
+trace-event files (load them at https://ui.perfetto.dev or chrome://tracing)";
+
 fn usage() -> ExitCode {
-    eprintln!(
-        "usage: satpg <command> [...]\n\
-         commands:\n  \
-           list\n  \
-           synth <circuit> [--style si|2l|2lr]\n  \
-           cssg  <circuit> [--style si|2l|2lr] [--k N]\n  \
-           atpg  <circuit> [--style si|2l|2lr] [--output-model] [--collapse] [--no-random]\n          \
-                  [--pattern-budget N] [--program] [--json]\n  \
-           scan  <circuit> [--style si|2l|2lr] [--k N] [--output-model] [--collapse] [--no-random]\n          \
-                  [--pattern-budget N]   # scan points for what atpg leaves undetected\n  \
-           table <1|2>\n  \
-           dot   <circuit> [--style si|2l|2lr]\n  \
-           gen   <family|circuit> [--size K]  # print the circuit as .ckt\n  \
-           engine <circuit> [--style si|2l|2lr] [--k N] [--workers N] [--output-model]\n          \
-                  [--collapse] [--no-random] [--json]\n          \
-                  [--audit]           # replay each test on a BDD of the CSSG\n          \
-                  [--pattern-budget N]# per-state CSSG pattern cap (needed past 63 inputs)\n  \
-           serve  [--addr HOST:PORT|unix:PATH] [--serve-workers N] [--queue-depth N]\n          \
-                  [--cache-size N] [--workers N]\n          \
-                  [--peers A,B,..]    # coordinator mode: partition jobs across peers\n          \
-                  [--max-shards N] [--fleet-chunk N] [--fleet-timeout-ms N]\n  \
-           fleet  <circuit> --peers A,B,.. [--style si|2l|2lr]\n          \
-                  [--fleet-chunk N] [--fleet-timeout-ms N] [--k N] [--output-model]\n          \
-                  [--collapse] [--no-random] [--json]   # one campaign across peer daemons\n  \
-           submit <circuit> [--addr A] [--style si|2l|2lr]\n          \
-                  [--workers N] [--k N] [--output-model] [--collapse]\n          \
-                  [--no-random] [--json]\n  \
-           status [--addr A] [--json]\n  \
-           metrics [--addr A] [--json]   # process-wide metrics registry snapshot\n  \
-           shutdown [--addr A]\n  \
-           trace-check <trace.json>      # validate a Chrome trace-event file\n\
-         <circuit> is a benchmark name (see `list`), a .g or .ckt file, `-` (that text\n\
-         on stdin), or --family muller|dme|arbiter|seq [--size K] in its place\n\
-         engine/atpg/scan/serve also accept --trace-out DIR to write Chrome trace-event\n\
-         files (load them at https://ui.perfetto.dev or chrome://tracing)"
-    );
+    eprintln!("{USAGE}");
     ExitCode::FAILURE
 }
+
+/// The flags `cmd` reads besides the three a circuit brings
+/// (`--style`, `--family`, `--size`), and whether it takes a circuit;
+/// `None` for a command [`parse_opts`] does not serve.
+fn command_flags(cmd: &str) -> Option<(bool, Vec<&'static str>)> {
+    // What `job_atpg_config` reads: the campaign a command runs.
+    const CAMPAIGN: &str = "--k --output-model --collapse --no-random --pattern-budget";
+    let (takes_circuit, own, campaign) = match cmd {
+        "synth" | "dot" | "gen" => (true, "", ""),
+        "cssg" => (true, "--k --pattern-budget", ""),
+        "atpg" => (true, "--program --json --trace-out", CAMPAIGN),
+        "scan" => (true, "--trace-out", CAMPAIGN),
+        "engine" => (true, "--workers --audit --json --trace-out", CAMPAIGN),
+        "submit" => (true, "--addr --workers --json", CAMPAIGN),
+        "fleet" => (
+            true,
+            "--peers --fleet-chunk --fleet-timeout-ms --json --trace-out",
+            CAMPAIGN,
+        ),
+        "serve" => (
+            false,
+            concat!(
+                "--addr --serve-workers --queue-depth --cache-size --workers --trace-out ",
+                "--peers --max-shards --fleet-chunk --fleet-timeout-ms"
+            ),
+            "",
+        ),
+        "status" | "metrics" => (false, "--addr --json", ""),
+        "shutdown" => (false, "--addr", ""),
+        _ => return None,
+    };
+    let flags = own.split_whitespace().chain(campaign.split_whitespace());
+    Some((takes_circuit, flags.collect()))
+}
+
+/// The flags a circuit argument brings.
+const CIRCUIT_FLAGS: &[&str] = &["--style", "--family", "--size"];
 
 struct Opts {
     circuit: Option<String>,
@@ -132,19 +171,19 @@ struct Opts {
     size: Option<usize>,
     audit: bool,
     json: bool,
-    addr: String,
     family: Option<String>,
-    serve_workers: usize,
-    queue_depth: usize,
-    cache_size: usize,
     trace_out: Option<PathBuf>,
-    peers: Vec<String>,
-    max_shards: usize,
-    fleet_chunk: usize,
-    fleet_timeout_ms: u64,
+    /// The daemon `serve` runs, its fleet included (which `fleet` runs
+    /// too); its `addr` is also the daemon the client commands reach.
+    daemon: ServeConfig,
 }
 
-fn parse_opts(args: &[String]) -> Option<Opts> {
+/// Parses the arguments of `cmd`; `None` on a flag `cmd` does not read,
+/// a bad value, or a stray positional argument.
+fn parse_opts(cmd: &str, args: &[String]) -> Option<Opts> {
+    let (takes_circuit, flags) = command_flags(cmd)?;
+    let reads =
+        |flag: &str| flags.contains(&flag) || (takes_circuit && CIRCUIT_FLAGS.contains(&flag));
     let mut o = Opts {
         circuit: None,
         style: "si".into(),
@@ -158,19 +197,18 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
         size: None,
         audit: false,
         json: false,
-        addr: DEFAULT_ADDR.into(),
         family: None,
-        serve_workers: 2,
-        queue_depth: 16,
-        cache_size: 64,
         trace_out: None,
-        peers: Vec::new(),
-        max_shards: 16,
-        fleet_chunk: 0,
-        fleet_timeout_ms: 10_000,
+        daemon: ServeConfig {
+            addr: DEFAULT_ADDR.into(),
+            ..ServeConfig::default()
+        },
     };
     let mut it = args.iter();
     while let Some(a) = it.next() {
+        if a.starts_with("--") && !reads(a) {
+            return None;
+        }
         match a.as_str() {
             "--style" => o.style = it.next()?.clone(),
             "--k" => o.k = Some(it.next()?.parse().ok()?),
@@ -183,24 +221,24 @@ fn parse_opts(args: &[String]) -> Option<Opts> {
             "--size" => o.size = Some(it.next()?.parse().ok()?),
             "--audit" => o.audit = true,
             "--json" => o.json = true,
-            "--addr" => o.addr = it.next()?.clone(),
+            "--addr" => o.daemon.addr = it.next()?.clone(),
             "--family" => o.family = Some(it.next()?.clone()),
-            "--serve-workers" => o.serve_workers = it.next()?.parse().ok()?,
-            "--queue-depth" => o.queue_depth = it.next()?.parse().ok()?,
-            "--cache-size" => o.cache_size = it.next()?.parse().ok()?,
+            "--serve-workers" => o.daemon.pool_workers = it.next()?.parse().ok()?,
+            "--queue-depth" => o.daemon.queue_depth = it.next()?.parse().ok()?,
+            "--cache-size" => o.daemon.cache_entries = it.next()?.parse().ok()?,
             "--trace-out" => o.trace_out = Some(PathBuf::from(it.next()?)),
             "--peers" => {
-                o.peers = it
+                o.daemon.fleet.peers = it
                     .next()?
                     .split(',')
                     .filter(|s| !s.is_empty())
                     .map(str::to_string)
                     .collect()
             }
-            "--max-shards" => o.max_shards = it.next()?.parse().ok()?,
-            "--fleet-chunk" => o.fleet_chunk = it.next()?.parse().ok()?,
-            "--fleet-timeout-ms" => o.fleet_timeout_ms = it.next()?.parse().ok()?,
-            s if (s == "-" || !s.starts_with('-')) && o.circuit.is_none() => {
+            "--max-shards" => o.daemon.max_shards = it.next()?.parse().ok()?,
+            "--fleet-chunk" => o.daemon.fleet.chunk = it.next()?.parse().ok()?,
+            "--fleet-timeout-ms" => o.daemon.fleet.peer_timeout_ms = it.next()?.parse().ok()?,
+            s if takes_circuit && (s == "-" || !s.starts_with('-')) && o.circuit.is_none() => {
                 o.circuit = Some(s.to_string())
             }
             _ => return None,
@@ -282,8 +320,8 @@ fn main() -> ExitCode {
     let Some(cmd) = args.first() else {
         return usage();
     };
-    let result: CliResult = match cmd.as_str() {
-        "list" => {
+    let result: CliResult = match (cmd.as_str(), &args[1..]) {
+        ("list", []) => {
             for &n in suite::NAMES {
                 let tag = if suite::is_redundant(n) {
                     "  (redundant in table 2)"
@@ -294,9 +332,9 @@ fn main() -> ExitCode {
             }
             Ok(())
         }
-        "table" => match args.get(1).map(String::as_str) {
-            Some("1") => table("Table 1 (speed-independent)", |_| "si"),
-            Some("2") => table("Table 2 (bounded delays)", |n| {
+        ("table", [n]) => match n.as_str() {
+            "1" => table("Table 1 (speed-independent)", |_| "si"),
+            "2" => table("Table 2 (bounded delays)", |n| {
                 if suite::is_redundant(n) {
                     "2lr"
                 } else {
@@ -305,16 +343,11 @@ fn main() -> ExitCode {
             }),
             _ => return usage(),
         },
-        "trace-check" => {
-            let Some(path) = args.get(1) else {
-                return usage();
-            };
-            trace_check(path)
-                .map(|summary| outln!("{summary}"))
-                .map_err(Into::into)
-        }
-        "synth" | "cssg" | "atpg" | "scan" | "dot" | "gen" | "engine" => {
-            let Some(mut o) = parse_opts(&args[1..]) else {
+        ("trace-check", [path]) => trace_check(path)
+            .map(|summary| outln!("{summary}"))
+            .map_err(Into::into),
+        ("synth" | "cssg" | "atpg" | "scan" | "dot" | "gen" | "engine", rest) => {
+            let Some(mut o) = parse_opts(cmd, rest) else {
                 return usage();
             };
             // `gen muller` names a family positionally.
@@ -325,8 +358,8 @@ fn main() -> ExitCode {
             }
             local_command(cmd, &o)
         }
-        "serve" | "submit" | "status" | "metrics" | "shutdown" | "fleet" => {
-            let Some(o) = parse_opts(&args[1..]) else {
+        ("serve" | "submit" | "status" | "metrics" | "shutdown" | "fleet", rest) => {
+            let Some(o) = parse_opts(cmd, rest) else {
                 return usage();
             };
             service_command(cmd, &o)
@@ -505,18 +538,11 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
     match cmd {
         "serve" => {
             let cfg = ServeConfig {
-                addr: o.addr.clone(),
-                pool_workers: o.serve_workers,
-                queue_depth: o.queue_depth,
-                cache_entries: o.cache_size,
                 default_job_workers: o.workers,
                 trace_out: o.trace_out.clone(),
-                peers: o.peers.clone(),
-                max_shards: o.max_shards,
-                fleet_chunk: o.fleet_chunk,
-                fleet_timeout_ms: o.fleet_timeout_ms,
+                ..o.daemon.clone()
             };
-            let server = Server::bind(cfg).map_err(|e| format!("bind {}: {e}", o.addr))?;
+            let server = Server::bind(cfg).map_err(|e| format!("bind {}: {e}", o.daemon.addr))?;
             // Scripts scrape this line for the ephemeral port.
             outln!("listening on {}", server.local_addr());
             use std::io::Write as _;
@@ -525,7 +551,7 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
         }
         "submit" => {
             let spec = job_spec(o)?;
-            let mut client = connect(&o.addr)?;
+            let mut client = connect(&o.daemon.addr)?;
             let quiet = o.json;
             let out = client.submit_streaming(spec, &mut |ev| {
                 if !quiet {
@@ -538,7 +564,7 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
             Ok(())
         }
         "status" => {
-            let status = connect(&o.addr)?.status()?;
+            let status = connect(&o.daemon.addr)?.status()?;
             if o.json {
                 outln!("{status}");
             } else {
@@ -547,7 +573,7 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
             Ok(())
         }
         "metrics" => {
-            let m = connect(&o.addr)?.metrics()?;
+            let m = connect(&o.daemon.addr)?.metrics()?;
             if o.json {
                 outln!("{m}");
             } else {
@@ -556,17 +582,12 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
             Ok(())
         }
         "fleet" => {
-            if o.peers.is_empty() {
+            if o.daemon.fleet.peers.is_empty() {
                 return Err("fleet needs --peers A,B,..".into());
             }
             let spec = job_spec(o)?;
-            let fc = FleetConfig {
-                peers: o.peers.clone(),
-                chunk: o.fleet_chunk,
-                peer_timeout_ms: o.fleet_timeout_ms,
-            };
             let tracing = trace_setup(o);
-            let result = run_fleet(&spec, &fc);
+            let result = run_fleet(&spec, &o.daemon.fleet);
             let name = result
                 .as_ref()
                 .map_or("fleet", |out| out.report.circuit.as_str());
@@ -595,8 +616,8 @@ fn service_command(cmd: &str, o: &Opts) -> CliResult {
             Ok(())
         }
         "shutdown" => {
-            connect(&o.addr)?.shutdown()?;
-            outln!("daemon at {} shutting down", o.addr);
+            connect(&o.daemon.addr)?.shutdown()?;
+            outln!("daemon at {} shutting down", o.daemon.addr);
             Ok(())
         }
         _ => unreachable!("dispatched by main"),
@@ -897,5 +918,36 @@ mod tests {
         assert_eq!(r.rnd + r.ph3 + r.sim, r.input_cov);
         assert!(r.input_tot >= r.output_tot);
         assert_eq!(r.output_cov, r.output_tot, "SI: 100% output stuck-at");
+    }
+
+    #[test]
+    fn the_usage_lists_exactly_the_flags_each_command_reads() {
+        use std::collections::BTreeSet;
+        // A command's entry starts two spaces in; deeper lines continue it.
+        let mut entries: Vec<(&str, BTreeSet<&str>)> = Vec::new();
+        for line in USAGE.lines().skip(2).take_while(|l| l.starts_with(' ')) {
+            if !line.starts_with("   ") {
+                let cmd = line.split_whitespace().next().unwrap();
+                entries.push((cmd, BTreeSet::new()));
+            }
+            let body = line.split('#').next().unwrap();
+            let words = body.split(|c: char| !(c.is_ascii_alphanumeric() || c == '-'));
+            let listed = &mut entries.last_mut().unwrap().1;
+            listed.extend(words.filter(|w| w.starts_with("--")));
+        }
+        assert_eq!(entries.len(), 16, "{entries:?}");
+        for (cmd, mut listed) in entries {
+            // `<circuit>` stands for `--family F [--size K]` too.
+            listed.remove("--family");
+            listed.remove("--size");
+            let mut reads = BTreeSet::new();
+            if let Some((takes_circuit, flags)) = command_flags(cmd) {
+                reads.extend(flags);
+                if takes_circuit {
+                    reads.insert("--style");
+                }
+            }
+            assert_eq!(listed, reads, "{cmd}");
+        }
     }
 }

@@ -361,7 +361,7 @@ impl Drop for Daemon {
 fn daemon_subcommands_accept_every_circuit_form() {
     let d = Daemon::start();
     check_forms(&["submit", "--addr", &d.addr, "--workers", "1", "--json"]);
-    check_forms(&["fleet", "--peers", &d.addr, "--workers", "1", "--json"]);
+    check_forms(&["fleet", "--peers", &d.addr, "--json"]);
     ok(&["shutdown", "--addr", &d.addr], None);
 }
 
@@ -410,8 +410,9 @@ fn bad_circuits_exit_1_with_a_diagnostic() {
 fn a_retired_flag_prints_the_usage() {
     // A retired flag fails like any unknown option, never as a no-op.
     // Each runs on a command that used to accept it; a retired command
-    // fails like an unknown one.
-    let cases: [&[&str]; 8] = [
+    // fails like an unknown one.  So does a flag the command does not
+    // read, though another command reads it.
+    let cases: [&[&str]; 20] = [
         &["bench-diff", "old.json", "new.json"],
         &["engine", "converta", "--pp-random"],
         &["engine", "converta", "--no-broadcast"],
@@ -434,6 +435,18 @@ fn a_retired_flag_prints_the_usage() {
             "--fleet-backoff-ms",
             "10",
         ],
+        &["atpg", "converta", "--workers", "4"],
+        &["atpg", "converta", "--audit"],
+        &["atpg", "converta", "--peers", "a,b"],
+        &["atpg", "converta", "--queue-depth", "3"],
+        &["cssg", "converta", "--program"],
+        &["cssg", "converta", "--no-random"],
+        &["cssg", "converta", "--trace-out", "traces"],
+        &["gen", "muller", "--workers", "9"],
+        &["gen", "muller", "--json"],
+        &["list", "--json"],
+        &["table", "1", "--json"],
+        &["trace-check", "trace.json", "--json"],
     ];
     for args in cases {
         let out = satpg(args, None);

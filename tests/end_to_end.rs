@@ -2,7 +2,10 @@
 //! abstraction → ATPG → oracle-validated tester program.
 
 use satpg::core::tester::TestProgram;
+use satpg::core::{faults_for, run_atpg_on, scan_candidates};
 use satpg::prelude::*;
+use satpg::serve::cache::fnv64;
+use satpg::serve::{job_atpg_config, resolve_circuit, CircuitSpec, JobSpec};
 use satpg::stg::synth::{complex_gate, two_level, Redundancy};
 use satpg::stg::{suite, StateGraph};
 
@@ -134,4 +137,35 @@ fn fault_model_totals_relate() {
         assert_eq!(output.len(), 2 * ckt.num_gates());
         assert!(input.len() >= output.len());
     }
+}
+
+/// `satpg scan` on every bundled benchmark × {si, 2l, 2lr} × both fault
+/// models, as one digest of the analyses: scan walks three-phase's
+/// good×faulty product, so a change to that walk must leave every
+/// candidate and hopeless list as it was.
+#[test]
+fn scan_candidates_are_pinned() {
+    use std::fmt::Write as _;
+    let mut rows = String::new();
+    for name in suite::NAMES {
+        for style in ["si", "2l", "2lr"] {
+            for output_model in [false, true] {
+                let spec = JobSpec {
+                    output_model,
+                    ..JobSpec::new(CircuitSpec::Bench {
+                        name: name.to_string(),
+                        style: style.to_string(),
+                    })
+                };
+                let ckt = resolve_circuit(&spec.circuit).unwrap();
+                let cfg = job_atpg_config(&spec, &ckt);
+                let cssg = build_cssg(&ckt, &cfg.cssg).unwrap();
+                let faults = faults_for(&ckt, cfg.fault_model);
+                let report = run_atpg_on(&ckt, &cssg, &faults, &cfg, 0).unwrap();
+                let scan = scan_candidates(&ckt, &cssg, &report, &cfg.three_phase);
+                writeln!(rows, "{name} {style} output-model={output_model}: {scan:?}").unwrap();
+            }
+        }
+    }
+    assert_eq!(fnv64(rows.as_bytes()), 0xd60bbcb06e893409, "{rows}");
 }

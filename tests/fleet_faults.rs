@@ -15,17 +15,22 @@ use satpg::serve::{
     job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client, FleetConfig, JobSpec,
     ServeConfig,
 };
-use std::time::Duration;
+use std::time::{Duration, Instant};
 
 /// The campaign under test: converta (`si`) with the random stage off,
 /// so every fault class reaches the distributed phase — the proxy is
 /// then guaranteed in-flight shard traffic to strike.
 fn spec() -> JobSpec {
+    spec_of("converta")
+}
+
+/// Benchmark `name` (`si`) with the random stage off.
+fn spec_of(name: &str) -> JobSpec {
     JobSpec {
         workers: 2,
         no_random: true,
         ..JobSpec::new(CircuitSpec::Bench {
-            name: "converta".to_string(),
+            name: name.to_string(),
             style: "si".to_string(),
         })
     }
@@ -34,8 +39,12 @@ fn spec() -> JobSpec {
 /// The serial baseline under the config the daemon derives from
 /// [`spec`].
 fn serial_json() -> String {
-    let ckt = resolve_circuit(&spec().circuit).expect("converta synthesizes");
-    run_atpg(&ckt, &job_atpg_config(&spec(), &ckt))
+    serial_json_of(&spec())
+}
+
+fn serial_json_of(spec: &JobSpec) -> String {
+    let ckt = resolve_circuit(&spec.circuit).expect("the benchmark synthesizes");
+    run_atpg(&ckt, &job_atpg_config(spec, &ckt))
         .expect("serial ATPG runs")
         .to_json_value(false)
         .render()
@@ -50,9 +59,11 @@ fn run_scenario(mischief: Mischief, timeout_ms: u64) -> (Json, Json, Json) {
     let (p2, _) = start_daemon(ServeConfig::default());
     let proxy = FaultyPeer::spawn(&p0, mischief).expect("proxy spawns");
     let (coord, coord_handle) = start_daemon(ServeConfig {
-        peers: vec![proxy.addr().to_string(), p1, p2],
-        fleet_chunk: 2,
-        fleet_timeout_ms: timeout_ms,
+        fleet: FleetConfig {
+            peers: vec![proxy.addr().to_string(), p1, p2],
+            chunk: 2,
+            peer_timeout_ms: timeout_ms,
+        },
         ..ServeConfig::default()
     });
     let mut client = Client::connect(&coord).expect("connect coordinator");
@@ -153,6 +164,74 @@ fn unreachable_peer_is_lost_at_enlist() {
     assert_eq!(s.retries, 0, "{s:?}");
     assert_eq!(s.unassigned_classes, 0, "{s:?}");
     assert!(s.remote_verdicts > 0, "the live peers did the work: {s:?}");
+}
+
+/// A peer that accepts the connection but never answers is lost at
+/// `enlist` once its read times out, long before the reply would come.
+/// It held no shard, so nothing is requeued or left unassigned.
+#[test]
+fn silent_peer_is_lost_at_enlist_within_the_timeout() {
+    let delay = Duration::from_secs(3);
+    let (p0, _) = start_daemon(ServeConfig::default());
+    let (p1, _) = start_daemon(ServeConfig::default());
+    let (p2, _) = start_daemon(ServeConfig::default());
+    let proxy = FaultyPeer::spawn(&p0, Mischief::DelayAfter { line: 0, delay }).expect("proxy");
+    let fc = FleetConfig {
+        peers: vec![proxy.addr().to_string(), p1, p2],
+        chunk: 2,
+        peer_timeout_ms: 300,
+    };
+    let t0 = Instant::now();
+    let out = run_fleet(&spec(), &fc).expect("fleet campaign completes");
+    let took = t0.elapsed();
+    assert!(
+        took < delay,
+        "the campaign waited for the silent peer: {took:?}"
+    );
+    assert_eq!(serial_json(), out.report.to_json_value(false).render());
+    let s = &out.stats;
+    assert_eq!(s.peer_deaths, 1, "{s:?}");
+    assert_eq!(s.retries, 0, "{s:?}");
+    assert_eq!(s.unassigned_classes, 0, "{s:?}");
+}
+
+/// Silence is counted from a peer's last reply line, not from its
+/// shard's dispatch: a peer whose every line arrives within the timeout
+/// keeps a shard that outlasts it, and a peer that holds no shard is
+/// never stalled however long it stays quiet.
+#[test]
+fn slow_shard_of_prompt_lines_and_idle_peer_are_kept() {
+    let (timeout_ms, gap) = (300, Duration::from_millis(120));
+    let (p0, _) = start_daemon(ServeConfig::default());
+    let (p1, _) = start_daemon(ServeConfig::default());
+    let proxy = FaultyPeer::spawn(
+        &p0,
+        Mischief::DelayAfter {
+            line: 1,
+            delay: gap,
+        },
+    )
+    .expect("proxy");
+    // One shard, which the proxied peer takes: the other peer enlists
+    // and idles for the whole campaign.  mp-forward-pkt searches seven
+    // classes to converta's one, so the shard streams seven verdicts.
+    let fc = FleetConfig {
+        peers: vec![proxy.addr().to_string(), p1],
+        chunk: usize::MAX,
+        peer_timeout_ms: timeout_ms,
+    };
+    let spec = spec_of("mp-forward-pkt");
+    let out = run_fleet(&spec, &fc).expect("fleet campaign completes");
+    assert_eq!(
+        serial_json_of(&spec),
+        out.report.to_json_value(false).render()
+    );
+    let s = &out.stats;
+    assert_eq!((s.shards, s.peer_deaths, s.retries), (1, 0, 0), "{s:?}");
+    // `shard_accepted`, each verdict and `shard_result` arrive `gap`
+    // apart, so the shard took over three times the timeout.
+    let lines = s.remote_verdicts as u32 + 2;
+    assert!(gap * lines > 3 * Duration::from_millis(timeout_ms), "{s:?}");
 }
 
 /// The peer process dies mid-shard: one verdict of a two-class shard is

@@ -51,14 +51,15 @@ fn scaled_limits_floor_at_paper_defaults() {
     // The settle cap is floored at the paper default.  (It may exceed it
     // even for small circuits; a cap only gates truncation, so a larger
     // value can never change a verdict that completed under the default.)
-    assert!(s.resolved_set_cap(&small) >= d.resolved_set_cap(&small));
+    let gates = small.num_gates();
+    assert!(s.settle_cap.resolve(gates) >= d.settle_cap.resolve(gates));
     // Larger circuits scale monotonically, with the settle cap unlocked
     // past the observed muller-15 onset (32 gates -> at least 2^14).
     let big = muller_pipeline(15);
     let sb = ThreePhaseConfig::scaled(&big);
     assert!(sb.max_depth > d.max_depth);
     assert!(sb.max_nodes > d.max_nodes);
-    let cap = sb.resolved_set_cap(&big);
+    let cap = sb.settle_cap.resolve(big.num_gates());
     assert!(cap >= 1 << 14, "settle cap {cap} too small");
     // The CSSG-side cap scales too: muller-19 (38 gates) gets at least
     // 2^19 tracked interleavings where the old fixed 2^15 truncated.
