@@ -7,6 +7,9 @@
 //!
 //! * the collapsed fault list is **sharded** round-robin across
 //!   per-worker deques with **work stealing** ([`shard`]);
+//! * worker 0 is the **calling thread**: it starts searching at once,
+//!   the other workers run on scoped threads and steal what is left
+//!   when they start, and a one-worker campaign starts no thread;
 //! * every worker shares the read-only [`satpg_core::Cssg`] and circuit;
 //!   with the opt-in [`EngineConfig::symbolic_audit`] it also owns a
 //!   **private [`satpg_bdd::Manager`]** that replays its discoveries

@@ -53,7 +53,8 @@ pub enum EngineEvent {
     },
     /// The parallel three-phase stage is starting.
     ParallelStarted {
-        /// Worker threads spawned.
+        /// Workers searching: the calling thread (worker 0) and one
+        /// spawned thread for each of the rest.
         workers: usize,
         /// Open classes they will target.
         pending: usize,
@@ -82,7 +83,8 @@ pub enum EngineEvent {
 }
 
 /// A consumer of [`EngineEvent`]s.  Implementations must be `Sync`:
-/// workers emit from the scoped threads of the parallel stage.
+/// worker 0 emits from the calling thread, the other workers from the
+/// scoped threads of the parallel stage.
 pub trait EngineSink: Sync {
     /// Receives one event.  Called synchronously on the emitting thread;
     /// implementations should hand off quickly (e.g. into a channel).
@@ -125,12 +127,13 @@ impl EngineConfig {
     }
 
     /// The worker count before clamping to the pending-class count: the
-    /// configured value, or one per available CPU for `0`.
+    /// configured value, or one per available CPU for `0`.  The CPU
+    /// count is read once per process: the read goes to the cgroup
+    /// files each time, and campaigns and daemon jobs ask for it twice.
     pub fn requested_workers(&self) -> usize {
+        static CPUS: OnceLock<usize> = OnceLock::new();
         if self.workers == 0 {
-            std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(1)
+            *CPUS.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
         } else {
             self.workers
         }
@@ -403,46 +406,47 @@ pub fn run_engine_on_streaming(
             workers,
             pending: pending.len(),
         });
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..workers)
-                .map(|w| {
-                    let queues = &queues;
-                    let outcomes = &outcomes;
-                    let tests = &tests;
-                    let plan = &campaign.plan;
-                    scope.spawn(move || {
-                        let stats = search_classes(
-                            ckt,
-                            cssg,
-                            plan,
-                            cfg,
-                            queues,
-                            w,
-                            tests,
-                            parallel_span_id,
-                            &mut |ci, verdict| {
-                                if let FaultStatus::Detected { sequence } = &verdict {
-                                    sink.event(EngineEvent::TestFound {
-                                        worker: w,
-                                        class: ci,
-                                        cycles: sequence.len(),
-                                    });
-                                }
-                                // Each class is popped at most once.
-                                let _ = outcomes[ci].set(verdict);
-                            },
-                        );
-                        sink.event(EngineEvent::WorkerDone {
-                            stats: stats.clone(),
+        let run_worker = |w: usize| {
+            let stats = search_classes(
+                ckt,
+                cssg,
+                &campaign.plan,
+                cfg,
+                &queues,
+                w,
+                &tests,
+                parallel_span_id,
+                &mut |ci, verdict| {
+                    if let FaultStatus::Detected { sequence } = &verdict {
+                        sink.event(EngineEvent::TestFound {
+                            worker: w,
+                            class: ci,
+                            cycles: sequence.len(),
                         });
-                        stats
-                    })
-                })
+                    }
+                    // Each class is popped at most once.
+                    let _ = outcomes[ci].set(verdict);
+                },
+            );
+            sink.event(EngineEvent::WorkerDone {
+                stats: stats.clone(),
+            });
+            stats
+        };
+        // Worker 0 is this thread: the stage searches at once, and a
+        // helper that starts late (waking an idle CPU costs about as
+        // much as a small campaign) steals what is left.  One worker
+        // starts no thread.
+        std::thread::scope(|scope| {
+            let run_worker = &run_worker;
+            let helpers: Vec<_> = (1..workers)
+                .map(|w| scope.spawn(move || run_worker(w)))
                 .collect();
-            handles
-                .into_iter()
-                .map(|h| h.join().expect("worker panicked"))
-                .collect()
+            let mut stats = vec![run_worker(0)];
+            for h in helpers {
+                stats.push(h.join().expect("worker panicked"));
+            }
+            stats
         })
     };
     drop(parallel_span);
@@ -514,8 +518,8 @@ pub fn search_classes(
     on_verdict: &mut dyn FnMut(usize, FaultStatus),
 ) -> WorkerStats {
     let t0 = Instant::now();
-    // The worker's span parents under the caller's span explicitly (that
-    // span lives on the spawning thread's stack, not ours).
+    // The worker's span parents under the caller's span explicitly (on a
+    // helper thread that span lives on another thread's stack).
     let _span = satpg_trace::Span::enter_with_parent(
         "worker",
         parent_span,
@@ -802,6 +806,62 @@ mod tests {
         // Streaming must not perturb the verdicts.
         let serial = run_atpg(&ckt, &cfg.atpg).unwrap();
         assert!(reports_identical(&out.report, &serial));
+    }
+
+    /// Worker 0 runs on the calling thread and every other worker on a
+    /// thread of its own, so a one-worker campaign starts no thread.
+    #[test]
+    fn worker_zero_runs_on_the_calling_thread() {
+        use std::collections::HashSet;
+        use std::sync::Mutex;
+        use std::thread::ThreadId;
+        /// The thread each worker's `WorkerDone` came from, and the
+        /// `ParallelStarted` counts.
+        #[derive(Default)]
+        struct Placement {
+            done: Mutex<Vec<(usize, ThreadId)>>,
+            started: Mutex<Option<(usize, usize)>>,
+        }
+        impl EngineSink for Placement {
+            fn event(&self, ev: EngineEvent) {
+                match ev {
+                    EngineEvent::WorkerDone { stats } => self
+                        .done
+                        .lock()
+                        .unwrap()
+                        .push((stats.worker, std::thread::current().id())),
+                    EngineEvent::ParallelStarted { workers, pending } => {
+                        *self.started.lock().unwrap() = Some((workers, pending))
+                    }
+                    _ => {}
+                }
+            }
+        }
+        let ckt = library::muller_pipeline2();
+        let atpg = AtpgConfig::paper();
+        let serial = run_atpg(&ckt, &atpg).unwrap();
+        let cssg = satpg_core::build_cssg(&ckt, &atpg.cssg).unwrap();
+        let faults = faults_for(&ckt, atpg.fault_model);
+        let caller = std::thread::current().id();
+        for workers in [1, 3] {
+            let cfg = EngineConfig {
+                workers,
+                ..EngineConfig::paper()
+            };
+            let sink = Placement::default();
+            let out = run_engine_on_streaming(&ckt, &cssg, &faults, &cfg, 0, &sink);
+            assert!(reports_identical(&out.report, &serial), "{workers} workers");
+            let started = sink.started.into_inner().unwrap();
+            assert_eq!(started, Some((workers, 5)), "5 classes stay open");
+            let mut placed = sink.done.into_inner().unwrap();
+            placed.sort_by_key(|&(w, _)| w);
+            let worker_ids: Vec<usize> = placed.iter().map(|&(w, _)| w).collect();
+            assert_eq!(worker_ids, (0..workers).collect::<Vec<_>>());
+            assert_eq!(placed[0].1, caller, "worker 0 is the calling thread");
+            let helpers: HashSet<ThreadId> = placed[1..].iter().map(|&(_, t)| t).collect();
+            assert_eq!(helpers.len(), workers - 1, "one thread per helper");
+            assert!(!helpers.contains(&caller));
+        }
     }
 
     #[test]

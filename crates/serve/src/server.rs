@@ -90,6 +90,9 @@ struct QueuedJob {
     id: u64,
     spec: JobSpec,
     tx: mpsc::Sender<Json>,
+    /// When the connection thread queued it; the executor that pops it
+    /// records the wait ([`execute`]).
+    enqueued: Instant,
 }
 
 struct State {
@@ -362,15 +365,27 @@ impl EngineSink for ChannelSink<'_> {
     }
 }
 
-/// Runs one job and sends its final `report` or `error` event.
+/// Runs one job the pool just popped and sends its final `report` or
+/// `error` event.
 fn execute(state: &Arc<State>, job: &QueuedJob) {
+    // The handoff from the connection thread to this executor.  A span
+    // cannot hold it: it would begin on one thread and end on another,
+    // so it goes to a histogram and the job span's args.
+    let queue_wait_us = job.enqueued.elapsed().as_micros().min(u64::MAX as u128) as u64;
+    satpg_trace::metrics()
+        .histogram("serve.queue_wait_us")
+        .record(queue_wait_us);
     let ckey = fnv64(job.spec.circuit.cache_text().as_bytes());
     let outcome = {
         // The job root span: every CSSG/engine span opened below runs
         // on this pool thread (or carries an explicit parent), so the
         // whole campaign nests under one `job` slice in the trace.
-        let _job_span =
-            satpg_trace::span!("job", job = job.id, content_hash = format!("{ckey:016x}"));
+        let _job_span = satpg_trace::span!(
+            "job",
+            job = job.id,
+            content_hash = format!("{ckey:016x}"),
+            queue_wait_us = queue_wait_us
+        );
         execute_inner(state, job, ckey)
     };
     // Book the job before its final event leaves: a client that answers
@@ -877,6 +892,7 @@ fn handle_conn(state: &Arc<State>, conn: Conn) -> io::Result<()> {
                             id: jid,
                             spec: *spec,
                             tx,
+                            enqueued: Instant::now(),
                         });
                         // Counted while the queue lock is held: an
                         // executor can only pop (and decrement) after

@@ -581,6 +581,32 @@ fn unix_socket_transport_works() {
     assert!(!std::path::Path::new(&path).exists(), "socket file cleaned");
 }
 
+#[test]
+fn every_job_records_its_queue_wait() {
+    let (addr, handle) = start_daemon(ServeConfig::default());
+    let mut client = Client::connect(&addr).expect("connect");
+    // The registry is process-wide and other tests submit jobs too, so
+    // compare the sample count before and after.
+    let samples = |client: &mut Client| {
+        let snapshot = client.metrics().expect("metrics");
+        snapshot
+            .get("histograms")
+            .and_then(|h| h.get("serve.queue_wait_us"))
+            .and_then(|h| h.get("count"))
+            .and_then(Json::as_u128)
+            .unwrap_or(0)
+    };
+    let before = samples(&mut client);
+    let jobs = 3;
+    for _ in 0..jobs {
+        client.submit(bench_spec("converta")).expect("the job runs");
+    }
+    let after = samples(&mut client);
+    assert!(after >= before + jobs, "{before} -> {after} samples");
+    client.shutdown().expect("shutdown");
+    handle.join().unwrap().unwrap();
+}
+
 /// The README's metrics glossary names only metrics the code records:
 /// after one `submit`, a daemon's `metrics` snapshot holds every
 /// `settler.*`, `cssg.*`, `fsim.*` and `engine.*` name it lists.  A

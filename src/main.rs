@@ -36,6 +36,7 @@ use satpg::core::{
 };
 use satpg::engine::{run_engine, EngineConfig};
 use satpg::netlist::{to_ckt, Circuit};
+use satpg::serve::proto::MAX_JOB_WORKERS;
 use satpg::serve::{
     family_default_size, job_atpg_config, resolve_circuit, run_fleet, CircuitSpec, Client, JobSpec,
     ServeConfig, Server,
@@ -113,8 +114,9 @@ commands:
   trace-check <trace.json>      # validate a Chrome trace-event file
 <circuit> is a benchmark name (see `list`), a .g or .ckt file, `-` (that text
 on stdin), or --family muller|dme|arbiter|seq [--size K] in its place.
-A command rejects any flag it does not list.  --trace-out DIR writes Chrome
-trace-event files (load them at https://ui.perfetto.dev or chrome://tracing)";
+A command rejects any flag it does not list.  --workers N and --serve-workers N
+take N <= 64.  --trace-out DIR writes Chrome trace-event files (load them at
+https://ui.perfetto.dev or chrome://tracing)";
 
 fn usage() -> ExitCode {
     eprintln!("{USAGE}");
@@ -217,13 +219,13 @@ fn parse_opts(cmd: &str, args: &[String]) -> Option<Opts> {
             "--no-random" => o.no_random = true,
             "--pattern-budget" => o.pattern_budget = Some(it.next()?.parse().ok()?),
             "--program" => o.program = true,
-            "--workers" => o.workers = it.next()?.parse().ok()?,
+            "--workers" => o.workers = thread_count(it.next()?)?,
             "--size" => o.size = Some(it.next()?.parse().ok()?),
             "--audit" => o.audit = true,
             "--json" => o.json = true,
             "--addr" => o.daemon.addr = it.next()?.clone(),
             "--family" => o.family = Some(it.next()?.clone()),
-            "--serve-workers" => o.daemon.pool_workers = it.next()?.parse().ok()?,
+            "--serve-workers" => o.daemon.pool_workers = thread_count(it.next()?)?,
             "--queue-depth" => o.daemon.queue_depth = it.next()?.parse().ok()?,
             "--cache-size" => o.daemon.cache_entries = it.next()?.parse().ok()?,
             "--trace-out" => o.trace_out = Some(PathBuf::from(it.next()?)),
@@ -245,6 +247,13 @@ fn parse_opts(cmd: &str, args: &[String]) -> Option<Opts> {
         }
     }
     Some(o)
+}
+
+/// A thread count `--workers` or `--serve-workers` sets: at most
+/// [`MAX_JOB_WORKERS`], the cap a job's own `workers` field has on the
+/// wire.  `None` past it or on a non-number.
+fn thread_count(arg: &str) -> Option<usize> {
+    arg.parse().ok().filter(|&n| n <= MAX_JOB_WORKERS)
 }
 
 /// The circuit the arguments name: `--family F [--size K]`, a bundled
@@ -918,6 +927,19 @@ mod tests {
         assert_eq!(r.rnd + r.ph3 + r.sim, r.input_cov);
         assert!(r.input_tot >= r.output_tot);
         assert_eq!(r.output_cov, r.output_tot, "SI: 100% output stuck-at");
+    }
+
+    #[test]
+    fn serve_thread_counts_stop_at_the_job_cap() {
+        let parse = |flag: &str, n: usize| parse_opts("serve", &[flag.to_string(), n.to_string()]);
+        let o = parse("--workers", MAX_JOB_WORKERS).expect("the cap itself is accepted");
+        assert_eq!(o.workers, MAX_JOB_WORKERS);
+        let o = parse("--serve-workers", MAX_JOB_WORKERS).expect("the cap itself is accepted");
+        assert_eq!(o.daemon.pool_workers, MAX_JOB_WORKERS);
+        for flag in ["--workers", "--serve-workers"] {
+            assert!(parse(flag, MAX_JOB_WORKERS + 1).is_none(), "{flag}");
+            assert!(parse(flag, usize::MAX).is_none(), "{flag}");
+        }
     }
 
     #[test]

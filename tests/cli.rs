@@ -460,6 +460,18 @@ fn a_retired_flag_prints_the_usage() {
 }
 
 #[test]
+fn thread_counts_stop_at_the_job_cap() {
+    // The cap a job's `workers` field has on the wire.  Converta leaves
+    // no class open and its build stays under the helper threshold, so
+    // neither run starts a thread.
+    let out = satpg(&["engine", "converta", "--workers", "65"], None);
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(1), "{stderr}");
+    assert!(stderr.starts_with("usage: satpg"), "{stderr}");
+    ok(&["engine", "converta", "--workers", "64"], None);
+}
+
+#[test]
 fn a_reader_that_closes_early_is_not_a_panic() {
     let cases: [&[&str]; 3] = [
         &["table", "1"],
